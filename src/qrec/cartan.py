@@ -1,5 +1,5 @@
 """Static data for the simple Lie types: Cartan matrices, symmetrizers,
-recurrence-order tables and dimension-growth degrees.
+recurrence orders and dimension-growth degrees, and the table built from them.
 
 Node numbering: the classical families are chains 1..r with the short/long
 asymmetry on the last bond (B: node r short, C: node r long); D attaches
@@ -8,11 +8,9 @@ node 3; F4 is 1-2=>3-4 (nodes 3,4 short); G2 has node 1 long, node 2 short.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
 RANK_BOUNDS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
@@ -176,8 +174,12 @@ def predicted_order(lt: LieType, a: int):
 
 @lru_cache(maxsize=None)
 def order_tables() -> tuple[dict, ...]:
-    """Shipped order/degree table rows: {type, rank, ell: [int|None], deg: [int]}."""
-    payload = json.loads(
-        resources.files("qrec.data").joinpath("order_tables.json").read_text()
-    )
-    return tuple(payload["rows"])
+    """Order/degree table rows {type, rank, ell: [int|None], deg: [int]} for
+    A1-A7, B2-B7, C2-C7, D3-D7, E6, E7, E8, F4 and G2, in that order."""
+    classical = (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+    types = [LieType(family, rank) for family, lowest in classical
+             for rank in range(lowest, 8)]
+    types += [LieType.parse(name) for name in ("E6", "E7", "E8", "F4", "G2")]
+    return tuple({"type": lt.family, "rank": lt.rank,
+                  "ell": [predicted_order(lt, a) for a in range(1, lt.rank + 1)],
+                  "deg": growth_degree(lt)} for lt in types)

@@ -2,12 +2,13 @@
 catalogued structure, dump order/degree tables, and interpolate coefficients.
 
 Exit codes: 0 all checks passed, 2 at least one check failed (or detection
-failed), 3 configuration error, 4 resource cap hit.
+failed), 3 configuration or usage error, 4 resource cap hit.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from . import conjectures
 from .cartan import LieType, order_tables, cartan_data, growth_degree, predicted_order
-from .fields import RATIONALS, PrimeField, seeded_primes
+from .fields import PrimeField, seeded_primes
 from .linrec import (InsufficientData, LiftOverflow, NoStableRecurrence,
                      PrimeDisagreement, find_min_recurrence, multi_prime_detect)
 from .qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode, RawQ,
@@ -63,19 +64,23 @@ def _parse_fractions(text: str) -> tuple[Fraction, ...]:
         raise ConfigError(f"cannot parse number list {text!r}: {exc}") from None
 
 
-def _load_branching(path, lt=None):
+def _load_branching(path, lt):
     if path is None:
         return None
-    with open(path) as handle:
-        payload = json.load(handle)
-    if lt is not None and "type" in payload:
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+        branching = {int(a): [tuple(int(c) for c in w) for w in parts]
+                     for a, parts in payload["branching"].items()}
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"cannot read branching file {path}: {exc}") from None
+    if "type" in payload:
         text = str(payload["type"])
         if text.isalpha():
             text += str(payload.get("rank", ""))
         if LieType.parse(text) != lt:
             raise ConfigError(f"branching file is for {text}, not {lt}")
-    return {int(a): [tuple(int(c) for c in w) for w in parts]
-            for a, parts in payload["branching"].items()}
+    return branching
 
 
 def _rng(seed: int, tag: str) -> random.Random:
@@ -95,7 +100,7 @@ def _random_torus_point(lt: LieType, rng: random.Random) -> tuple[Fraction, ...]
 
 
 def _resolve_mode(args) -> str:
-    if args.mode is not None:
+    if getattr(args, "mode", None) is not None:
         return args.mode
     if getattr(args, "q", None) is not None:
         return "raw-explicit"
@@ -104,33 +109,32 @@ def _resolve_mode(args) -> str:
     return "raw-random"
 
 
-def _build_specialization(lt, mode, args, rng, branching):
+def _specializations(lt, mode, args, rng, branching):
+    """The configured specialization, then, in the random modes, fresh draws
+    that replace a singular one."""
     if mode == "raw-explicit":
         if args.q is None:
             raise ConfigError("raw-explicit mode needs --q")
         values = _parse_fractions(args.q)
         if len(values) != lt.rank:
             raise ConfigError(f"--q needs {lt.rank} values for {lt}")
-        return RawQ(values)
-    if mode == "raw-random":
-        return RawQ(_random_q(lt, rng))
-    if mode == "character-point":
-        y = _parse_fractions(args.y) if args.y is not None else _random_torus_point(lt, rng)
-        return CharacterPoint(y, branching)
-    if mode == "dimension":
-        return DimensionMode(branching)
-    raise ConfigError(f"unknown mode {mode!r}")
+        yield RawQ(values)
+    elif mode == "raw-random":
+        while True:
+            yield RawQ(_random_q(lt, rng))
+    elif mode == "character-point":
+        if args.y is not None:
+            yield CharacterPoint(_parse_fractions(args.y), branching)
+        else:
+            while True:
+                yield CharacterPoint(_random_torus_point(lt, rng), branching)
+    else:  # dimension
+        yield DimensionMode(branching)
 
 
-def _redraw(lt, mode, args, rng, branching):
-    if mode == "raw-random":
-        return RawQ(_random_q(lt, rng))
-    if mode == "character-point" and args.y is None:
-        return CharacterPoint(_random_torus_point(lt, rng), branching)
-    return None
-
-
-def _auto_depth(lt, node, guard, modular) -> int | None:
+def _resolve_depth(lt, node, args, modular) -> int | None:
+    if args.depth is not None and args.depth != "auto":
+        return int(args.depth)
     pred = predicted_order(lt, node)
     if pred is None:
         return None
@@ -139,52 +143,73 @@ def _auto_depth(lt, node, guard, modular) -> int | None:
         raise conjectures.CapExceeded(
             f"predicted order {pred} exceeds the {'modular' if modular else 'rational'} "
             f"depth-policy cap {cap}")
-    g = guard if guard is not None else max(8, pred // 4)
+    g = args.guard if args.guard is not None else max(8, pred // 4)
     return 2 * pred + g + 4
 
 
-def _resolve_depth(lt, node, args, modular) -> int | None:
-    if args.depth is not None and args.depth != "auto":
-        return int(args.depth)
-    return _auto_depth(lt, node, args.guard, modular)
+def _prologue(args, tag):
+    """The setup that gen, detect, verify and interpolate share.
+
+    Returns (lt, node, mode, primes, depth, specs).  primes is None unless
+    --modular is given; depth is None when it is auto and the order is not
+    tabulated; specs iterates over the specializations to try, drawn from the
+    subcommand's rng, whose tag fixes the draws.
+    """
+    lt = _parse_type(args)
+    mode = _resolve_mode(args)
+    node = args.node or 1
+    branching = _load_branching(getattr(args, "branching", None), lt)
+    modular = getattr(args, "modular", None)
+    if modular and mode == "character-point":
+        raise ConfigError("modular detection needs an integer sequence; "
+                          "character points are rational")
+    primes = seeded_primes(modular, args.seed) if modular else None
+    specs = _specializations(lt, mode, args, _rng(args.seed, tag), branching)
+    first = next(specs)  # drawn before the depth policy, whose errors come second
+    if primes and isinstance(first, RawQ) and any(v.denominator != 1 for v in first.values):
+        raise ConfigError("modular detection lifts integer coefficients; "
+                          "--q must be integers")
+    depth = _resolve_depth(lt, node, args, modular=bool(primes))
+    return lt, node, mode, primes, depth, itertools.chain([first], specs)
 
 
-def _generate_with_retries(lt, spec, target, field, mode, args, rng, branching):
-    retries = 0
+def _retrying(step, specs):
+    """step(spec) for the first specialization; a singular one is replaced by
+    the next draw, up to MAX_SINGULAR_RETRIES times.
+
+    Returns (step's result, the specialization used, retries).
+    """
+    spec, retries = next(specs), 0
     while True:
         try:
-            return generate(lt, spec, target, field=field), spec, retries
+            return step(spec), spec, retries
         except SingularSpecialization:
-            fresh = _redraw(lt, mode, args, rng, branching)
+            fresh = next(specs, None)
             if fresh is None or retries >= MAX_SINGULAR_RETRIES:
                 raise
-            spec = fresh
-            retries += 1
+            spec, retries = fresh, retries + 1
 
 
-def _detect(lt, node, spec, depth, args, modular_primes):
-    """Returns (rec, rational QTable or None)."""
-    if modular_primes:
-        def factory(p):
-            table = generate(lt, spec, (node, depth), field=PrimeField(p))
-            return table.node(node)
-        rec = multi_prime_detect(factory, modular_primes, guard=args.guard)
-        return rec, None
-    table = generate(lt, spec, (node, depth))
-    rec = find_min_recurrence(table.node(node), guard=args.guard)
-    return rec, table
-
-
-def _detect_doubling(lt, node, spec, args, modular_primes):
+def _detect(lt, node, spec, depth, guard, modular_primes):
+    """Detects the recurrence of node at depth, or, when depth is None, at
+    depths doubling from 32 until detection is stable or the order cap is
+    passed.  Returns (rec, rational QTable or None, depth used)."""
     cap = MODULAR_ORDER_CAP if modular_primes else RATIONAL_ORDER_CAP
-    depth = 32
+    trial = 32 if depth is None else depth
     while True:
         try:
-            return _detect(lt, node, spec, depth, args, modular_primes), depth
+            if modular_primes:
+                def factory(p):
+                    table = generate(lt, spec, (node, trial), field=PrimeField(p))
+                    return table.node(node)
+                rec = multi_prime_detect(factory, modular_primes, guard=guard)
+                return rec, None, trial
+            table = generate(lt, spec, (node, trial))
+            return find_min_recurrence(table.node(node), guard=guard), table, trial
         except (NoStableRecurrence, InsufficientData):
-            if depth >= 2 * cap + 64:
+            if depth is not None or trial >= 2 * cap + 64:
                 raise
-            depth *= 2
+            trial *= 2
 
 
 def _digest(payload: dict) -> str:
@@ -198,9 +223,12 @@ def _emit(payload, args, csv_rows=None) -> None:
         text = "\n".join(",".join(row) for row in csv_rows) + "\n"
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as handle:
-            handle.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out file: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -210,20 +238,13 @@ def _emit(payload, args, csv_rows=None) -> None:
 
 
 def run_gen(args):
-    lt = _parse_type(args)
-    mode = _resolve_mode(args)
-    if mode == "dimension" and args.depth in (None, "auto"):
+    if args.mode == "dimension" and args.depth in (None, "auto"):
         raise ConfigError("dimension mode needs an explicit --depth")
-    branching = _load_branching(args.branching, lt)
-    rng = _rng(args.seed, "gen")
-    spec = _build_specialization(lt, mode, args, rng, branching)
-    node = args.node or 1
-    depth = _resolve_depth(lt, node, args, modular=False)
+    lt, node, mode, _primes, depth, specs = _prologue(args, "gen")
     if depth is None:
         raise ConfigError("--depth auto needs a tabulated order; give an explicit depth")
     target = (node, depth) if args.node is not None else depth
-    table, spec, retries = _generate_with_retries(
-        lt, spec, target, RATIONALS, mode, args, rng, branching)
+    table, spec, retries = _retrying(lambda spec: generate(lt, spec, target), specs)
     payload = {
         "job": "gen",
         "config": _config_echo(lt, node, mode, args),
@@ -241,7 +262,7 @@ def _config_echo(lt, node, mode, args):
         "type": str(lt), "rank": lt.rank, "node": node, "mode": mode,
         "seed": args.seed, "depth": args.depth if args.depth is not None else "auto",
     }
-    if getattr(args, "guard", None) is not None:
+    if args.guard is not None:
         echo["guard"] = args.guard
     if getattr(args, "modular", None):
         echo["modular"] = args.modular
@@ -253,31 +274,9 @@ def _config_echo(lt, node, mode, args):
 
 
 def run_detect(args):
-    lt = _parse_type(args)
-    mode = _resolve_mode(args)
-    node = args.node or 1
-    branching = _load_branching(args.branching, lt)
-    if args.modular and mode == "character-point":
-        raise ConfigError("modular detection needs an integer sequence; "
-                          "character points are rational")
-    primes = seeded_primes(args.modular, args.seed) if args.modular else None
-    rng = _rng(args.seed, "detect")
-    spec = _build_specialization(lt, mode, args, rng, branching)
-    depth = _resolve_depth(lt, node, args, modular=bool(primes))
-    retries = 0
-    while True:
-        try:
-            if depth is None:
-                (rec, _table), depth_used = _detect_doubling(lt, node, spec, args, primes)
-            else:
-                rec, _table = _detect(lt, node, spec, depth, args, primes)
-                depth_used = depth
-            break
-        except SingularSpecialization:
-            fresh = _redraw(lt, mode, args, rng, branching)
-            if fresh is None or retries >= MAX_SINGULAR_RETRIES:
-                raise
-            spec, retries = fresh, retries + 1
+    lt, node, mode, primes, depth, specs = _prologue(args, "detect")
+    (rec, _table, depth_used), spec, retries = _retrying(
+        lambda spec: _detect(lt, node, spec, depth, args.guard, primes), specs)
     payload = {
         "job": "detect",
         "config": _config_echo(lt, node, mode, args),
@@ -386,30 +385,9 @@ def _verify_checks(lt, node, mode, rec, table, qvals, y):
 
 
 def run_verify(args):
-    lt = _parse_type(args)
-    mode = _resolve_mode(args)
-    node = args.node or 1
-    branching = _load_branching(args.branching, lt)
-    if args.modular and mode == "character-point":
-        raise ConfigError("modular detection needs an integer sequence; "
-                          "character points are rational")
-    primes = seeded_primes(args.modular, args.seed) if args.modular else None
-    rng = _rng(args.seed, "verify")
-    spec = _build_specialization(lt, mode, args, rng, branching)
-    depth = _resolve_depth(lt, node, args, modular=bool(primes))
-    retries = 0
-    while True:
-        try:
-            if depth is None:
-                (rec, table), depth = _detect_doubling(lt, node, spec, args, primes)
-            else:
-                rec, table = _detect(lt, node, spec, depth, args, primes)
-            break
-        except SingularSpecialization:
-            fresh = _redraw(lt, mode, args, rng, branching)
-            if fresh is None or retries >= MAX_SINGULAR_RETRIES:
-                raise
-            spec, retries = fresh, retries + 1
+    lt, node, mode, primes, depth, specs = _prologue(args, "verify")
+    (rec, table, _depth_used), spec, retries = _retrying(
+        lambda spec: _detect(lt, node, spec, depth, args.guard, primes), specs)
 
     qvals = initial_values(lt, spec)
     y = spec.y if isinstance(spec, CharacterPoint) else None
@@ -454,25 +432,20 @@ def run_tables(args):
 
 
 def run_interpolate(args):
-    lt = _parse_type(args)
-    node = args.node or 1
     k = args.k
     if k is None:
         raise ConfigError("--k is required for interpolate")
-    primes = seeded_primes(args.modular, args.seed) if args.modular else None
-    depth = _resolve_depth(lt, node, args, modular=bool(primes))
+    lt, node, mode, primes, depth, specs = _prologue(args, "interpolate")
     if depth is None:
         raise ConfigError("interpolation needs a tabulated order or explicit --depth")
-    rng = _rng(args.seed, "interpolate")
     experiments = []
-    attempts = 0
-    while len(experiments) < args.runs:
-        attempts += 1
+    for attempts, spec in enumerate(specs, 1):
+        if len(experiments) >= args.runs:
+            break
         if attempts > args.runs + MAX_SINGULAR_RETRIES * 4:
             raise NoStableRecurrence("too many singular draws during interpolation")
-        spec = RawQ(_random_q(lt, rng))
         try:
-            rec, _ = _detect(lt, node, spec, depth, args, primes)
+            rec, _, _ = _detect(lt, node, spec, depth, args.guard, primes)
         except (SingularSpecialization, NoStableRecurrence, PrimeDisagreement):
             continue
         if rec.order < k:
@@ -482,7 +455,7 @@ def run_interpolate(args):
     poly = conjectures.interpolate_coefficients(lt, node, k, candidates, experiments)
     payload = {
         "job": "interpolate",
-        "config": _config_echo(lt, node, "raw-random", args),
+        "config": _config_echo(lt, node, mode, args),
         "k": k, "runs": args.runs,
         "polynomial": None if poly is None else str(poly),
         "terms": None if poly is None else
@@ -520,11 +493,9 @@ def run_dims(args):
     branching = _load_branching(args.branching, lt)
     t = cartan_data(lt).t
     degs = growth_degree(lt)
-    if args.depth in (None, "auto"):
-        depth = max(t[a] * (degs[a] + 3) for a in range(lt.rank))
-    else:
-        depth = int(args.depth)
-    deepest = max(range(lt.rank), key=lambda a: t[a] * (degs[a] + 3))
+    needed = [t[a] * (degs[a] + 3) for a in range(lt.rank)]
+    deepest = max(range(lt.rank), key=needed.__getitem__)
+    depth = needed[deepest] if args.depth in (None, "auto") else int(args.depth)
     table = generate(lt, DimensionMode(branching), (deepest + 1, depth))
     results = conjectures.check_growth_degree(lt, table)
     payload = {
@@ -543,71 +514,67 @@ def run_dims(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a configuration error: exit 3, not argparse's 2."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qrec",
         description="Exact Q-system tables, recurrence detection, and structural checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, q=True):
-        p.add_argument("--type",
-                       help="Lie type, e.g. B3 or E6 (or a family letter with --rank)")
-        p.add_argument("--rank", type=int)
-        p.add_argument("--node", type=int, help="node index, 1-based (default 1)")
-        p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--depth", help="recursion depth, or 'auto'")
-        p.add_argument("--guard", type=int, help="extra validation terms for detection")
-        p.add_argument("--modular", type=int, metavar="N",
-                       help="detect modulo N seeded primes and lift by CRT")
-        p.add_argument("--branching", metavar="FILE",
-                       help="JSON file overriding the level-1 decompositions")
-        p.add_argument("--out", metavar="FILE")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        if q:
-            p.add_argument("--mode", choices=("raw-random", "raw-explicit",
-                                              "character-point", "dimension"))
-            p.add_argument("--q", help="comma-separated level-1 values")
-            p.add_argument("--y", help="comma-separated torus point entries")
-
-    common(sub.add_parser("gen", help="generate a Q-table"))
-    common(sub.add_parser("detect", help="detect the minimal recurrence of a node"))
-    common(sub.add_parser("verify", help="run every applicable structural check"))
-    tables = sub.add_parser("tables", help="dump the shipped order/degree tables")
-    common(tables, q=False)
-    interp = sub.add_parser("interpolate",
-                            help="fit C_k as a polynomial in q across random runs")
-    common(interp, q=False)
-    interp.add_argument("--k", type=int, help="coefficient index to fit")
-    interp.add_argument("--runs", type=int, default=40)
-    interp.add_argument("--degree", type=int, default=2,
-                        help="maximal total degree of candidate monomials")
-    dims = sub.add_parser("dims", help="dimension-mode table and growth degrees")
-    common(dims, q=False)
-    wsys = sub.add_parser("weights", help="dump a weight system as CSV or JSON")
-    common(wsys, q=False)
-    wsys.add_argument("--highest", help="dominant weight, comma-separated coordinates")
+    options = {
+        "type": dict(help="Lie type, e.g. B3 or E6 (or a family letter with --rank)"),
+        "rank": dict(type=int),
+        "node": dict(type=int, help="node index, 1-based (default 1)"),
+        "seed": dict(type=int, default=_default_seed()),
+        "depth": dict(help="recursion depth, or 'auto'"),
+        "guard": dict(type=int, help="extra validation terms for detection"),
+        "modular": dict(type=int, metavar="N",
+                        help="detect modulo N seeded primes and lift by CRT"),
+        "mode": dict(choices=("raw-random", "raw-explicit", "character-point", "dimension")),
+        "q": dict(help="comma-separated level-1 values"),
+        "y": dict(help="comma-separated torus point entries"),
+        "branching": dict(metavar="FILE",
+                          help="JSON file overriding the level-1 decompositions"),
+        "k": dict(type=int, help="coefficient index to fit"),
+        "runs": dict(type=int, default=40),
+        "degree": dict(type=int, default=2,
+                       help="maximal total degree of candidate monomials"),
+        "highest": dict(help="dominant weight, comma-separated coordinates"),
+        "out": dict(metavar="FILE"),
+        "format": dict(choices=("json", "csv"), default="json"),
+    }
+    # each subcommand takes --type, --rank, --out and only the options its runner reads
+    run = "node seed depth guard"
+    spec = "mode q y branching"
+    for name, runner, text, names in (
+        ("gen", run_gen, "generate a Q-table", f"{run} {spec} format"),
+        ("detect", run_detect, "detect the minimal recurrence of a node",
+         f"{run} modular {spec}"),
+        ("verify", run_verify, "run every applicable structural check",
+         f"{run} modular {spec}"),
+        ("tables", run_tables, "dump the order/degree tables", "format"),
+        ("interpolate", run_interpolate,
+         "fit C_k as a polynomial in q across random runs", f"{run} modular k runs degree"),
+        ("dims", run_dims, "dimension-mode table and growth degrees",
+         "depth branching format"),
+        ("weights", run_weights, "dump a weight system as CSV or JSON", "highest format"),
+    ):
+        command = sub.add_parser(name, help=text)
+        command.set_defaults(run=runner)
+        for option in ("type", "rank", *names.split(), "out"):
+            command.add_argument(f"--{option}", **options[option])
     return parser
 
 
-_DISPATCH = {
-    "gen": run_gen,
-    "detect": run_detect,
-    "verify": run_verify,
-    "tables": run_tables,
-    "interpolate": run_interpolate,
-    "dims": run_dims,
-    "weights": run_weights,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
-    except (ConfigError, BranchingIncomplete, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return args.run(args)
     except (DimensionCapExceeded, conjectures.CapExceeded,
             conjectures.InsufficientDepth, LiftOverflow) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
@@ -616,6 +583,10 @@ def main(argv=None) -> int:
             InsufficientData) as exc:
         print(f"detection failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except (ConfigError, BranchingIncomplete, ValueError) as exc:
+        # last: InsufficientData and InsufficientDepth are ValueErrors too
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -232,13 +232,6 @@ def build_lambda(lt: LieType, a: int) -> LambdaSpec:
     return spec
 
 
-_EXPECTED_CARDINALITIES = {
-    ("F", 4, 1): (25, 0), ("F", 4, 4): (24, 25),
-    ("G", 2, 1): (7, 0), ("G", 2, 2): (6, 7),
-    ("E", 6, 1): (27, 0), ("E", 7, 6): (56, 0), ("E", 8, 7): (241, 0),
-}
-
-
 # ---------------------------------------------------------------------------
 # coefficient formulas as exterior-power combinations
 

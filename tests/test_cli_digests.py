@@ -1,0 +1,127 @@
+"""Pinned (exit code, digest) pairs for a fixed list of fast CLI invocations.
+
+Refactors of the CLI must keep every pin.  A JSON report is pinned by its
+``digest`` field, a CSV report by the SHA-256 of its text, and a run that
+prints nothing by ``None``.  To print the pins of the current code:
+
+    PYTHONPATH=src python tests/test_cli_digests.py
+"""
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+import qrec.cli as cli
+
+BAD_BRANCHING = {"type": "B3", "rank": 3, "branching": {"1": [[0, 1, 0]]}}
+
+PINS = {
+    "gen --type E6 --q 17,22,38,40,14,31 --depth 3 --format csv":
+        (0, "441116f5fc94672d0b8e22af83c738689ba6ebcd1a617c3ccf8534699d035369"),
+    "gen --type A1 --q 2 --depth 5 --node 1":
+        (0, "4cdd827db096630171b9cf78492bb0009a9da603534f5d6d4fdf0f50b0da70b3"),
+    "gen --type G2 --seed 3 --depth 8":
+        (0, "13b58393ae521777f1bd6962a322d2941a996e05e55ff44acfc372d898e9fb7f"),
+    "gen --type A3 --node 2 --seed 1":
+        (0, "a401119192d1ca000d17fd5ecf7ae7fcd521779536321509006d25a28097f925"),
+    "gen --type B3 --mode character-point --seed 7 --depth 4":
+        (0, "bd187d3b274f4d5afd22af9180ab4589e0a392918edbb358b41a0dc93d2ffde5"),
+    "gen --type G2 --mode dimension --depth 6 --format csv":
+        (0, "17dee264d0081e8aec89eb0712d1b4e0f0b64898f2ef8a1238a59f342f99e7a5"),
+    "detect --type A3 --seed 1 --node 2":
+        (0, "40e6df3ce26cc42eca1ecb2ed0f0f063cb559e32cf2f2c510c555157b915579b"),
+    "detect --type E6 --q 17,22,38,40,14,31":
+        (0, "3a6f80ff5547f08e68a9a65437b64721aad5c01c450cf2ff81a902f5a15ae448"),
+    "detect --type B3 --node 3 --seed 2 --guard 12":
+        (0, "b1b46955bf3392c3b6b4e5ec75a89c3298b720609d0bbdef1bafa9c3475d6249"),
+    "detect --type A2 --seed 5 --depth 20":
+        (0, "9752be8b5f1ce08e207d6fc474cffa11997aa50be4aa1a3ee87900f10666bcca"),
+    "detect --type G2 --node 2 --mode character-point --seed 3":
+        (0, "a29cad3582ad47020d606347cf5fe31c0877032715b5ae9b5ac7ea3f14aa7237"),
+    "detect --type C3 --node 2 --mode dimension --depth 40":
+        (2, None),
+    "detect --type G2 --seed 3 --modular 3":
+        (0, "bd1a3261ef289eff2ef4f557b1c912dbf757412042fa6af824384391cf3bde45"),
+    "detect --type A3 --node 2 --seed 6 --modular 4 --depth auto":
+        (0, "4f43b2fc3b850e636b4c3ce9a5dc39022afa872f034921731586511ece69a704"),
+    "verify --type B3 --node 1 --mode character-point --seed 7":
+        (0, "6801e5c60b7a42a9dd043a5067c505625a56ddccd5435f59d4a8d3fb37325b64"),
+    "verify --type G2 --node 1 --seed 11":
+        (0, "35157be20774ae7aefd907ff9c4268ab271215b19c407e6375d8ad75657da3dc"),
+    "verify --type G2 --node 2 --seed 3 --modular 3":
+        (0, "fb68088b8c6092be381ead9d1b445e74ae491d9b0d0b71f4b24fc0c0f70fc054"),
+    "verify --type A3 --node 2 --q 3,-4,5":
+        (0, "49c5e0e94c968133a04ba81615811cae6544b79e7efa0b7af8e911bf4533ba23"),
+    "verify --type B3 --node 1 --mode character-point --seed 7 --branching {bad}":
+        (2, "52ac3d53bd500fb92ba7f443469f36418fce1de4e4d6efdbdaf2b1adf4014291"),
+    "tables":
+        (0, "545abf9f86fc10ba38e1bc6350ac18b63932984689dac9384d6176f770f81612"),
+    "tables --type C4 --format csv":
+        (0, "5a9376fde6d63a37b4a005b7096e0eb12eb7ae6c3e8b7605991ee89869d15bda"),
+    "tables --type E7":
+        (0, "eb03033d7dda8b9d08014f9767bf70d39b0e439171f13de27ab47b45f6bf46b5"),
+    "interpolate --type A2 --node 1 --k 1 --runs 12 --degree 1 --seed 2":
+        (0, "4f17f0c5439c66b2a02fd9858435c720c48b19f6640e7099fbdb6ad872469175"),
+    "interpolate --type G2 --node 1 --k 2 --runs 10 --degree 1 --modular 3 --seed 1":
+        (2, "d59411f7c492232349b4c09111d32938f907a53b28689fa92e5065d67c481c44"),
+    "dims --type G2":
+        (0, "27ceafc8bad3e7df4afbcf87110d72ddeca6f79b04c75b1037ed43c21ffbe7e5"),
+    "dims --type B3 --format csv":
+        (0, "5e4b25c7c2059b57aab113ef08ba7ddcb9989a8113d3853b5b7da72e0b214aa3"),
+    "weights --type A2 --highest 1,0 --format csv":
+        (0, "ac10c775c7555b5532ae02be3e8572b314558474bf72eec782a5137e4a79c592"),
+    "weights --type G2 --highest 1,0":
+        (0, "2ca69379dd56dc4ab1e7f2dbc41c81cb274a421f2a820a1a79720eafc3d78132"),
+    "gen --type Z9 --depth 3":
+        (3, None),
+    "detect --type B3 --mode character-point --modular 3":
+        (3, None),
+    "detect --type B7 --node 7":
+        (4, None),
+    "doubling: detect --type G2 --node 1 --seed 4":
+        (0, "4584995817abba08830d7504772b153459a1ecb5e077ad407ba7c405ea799ccc"),
+    "doubling: verify --type G2 --node 2 --seed 5":
+        (2, "8fd3f940590b381aeca6609ec3af498530ccad38b58bdaf4f13ba6026fb32b8c"),
+}
+
+
+def outcome(argv):
+    """(exit code, digest) of one run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    text = out.getvalue()
+    if not text:
+        return code, None
+    if text.startswith("{"):
+        return code, json.loads(text)["digest"]
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_invocation(text, tmp_dir, patch):
+    """Runs one pinned invocation; ``doubling:`` ones see no tabulated order."""
+    bad = tmp_dir / "bad_branching.json"
+    bad.write_text(json.dumps(BAD_BRANCHING))
+    argv = text.removeprefix("doubling: ").format(bad=bad).split()
+    if text.startswith("doubling: "):
+        patch(cli, "predicted_order", lambda lt, a: None)
+    return outcome(argv)
+
+
+@pytest.mark.parametrize("text", PINS)
+def test_cli_digest_pinned(text, tmp_path, monkeypatch):
+    assert run_invocation(text, tmp_path, monkeypatch.setattr) == PINS[text]
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for text in PINS:
+            original = cli.predicted_order
+            pin = run_invocation(text, Path(tmp), setattr)
+            cli.predicted_order = original
+            print(f"    {text!r}:\n        {pin!r},")
