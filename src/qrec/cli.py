@@ -157,13 +157,15 @@ def _prologue(args, tag):
     """
     lt = _parse_type(args)
     mode = _resolve_mode(args)
-    node = args.node or 1
+    node = 1 if args.node is None else args.node
     branching = _load_branching(getattr(args, "branching", None), lt)
     modular = getattr(args, "modular", None)
-    if modular and mode == "character-point":
+    if modular is not None and modular < 3:
+        raise ConfigError("--modular needs at least 3 primes")
+    if modular is not None and mode == "character-point":
         raise ConfigError("modular detection needs an integer sequence; "
                           "character points are rational")
-    primes = seeded_primes(modular, args.seed) if modular else None
+    primes = seeded_primes(modular, args.seed) if modular is not None else None
     specs = _specializations(lt, mode, args, _rng(args.seed, tag), branching)
     first = next(specs)  # drawn before the depth policy, whose errors come second
     if primes and isinstance(first, RawQ) and any(v.denominator != 1 for v in first.values):
@@ -435,9 +437,14 @@ def run_interpolate(args):
     k = args.k
     if k is None:
         raise ConfigError("--k is required for interpolate")
+    if k < 0:
+        raise ConfigError(f"--k {k} is negative")
     lt, node, mode, primes, depth, specs = _prologue(args, "interpolate")
     if depth is None:
         raise ConfigError("interpolation needs a tabulated order or explicit --depth")
+    order = predicted_order(lt, node)
+    if order is not None and k > order:
+        raise ConfigError(f"--k {k} exceeds the order {order} of node {node} of {lt}")
     experiments = []
     for attempts, spec in enumerate(specs, 1):
         if len(experiments) >= args.runs:
@@ -534,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         "depth": dict(help="recursion depth, or 'auto'"),
         "guard": dict(type=int, help="extra validation terms for detection"),
         "modular": dict(type=int, metavar="N",
-                        help="detect modulo N seeded primes and lift by CRT"),
+                        help="detect once modulo the product of N >= 3 seeded primes"),
         "mode": dict(choices=("raw-random", "raw-explicit", "character-point", "dimension")),
         "q": dict(help="comma-separated level-1 values"),
         "y": dict(help="comma-separated torus point entries"),

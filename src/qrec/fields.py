@@ -1,5 +1,5 @@
-"""Exact coefficient fields (rationals, word-sized prime fields) plus the
-seeded prime generator and symmetric CRT lifting used by modular detection."""
+"""Exact coefficient rings (the rationals, and Z/m for m a prime or a product
+of distinct primes) plus the seeded prime generator used by modular detection."""
 from __future__ import annotations
 
 import random
@@ -49,13 +49,16 @@ RATIONALS = Rationals()
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Z/p for prime p; elements are plain ints in [0, p)."""
+    """Z/m for m a prime or a product of distinct primes; elements are plain
+    ints in [0, m).  By the CRT, Z/m is the product of the prime fields, so a
+    computation over it is one computation per prime factor, provided every
+    divisor is a unit: dividing by a non-unit raises ZeroDivisionError."""
 
-    p: int
+    modulus: int
 
     @property
     def name(self) -> str:
-        return f"mod {self.p}"
+        return f"mod {self.modulus}"
 
     @property
     def zero(self) -> int:
@@ -65,30 +68,32 @@ class PrimeField:
     def one(self) -> int:
         return 1
 
+    def _inverse(self, x: int) -> int:
+        try:
+            return pow(x, -1, self.modulus)
+        except ValueError:
+            raise ZeroDivisionError(
+                f"{x % self.modulus} is not a unit mod {self.modulus}") from None
+
     def of(self, value) -> int:
         if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by p={self.p}")
-            return value.numerator * pow(den, self.p - 2, self.p) % self.p
-        return int(value) % self.p
+            return value.numerator * self._inverse(value.denominator) % self.modulus
+        return int(value) % self.modulus
 
     def add(self, a, b):
-        return (a + b) % self.p
+        return (a + b) % self.modulus
 
     def sub(self, a, b):
-        return (a - b) % self.p
+        return (a - b) % self.modulus
 
     def mul(self, a, b):
-        return a * b % self.p
+        return a * b % self.modulus
 
     def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError(f"division by zero mod {self.p}")
-        return a * pow(b, self.p - 2, self.p) % self.p
+        return a * self._inverse(b) % self.modulus
 
     def neg(self, a):
-        return -a % self.p
+        return -a % self.modulus
 
 
 def is_probable_prime(n: int) -> bool:
@@ -131,18 +136,3 @@ def seeded_primes(count: int, seed: int, bits: int = 51) -> list[int]:
             primes.append(candidate)
     return primes
 
-
-def crt_symmetric(residues, moduli) -> int:
-    """The unique integer in (-M/2, M/2] congruent to each residue, M = prod moduli."""
-    total, modulus = 0, 1
-    for r, p in zip(residues, moduli):
-        g = pow(modulus % p, p - 2, p) if modulus % p else None
-        if g is None:
-            raise ValueError("moduli are not coprime")
-        k = (r - total) * g % p
-        total += modulus * k
-        modulus *= p
-    total %= modulus
-    if total > modulus // 2:
-        total -= modulus
-    return total

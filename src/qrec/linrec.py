@@ -8,14 +8,15 @@ coefficient list `alternating()`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .fields import RATIONALS, PrimeField, crt_symmetric
+from .fields import RATIONALS, PrimeField
 
 
 class NoStableRecurrence(RuntimeError):
-    """Every tried offset produced an LFSR that keeps growing with the window."""
+    """The minimal LFSR is too long for the window to validate it."""
 
 
 class InsufficientData(ValueError):
@@ -27,11 +28,7 @@ class NonVanishingTail(RuntimeError):
 
 
 class PrimeDisagreement(RuntimeError):
-    def __init__(self, results):
-        self.results = results
-        detail = ", ".join(f"p={p}: order {rec.order}, start {rec.start}"
-                           for p, rec in results)
-        super().__init__(f"per-prime detections disagree ({detail})")
+    """Detection modulo one of the primes would differ from the others."""
 
 
 class LiftOverflow(RuntimeError):
@@ -63,14 +60,17 @@ class RecurrencePoly:
 
 
 def berlekamp_massey(seq: Sequence, field=RATIONALS):
-    """Minimal LFSR of seq over the field.
+    """Minimal LFSR of seq over the field (or Z/m).
 
     Returns (L, conn) with conn[0] = 1 and
     sum_{i=0..L} conn[i] * seq[n-i] = 0 for all L <= n < len(seq).
+    Over Z/m, a discrepancy that is not a unit where L changes is one that
+    vanishes modulo some of the primes only, where the per-prime runs part
+    ways; inverting it raises ZeroDivisionError.
     """
     cur = [field.one]
     prev = [field.one]
-    L, m, b = 0, 1, field.one
+    L, m, b_inv = 0, 1, field.one
     for n, s_n in enumerate(seq):
         d = s_n
         for i in range(1, min(L, len(cur) - 1) + 1):
@@ -78,7 +78,7 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS):
         if d == field.zero:
             m += 1
             continue
-        coef = field.div(d, b)
+        coef = field.mul(d, b_inv)
         shifted_len = m + len(prev)
         if len(cur) < shifted_len:
             cur.extend([field.zero] * (shifted_len - len(cur)))
@@ -87,7 +87,7 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS):
             for i, pi in enumerate(prev):
                 cur[m + i] = field.sub(cur[m + i], field.mul(coef, pi))
             L = n + 1 - L
-            prev, b, m = stash, d, 1
+            prev, b_inv, m = stash, field.div(field.one, d), 1
         else:
             for i, pi in enumerate(prev):
                 cur[m + i] = field.sub(cur[m + i], field.mul(coef, pi))
@@ -104,13 +104,15 @@ def _holds_at(seq, conn, n, field) -> bool:
     return acc == field.zero
 
 
-def find_min_recurrence(seq: Sequence, guard: int | None = None, field=RATIONALS,
-                        offset_cap: int = 8) -> RecurrencePoly:
-    """Smallest-offset stable minimal recurrence of seq.
+def find_min_recurrence(seq: Sequence, guard: int | None = None,
+                        field=RATIONALS) -> RecurrencePoly:
+    """Stable minimal recurrence of seq.
 
-    For offsets 0, 1, ... the minimal LFSR of the suffix is accepted once the
-    suffix holds at least 2*order + guard terms (guard defaults to
-    max(8, order // 4)) and direct substitution confirms every window term.
+    The minimal LFSR of the whole sequence is accepted once the sequence
+    holds at least 2*L + guard terms (guard defaults to max(8, L // 4)) and
+    direct substitution confirms every window term.  A transient at the
+    start is absorbed into the LFSR's initial fill and shows as a later
+    start index.
     """
     if guard is not None and guard < 4:
         raise ValueError("guard must be at least 4")
@@ -118,28 +120,23 @@ def find_min_recurrence(seq: Sequence, guard: int | None = None, field=RATIONALS
     if n_total < 2 + (guard if guard is not None else 8):
         raise InsufficientData(
             f"{n_total} terms are too few for guard {guard if guard is not None else 8}")
-    for offset in range(min(offset_cap, n_total - 1) + 1):
-        window = seq[offset:]
-        L, conn = berlekamp_massey(window, field)
-        g = guard if guard is not None else max(8, L // 4)
-        if 2 * L + g > len(window):
-            continue  # LFSR would still be growing; unstable at this offset
-        if not all(_holds_at(seq, conn, n, field) for n in range(offset + L, n_total)):
-            continue
-        # an LFSR can absorb a transient into its initial fill, leaving
-        # trailing zero taps; the recurrence order is the actual degree
-        while len(conn) > 1 and conn[-1] == field.zero:
-            conn.pop()
-        order = len(conn) - 1
-        start = offset + L
-        while start > order and _holds_at(seq, conn, start - 1, field):
-            start -= 1
-        coeffs = tuple(c if k % 2 == 0 else field.neg(c) for k, c in enumerate(conn))
-        return RecurrencePoly(order=order, coeffs=coeffs, start=start)
-    raise NoStableRecurrence(
-        f"no offset up to {offset_cap} yields a recurrence validated by "
-        f"{guard if guard is not None else 'the default'} guard terms"
-    )
+    L, conn = berlekamp_massey(seq, field)
+    g = guard if guard is not None else max(8, L // 4)
+    if 2 * L + g > n_total or not all(_holds_at(seq, conn, n, field)
+                                      for n in range(L, n_total)):
+        raise NoStableRecurrence(
+            f"the minimal LFSR of {n_total} terms has length {L}, which "
+            f"{g} guard terms do not validate")
+    # an LFSR can absorb a transient into its initial fill, leaving
+    # trailing zero taps; the recurrence order is the actual degree
+    while len(conn) > 1 and conn[-1] == field.zero:
+        conn.pop()
+    order = len(conn) - 1
+    start = L
+    while start > order and _holds_at(seq, conn, start - 1, field):
+        start -= 1
+    coeffs = tuple(c if k % 2 == 0 else field.neg(c) for k, c in enumerate(conn))
+    return RecurrencePoly(order=order, coeffs=coeffs, start=start)
 
 
 def annihilates(seq: Sequence, rec: RecurrencePoly, field=RATIONALS) -> bool:
@@ -201,40 +198,35 @@ def numerator(seq: Sequence, rec: RecurrencePoly, field=RATIONALS) -> list:
 
 
 def multi_prime_detect(seq_factory: Callable[[int], Sequence[int]], primes,
-                       guard: int | None = None, offset_cap: int = 8) -> RecurrencePoly:
-    """Consensus detection over several prime fields, lifted by symmetric CRT.
+                       guard: int | None = None) -> RecurrencePoly:
+    """Detection modulo the product M of the primes, lifted to the symmetric
+    range (-M/2, M/2].
 
-    seq_factory(p) must yield the integer sequence reduced mod p.  All primes
-    must agree on the order and start index; coefficients are lifted to the
-    symmetric range and the result is flagged "modular" confidence.
+    seq_factory(M) must yield the integer sequence reduced mod M.  Z/M is
+    the product of the prime fields, so this one detection is the per-prime
+    detections joined by CRT; a division by a non-unit mod M is where they
+    would disagree.  The result is flagged "modular" confidence.
     """
     primes = sorted(set(int(p) for p in primes))
     if len(primes) < 3:
         raise ValueError("need at least 3 distinct primes")
     if any(p <= 2**50 for p in primes):
         raise ValueError("primes must exceed 2^50")
-    results = []
-    for p in primes:
-        fp = PrimeField(p)
-        seq = [x % p for x in seq_factory(p)]
-        results.append((p, find_min_recurrence(seq, guard=guard, field=fp,
-                                               offset_cap=offset_cap)))
-    orders = {rec.order for _, rec in results}
-    starts = {rec.start for _, rec in results}
-    if len(orders) != 1 or len(starts) != 1:
-        raise PrimeDisagreement(results)
-    order = orders.pop()
-    modulus = 1
-    for p in primes:
-        modulus *= p
+    modulus = math.prod(primes)
+    seq = [x % modulus for x in seq_factory(modulus)]
+    try:
+        rec = find_min_recurrence(seq, guard=guard, field=PrimeField(modulus))
+    except ZeroDivisionError as exc:
+        raise PrimeDisagreement(f"detections modulo the primes disagree: {exc}") from None
     lifted = []
-    for k in range(order + 1):
-        c = crt_symmetric([rec.coeffs[k] for _, rec in results], primes)
+    for k, c in enumerate(rec.coeffs):
+        if c > modulus // 2:
+            c -= modulus
         if modulus // 2 - abs(c) < 2**16:
             raise LiftOverflow(
                 f"coefficient C_{k} lifted to {c}, within 2^16 of modulus/2; "
                 "rerun with more primes"
             )
         lifted.append(c)
-    return RecurrencePoly(order=order, coeffs=tuple(lifted), start=starts.pop(),
+    return RecurrencePoly(order=rec.order, coeffs=tuple(lifted), start=rec.start,
                           confidence="modular", primes=tuple(primes))

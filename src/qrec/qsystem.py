@@ -18,7 +18,8 @@ from .weights import Weight, dimension, evaluate, is_dominant, weight_system, ze
 
 
 class SingularSpecialization(ArithmeticError):
-    """Division by zero while advancing the recursion (retry another seed/prime)."""
+    """Division by zero (or by a non-unit mod m) while advancing the recursion
+    (retry another seed)."""
 
     def __init__(self, node, level):
         self.node = node
@@ -238,7 +239,8 @@ def generate(lt: LieType, spec: Specialization, target,
 
     Nodes are interleaved: each sweep advances every node whose inputs are
     available, so cross-node index excursions resolve without recursion.
-    Raises SingularSpecialization on division by zero in the field.
+    Raises SingularSpecialization on division by zero in the field, or over
+    Z/m by a non-unit.
     """
     if isinstance(target, int):
         node, depth = None, target
@@ -264,10 +266,11 @@ def generate(lt: LieType, spec: Specialization, target,
             prod = _product_term(C, vals, field, a, m)
             if prod is None:
                 continue
-            if vals[a][m - 1] == field.zero:
-                raise SingularSpecialization(a + 1, m - 1)
             num = field.sub(field.mul(vals[a][m], vals[a][m]), prod)
-            nxt = field.div(num, vals[a][m - 1])
+            try:
+                nxt = field.div(num, vals[a][m - 1])
+            except ZeroDivisionError:
+                raise SingularSpecialization(a + 1, m - 1) from None
             if check_integrality and nxt.denominator != 1:
                 raise AssertionError(
                     f"integrality violated at node {a + 1} level {m + 1}: {nxt} "

@@ -285,3 +285,24 @@ def test_modular_detection_rejects_non_integral_q(capsys):
     code, payload = run_json(capsys, "detect", "--type", "A2", "--q", "1/3,3")
     assert code == 0
     assert payload["recurrence"]["coeffs"][1] == "1/3"
+
+
+def test_zero_valued_node_and_modular_are_config_errors(capsys):
+    for argv in (["detect", "--type", "A2", "--node", "0"],
+                 ["gen", "--type", "A2", "--node", "0", "--depth", "3"],
+                 ["detect", "--type", "A2", "--modular", "0"],
+                 ["detect", "--type", "A2", "--modular", "2"],
+                 ["detect", "--type", "A2", "--modular", "-1"]):
+        assert main(argv) == 3, argv
+        assert "configuration error" in capsys.readouterr().err, argv
+
+
+def test_interpolate_k_out_of_range_is_a_config_error(capsys):
+    for k, message in (("-1", "is negative"), ("4", "exceeds the order 3")):
+        argv = ["interpolate", "--type", "A2", "--k", k, "--runs", "12", "--degree", "1"]
+        assert main(argv) == 3, k
+        assert message in capsys.readouterr().err, k
+    # k equal to the order is in range: C_3 of A2 node 1 is 1
+    code, payload = run_json(capsys, "interpolate", "--type", "A2", "--k", "3",
+                             "--runs", "12", "--degree", "1", "--seed", "2")
+    assert code == 0 and payload["polynomial"] == "1"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -163,17 +164,20 @@ def test_multi_prime_validation():
         multi_prime_detect(lambda p: FIB, [3, 5, 7])
 
 
+def crt(residues, moduli):
+    """The integer in [0, prod moduli) with the given residues."""
+    modulus = math.prod(moduli)
+    return sum(r * (modulus // p) * pow(modulus // p, -1, p)
+               for r, p in zip(residues, moduli)) % modulus
+
+
 def test_prime_disagreement():
     primes = seeded_primes(3, 1)
-    special = primes[0]
-
-    def factory(p):
-        if p == special:
-            return [3**n % p for n in range(20)]
-        return [x % p for x in FIB]
+    # Fibonacci modulo two of the primes, 3^n modulo the third
+    seq = [crt([FIB[n], FIB[n], 3**n], primes) for n in range(20)]
 
     with pytest.raises(PrimeDisagreement):
-        multi_prime_detect(factory, primes)
+        multi_prime_detect(lambda m: [x % m for x in seq], primes)
 
 
 def test_lift_overflow():
@@ -203,6 +207,34 @@ def test_e6_sequence_modular_equals_rational():
     modular = multi_prime_detect(factory, seeded_primes(3, 7))
     assert modular.order == exact.order == 27
     assert list(modular.coeffs) == [int(c) for c in exact.coeffs]
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2"])
+def test_modular_detection_equals_exact(name):
+    from qrec.cartan import LieType, predicted_order
+    from qrec.qsystem import RawQ, SingularSpecialization, generate
+    lt = LieType.parse(name)
+    order = predicted_order(lt, 1)
+    depth = 2 * order + max(8, order // 4) + 4
+    for seed in range(1, 11):
+        rng = random.Random(seed)
+        while True:
+            q = RawQ(tuple(rng.randint(-50, 50) for _ in range(lt.rank)))
+            try:
+                seq = generate(lt, q, (1, depth)).node(1)
+                break
+            except SingularSpecialization:
+                continue
+        exact = find_min_recurrence(seq)
+
+        def factory(m):
+            return generate(lt, q, (1, depth), field=PrimeField(m)).node(1)
+
+        modular = multi_prime_detect(factory, seeded_primes(3, seed))
+        assert (modular.order, modular.start) == (exact.order, exact.start), seed
+        assert list(modular.coeffs) == [int(c) for c in exact.coeffs], seed
+        assert dense_min_recurrence(seq, exact.order + 2) == (
+            exact.order, list(exact.coeffs)), seed
 
 
 def test_minimality_hankel_system_inconsistent():

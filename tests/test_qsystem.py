@@ -106,6 +106,14 @@ def test_singular_specialization():
     assert err.value.node == 1
 
 
+def test_non_unit_divisor_is_singular():
+    # q = p1 is nonzero mod p1*p2*p3 but not a unit, and Q_3 divides by it
+    p1, p2, p3 = seeded_primes(3, 0)
+    with pytest.raises(SingularSpecialization):
+        generate(LieType.parse("A1"), RawQ((p1,)), target=(1, 6),
+                 field=PrimeField(p1 * p2 * p3))
+
+
 def test_character_point_initial_values():
     lt = LieType.parse("A2")
     y = (F(2), F(3))
