@@ -19,8 +19,9 @@ from fractions import Fraction
 from . import conjectures
 from .cartan import LieType, order_tables, cartan_data, growth_degree, predicted_order
 from .fields import PrimeField, seeded_primes
-from .linrec import (InsufficientData, LiftOverflow, NoStableRecurrence,
-                     PrimeDisagreement, find_min_recurrence, multi_prime_detect)
+from .linrec import (CertificateFailure, InsufficientData, LiftOverflow,
+                     NoStableRecurrence, PrimeDisagreement, find_min_recurrence,
+                     multi_prime_detect)
 from .qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode, RawQ,
                       SingularSpecialization, generate, initial_values)
 from .weights import DimensionCapExceeded, weight_system
@@ -194,9 +195,17 @@ def _retrying(step, specs):
 
 def _detect(lt, node, spec, depth, guard, modular_primes):
     """Detects the recurrence of node at depth, or, when depth is None, at
-    depths doubling from 32 until detection is stable or the order cap is
-    passed.  Returns (rec, rational QTable or None, depth used)."""
+    depths doubling from 32 until detection is stable or the ceiling is
+    reached.  A depth past that ceiling raises CapExceeded before any table
+    is generated.  Returns (rec, rational QTable or None, depth used)."""
     cap = MODULAR_ORDER_CAP if modular_primes else RATIONAL_ORDER_CAP
+    ceiling = 32
+    while ceiling < 2 * cap + 64:
+        ceiling *= 2
+    if depth is not None and depth > ceiling:
+        raise conjectures.CapExceeded(
+            f"depth {depth} exceeds the {'modular' if modular_primes else 'rational'} "
+            f"depth ceiling {ceiling}")
     trial = 32 if depth is None else depth
     while True:
         try:
@@ -209,7 +218,7 @@ def _detect(lt, node, spec, depth, guard, modular_primes):
             table = generate(lt, spec, (node, trial))
             return find_min_recurrence(table.node(node), guard=guard), table, trial
         except (NoStableRecurrence, InsufficientData):
-            if depth is not None or trial >= 2 * cap + 64:
+            if depth is not None or trial >= ceiling:
                 raise
             trial *= 2
 
@@ -277,8 +286,10 @@ def _config_echo(lt, node, mode, args):
 
 def run_detect(args):
     lt, node, mode, primes, depth, specs = _prologue(args, "detect")
+    started = time.perf_counter()
     (rec, _table, depth_used), spec, retries = _retrying(
         lambda spec: _detect(lt, node, spec, depth, args.guard, primes), specs)
+    detect_s = time.perf_counter() - started
     payload = {
         "job": "detect",
         "config": _config_echo(lt, node, mode, args),
@@ -287,6 +298,7 @@ def run_detect(args):
         "recurrence": rec.to_json_dict(),
         "ell_predicted": predicted_order(lt, node),
         "retries": retries,
+        "timings": {"detect_s": round(detect_s, 6)},
     }
     payload["digest"] = _digest(payload)
     _emit(payload, args)
@@ -446,6 +458,7 @@ def run_interpolate(args):
     if order is not None and k > order:
         raise ConfigError(f"--k {k} exceeds the order {order} of node {node} of {lt}")
     experiments = []
+    started = time.perf_counter()
     for attempts, spec in enumerate(specs, 1):
         if len(experiments) >= args.runs:
             break
@@ -458,6 +471,7 @@ def run_interpolate(args):
         if rec.order < k:
             continue
         experiments.append(([int(v) for v in spec.values], int(rec.coeffs[k])))
+    detect_s = time.perf_counter() - started
     candidates = conjectures.degree_monomials(lt.rank, args.degree)
     poly = conjectures.interpolate_coefficients(lt, node, k, candidates, experiments)
     payload = {
@@ -467,6 +481,7 @@ def run_interpolate(args):
         "polynomial": None if poly is None else str(poly),
         "terms": None if poly is None else
             [{"exponents": list(e), "coeff": str(c)} for e, c in sorted(poly.terms.items())],
+        "timings": {"detect_s": round(detect_s, 6)},
     }
     payload["digest"] = _digest(payload)
     _emit(payload, args)
@@ -587,7 +602,7 @@ def main(argv=None) -> int:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (SingularSpecialization, NoStableRecurrence, PrimeDisagreement,
-            InsufficientData) as exc:
+            InsufficientData, CertificateFailure) as exc:
         print(f"detection failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (ConfigError, BranchingIncomplete, ValueError) as exc:

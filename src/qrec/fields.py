@@ -1,7 +1,9 @@
 """Exact coefficient rings (the rationals, and Z/m for m a prime or a product
-of distinct primes) plus the seeded prime generator used by modular detection."""
+of distinct primes), rational reconstruction from Z/m, and the seeded prime
+generator used by detection."""
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,6 +96,25 @@ class PrimeField:
 
     def neg(self, a):
         return -a % self.modulus
+
+
+def rational_reconstruction(a: int, m: int) -> Fraction | None:
+    """The fraction n/d with n = a*d mod m, |n| <= B and 0 < d <= B, where
+    B = isqrt((m - 1) // 2), or None when no such fraction exists.
+
+    Wang's half-extended Euclid: the first remainder at most B, with its
+    cofactor, is the only candidate, since 2*B*B < m makes it unique.
+    """
+    bound = math.isqrt((m - 1) // 2)
+    r0, r1 = m, a % m
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def is_probable_prime(n: int) -> bool:

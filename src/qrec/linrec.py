@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
-from .fields import RATIONALS, PrimeField
+from .fields import RATIONALS, PrimeField, rational_reconstruction, seeded_primes
+
+PRIME_SEED = 0  # seed of the primes that exact detection works modulo
 
 
 class NoStableRecurrence(RuntimeError):
@@ -33,6 +36,11 @@ class PrimeDisagreement(RuntimeError):
 
 class LiftOverflow(RuntimeError):
     """CRT modulus plausibly too small for the recurrence coefficients."""
+
+
+class CertificateFailure(RuntimeError):
+    """No lifted candidate passed substitution, past the primes that must
+    suffice."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,51 @@ def _holds_at(seq, conn, n, field) -> bool:
     return acc == field.zero
 
 
+def _cleared(values) -> tuple[list[int], int]:
+    """(the values times the lcm of their denominators, that lcm)."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _holds(window, taps, n, modulus) -> bool:
+    """Whether the reversed connection polynomial taps annihilates the
+    integer window at n: one inner product, reduced mod the modulus unless
+    it is 0 (over Q)."""
+    residual = sum(map(mul, taps, window[n + 1 - len(taps):n + 1]))
+    return (residual % modulus if modulus else residual) == 0
+
+
+def _lifted_candidates(window, scale):
+    """(L, conn) of BM on the integer window modulo products of 4, 8, 16, ...
+    fresh seeded primes, each coefficient lifted to Q by rational
+    reconstruction; conn is None when one has no lift.
+
+    A set is skipped when one of its primes divides the window's scale or a
+    discrepancy BM must invert.  An LFSR of length L <= N/2 has coefficients
+    that are ratios of L x L minors of the window, each at most
+    (sqrt(L) * max|window|)^L by Hadamard, and reconstruction needs a
+    modulus above twice their square; the candidates stop after two sets
+    past that bound.
+    """
+    n_total = len(window)
+    need = n_total * (max(map(abs, window)).bit_length() + n_total.bit_length()) + 1
+    drawn, count, past_bound = 0, 4, 0
+    while past_bound < 2:
+        primes = seeded_primes(drawn + count, PRIME_SEED)[drawn:]
+        drawn, count = drawn + count, 2 * count
+        modulus = math.prod(primes)
+        past_bound += modulus.bit_length() > need
+        if math.gcd(scale, modulus) != 1:
+            continue
+        try:
+            L, conn = berlekamp_massey([x % modulus for x in window],
+                                       PrimeField(modulus))
+        except ZeroDivisionError:
+            continue
+        lifted = [rational_reconstruction(c, modulus) for c in conn]
+        yield L, None if None in lifted else lifted
+
+
 def find_min_recurrence(seq: Sequence, guard: int | None = None,
                         field=RATIONALS) -> RecurrencePoly:
     """Stable minimal recurrence of seq.
@@ -113,6 +166,16 @@ def find_min_recurrence(seq: Sequence, guard: int | None = None,
     direct substitution confirms every window term.  A transient at the
     start is absorbed into the LFSR's initial fill and shows as a later
     start index.
+
+    Over Z/m the one candidate is the LFSR that BM finds over Z/m.  Over Q
+    the candidates are BM's LFSRs modulo growing products M of seeded
+    primes, lifted by rational reconstruction, and exact substitution over
+    Q certifies the first that holds: an LFSR of length L on N >= 2L terms
+    is the unique minimal one.  A prime that divides no window denominator
+    or coefficient denominator of the minimal LFSR over Q cannot lengthen
+    the LFSR (Fatou's lemma over Z_(p)), and one that lengthens it unlike
+    the other primes of its set hits a non-unit, so a candidate too long
+    for the window raises NoStableRecurrence at once.
     """
     if guard is not None and guard < 4:
         raise ValueError("guard must be at least 4")
@@ -120,20 +183,32 @@ def find_min_recurrence(seq: Sequence, guard: int | None = None,
     if n_total < 2 + (guard if guard is not None else 8):
         raise InsufficientData(
             f"{n_total} terms are too few for guard {guard if guard is not None else 8}")
-    L, conn = berlekamp_massey(seq, field)
-    g = guard if guard is not None else max(8, L // 4)
-    if 2 * L + g > n_total or not all(_holds_at(seq, conn, n, field)
-                                      for n in range(L, n_total)):
-        raise NoStableRecurrence(
-            f"the minimal LFSR of {n_total} terms has length {L}, which "
-            f"{g} guard terms do not validate")
+    window, scale = _cleared(seq)
+    modulus = field.modulus if isinstance(field, PrimeField) else 0
+    candidates = ([berlekamp_massey(window, field)] if modulus
+                  else _lifted_candidates(window, scale))
+    for L, conn in candidates:
+        g = guard if guard is not None else max(8, L // 4)
+        if 2 * L + g > n_total:
+            raise NoStableRecurrence(
+                f"the minimal LFSR of {n_total} terms has length {L}, which "
+                f"{g} guard terms do not validate")
+        if conn is None:
+            continue
+        taps = _cleared(conn)[0][::-1]
+        if all(_holds(window, taps, n, modulus) for n in range(L, n_total)):
+            break
+    else:
+        raise CertificateFailure(
+            f"no candidate LFSR of {n_total} terms passed substitution")
     # an LFSR can absorb a transient into its initial fill, leaving
     # trailing zero taps; the recurrence order is the actual degree
-    while len(conn) > 1 and conn[-1] == field.zero:
+    while len(conn) > 1 and conn[-1] == 0:
         conn.pop()
+    taps = taps[len(taps) - len(conn):]
     order = len(conn) - 1
     start = L
-    while start > order and _holds_at(seq, conn, start - 1, field):
+    while start > order and _holds(window, taps, start - 1, modulus):
         start -= 1
     coeffs = tuple(c if k % 2 == 0 else field.neg(c) for k, c in enumerate(conn))
     return RecurrencePoly(order=order, coeffs=coeffs, start=start)

@@ -306,3 +306,46 @@ def test_interpolate_k_out_of_range_is_a_config_error(capsys):
     code, payload = run_json(capsys, "interpolate", "--type", "A2", "--k", "3",
                              "--runs", "12", "--degree", "1", "--seed", "2")
     assert code == 0 and payload["polynomial"] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--type", "A2", "--guard", "100000"],
+    ["detect", "--type", "A2", "--depth", "100000"],
+    ["verify", "--type", "A2", "--depth", "100000"],
+    ["detect", "--type", "A2", "--depth", "9000", "--modular", "3"],
+    ["interpolate", "--type", "A2", "--k", "1", "--runs", "3", "--guard", "100000"],
+])
+def test_depth_past_the_doubling_ceiling_is_a_resource_cap(argv, capsys, monkeypatch):
+    import qrec.cli as cli_mod
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was generated")
+
+    monkeypatch.setattr(cli_mod, "generate", no_table)
+    assert main(argv) == 4
+    assert "depth ceiling" in capsys.readouterr().err
+
+
+def test_deepest_accepted_depth_is_the_doubling_ceiling(capsys, monkeypatch):
+    import qrec.cli as cli_mod
+    from qrec.linrec import NoStableRecurrence
+    depths = []
+
+    def record(lt, spec, target, **kwargs):
+        depths.append(target[1])
+        raise NoStableRecurrence("stop after the depth check")
+
+    monkeypatch.setattr(cli_mod, "generate", record)
+    assert main(["detect", "--type", "A2", "--q", "1,2", "--depth", "1024"]) == 2
+    assert main(["detect", "--type", "A2", "--q", "1,2", "--depth", "1025"]) == 4
+    assert main(["detect", "--type", "A2", "--q", "1,2", "--depth", "8192",
+                 "--modular", "3"]) == 2
+    assert depths == [1024, 8192]
+
+
+def test_detect_and_interpolate_report_detection_time(capsys):
+    code, payload = run_json(capsys, "detect", "--type", "A2", "--seed", "1")
+    assert code == 0 and payload["timings"]["detect_s"] >= 0
+    code, payload = run_json(capsys, "interpolate", "--type", "A2", "--k", "1",
+                             "--runs", "12", "--degree", "1", "--seed", "2")
+    assert code == 0 and payload["timings"]["detect_s"] >= 0

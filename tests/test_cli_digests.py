@@ -84,6 +84,14 @@ PINS = {
         (0, "4584995817abba08830d7504772b153459a1ecb5e077ad407ba7c405ea799ccc"),
     "doubling: verify --type G2 --node 2 --seed 5":
         (2, "8fd3f940590b381aeca6609ec3af498530ccad38b58bdaf4f13ba6026fb32b8c"),
+    "detect --type A2 --q 1/3,3":
+        (0, "f80f7006c0d0ec2ed5fe39414c3b935f9b28ebf0128542c0d4fcabdb3eaba1e6"),
+    "verify --type G2 --node 2 --y 1/2,3/7":
+        (0, "251a017933019d8dbfd1f3891201ea682e0aa5a1a22c39d880ad7472a2ed534f"),
+    "detect --type B4 --node 4 --seed 1":
+        (0, "3cc5ad26435d28cb7d35a96feb75e972dfb32ab2fe31725850aa77d629a4b820"),
+    "verify --type C5 --node 5 --mode character-point --seed 12":  # 16 primes
+        (0, "d60f15527fa4203b6d8b8a0bb982cc4da5bda358fc5f6c6702f59dfe0d8a54d1"),
 }
 
 

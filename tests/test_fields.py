@@ -1,0 +1,52 @@
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from qrec.fields import rational_reconstruction, seeded_primes
+
+F = Fraction
+
+MODULI = [math.prod(seeded_primes(k, 3)) for k in (1, 2, 4)] + [10**9 + 7, 2 * 3 * 5 * 7 * 11 * 13]
+
+
+def bound(m):
+    return math.isqrt((m - 1) // 2)
+
+
+def residue(value, m):
+    return value.numerator * pow(value.denominator, -1, m) % m
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_round_trips_fractions_within_the_bound(m):
+    b = bound(m)
+    rng = random.Random(m)
+    values = [F(0), F(1), F(-1), F(b), F(-b), F(1, b), F(-1, b), F(b, b - 1), F(-(b - 1), b)]
+    while len(values) < 60:
+        num, den = rng.randint(-b, b), rng.randint(1, b)
+        if math.gcd(den, m) == 1:
+            values.append(F(num, den))
+    for value in values:
+        if math.gcd(value.denominator, m) == 1:
+            assert rational_reconstruction(residue(value, m), m) == value, value
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_no_fraction_past_the_bound(m):
+    b = bound(m)
+    # a fraction n/d within the bound congruent to b + 1 or 1/(b + 1) would
+    # differ from it by less than b*b + 2*b < m, so it would equal it
+    for value in (b + 1, -(b + 1)):
+        assert rational_reconstruction(value % m, m) is None, value
+    for value in (F(1, b + 1), F(-1, b + 1)):
+        if math.gcd(b + 1, m) == 1:
+            assert rational_reconstruction(residue(value, m), m) is None, value
+
+
+def test_residues_of_integers_and_zero():
+    m = math.prod(seeded_primes(4, 1))
+    assert rational_reconstruction(0, m) == 0
+    assert rational_reconstruction(m - 5, m) == -5
+    assert rational_reconstruction(7 + 3 * m, m) == 7  # any representative

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import qrec.linrec as linrec
 from qrec.fields import RATIONALS, PrimeField, seeded_primes
-from qrec.linrec import (InsufficientData, LiftOverflow, NonVanishingTail,
-                         NoStableRecurrence, PrimeDisagreement, annihilates,
-                         berlekamp_massey, expand_linear_product,
+from qrec.linrec import (PRIME_SEED, InsufficientData, LiftOverflow,
+                         NonVanishingTail, NoStableRecurrence, PrimeDisagreement,
+                         annihilates, berlekamp_massey, expand_linear_product,
                          find_min_recurrence, multi_prime_detect, numerator,
                          poly_mul, series_divide)
 
@@ -275,3 +276,136 @@ def test_seeded_primes_properties():
     assert all(p > 2**50 for p in primes)
     with pytest.raises(ValueError):
         seeded_primes(2, 0, bits=40)
+
+
+def rational_bm_detection(seq, guard=None):
+    """What BM over Q detects, as (order, coeffs), or the exception class
+    raised at the same input."""
+    if len(seq) < 2 + (guard if guard is not None else 8):
+        return InsufficientData
+    L, conn = berlekamp_massey(seq, RATIONALS)
+    if 2 * L + (guard if guard is not None else max(8, L // 4)) > len(seq):
+        return NoStableRecurrence
+    while len(conn) > 1 and conn[-1] == 0:
+        conn.pop()
+    return len(conn) - 1, tuple(c if k % 2 == 0 else -c for k, c in enumerate(conn))
+
+
+def detection(seq, guard=None):
+    try:
+        rec = find_min_recurrence(seq, guard=guard)
+    except (InsufficientData, NoStableRecurrence) as exc:
+        return type(exc)
+    assert annihilates(seq, rec)
+    return rec.order, rec.coeffs
+
+
+@pytest.mark.parametrize("mode", ["raw-random", "character-point"])
+@pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2"])
+def test_exact_detection_equals_rational_bm(name, mode):
+    from qrec.cartan import LieType, predicted_order
+    from qrec.qsystem import CharacterPoint, RawQ, SingularSpecialization, generate
+    lt = LieType.parse(name)
+    order = predicted_order(lt, 1)
+    depth = 2 * order + max(8, order // 4) + 4
+    for seed in range(1, 11):
+        rng = random.Random(seed)
+        while True:
+            if mode == "raw-random":
+                spec = RawQ(tuple(rng.randint(-50, 50) for _ in range(lt.rank)))
+            else:
+                spec = CharacterPoint(tuple(F(rng.choice([-3, -2, -1, 1, 2, 3, 5, 7]),
+                                              rng.randint(1, 9)) for _ in range(lt.rank)))
+            try:
+                seq = generate(lt, spec, (1, depth)).node(1)
+                break
+            except SingularSpecialization:
+                continue
+        got = detection(seq)
+        assert got == rational_bm_detection(seq), seed
+        dense_order, dense_coeffs = dense_min_recurrence(seq, order + 2)
+        assert got == (dense_order, tuple(dense_coeffs)), seed
+
+
+@pytest.fixture
+def bm_runs(monkeypatch):
+    """(number of primes, whether BM raised) of each BM call over Z/M."""
+    runs = []
+    original = linrec.berlekamp_massey
+
+    def recording(seq, field=RATIONALS):
+        primes = sum(field.modulus % p == 0 for p in seeded_primes(60, PRIME_SEED))
+        try:
+            out = original(seq, field)
+        except ZeroDivisionError:
+            runs.append((primes, "raised"))
+            raise
+        runs.append((primes, "ran"))
+        return out
+
+    monkeypatch.setattr(linrec, "berlekamp_massey", recording)
+    return runs
+
+
+def test_a_prime_in_a_term_denominator_skips_its_set(bm_runs):
+    p = seeded_primes(1, PRIME_SEED)[0]
+    seq = [F(3**n, p) + 2**n for n in range(24)]
+    assert detection(seq) == rational_bm_detection(seq) == (2, (1, 5, 6))
+    assert bm_runs == [(8, "ran")]  # the set holding p was never run
+
+
+def test_a_non_unit_discrepancy_moves_to_fresh_primes(bm_runs):
+    p = seeded_primes(1, PRIME_SEED)[0]
+    seq = [(p - 1) * 2**n + 3**n for n in range(24)]  # s_0 = p: BM inverts it
+    assert detection(seq) == rational_bm_detection(seq) == (2, (1, 5, 6))
+    assert bm_runs == [(4, "raised"), (8, "ran")]
+
+
+def test_coefficients_too_large_for_four_primes_double_the_count(bm_runs):
+    ratio = F(3**80, 7)  # 127 bits over 3: past sqrt(M/2) for 4 primes
+    seq = [ratio**n for n in range(12)]
+    assert detection(seq) == rational_bm_detection(seq) == (1, (1, ratio))
+    assert bm_runs == [(4, "ran"), (8, "ran")]
+
+
+def test_substitution_rejects_a_lift_that_fits_the_wrong_modulus(bm_runs):
+    # the ratio is 5 modulo the first four primes, so that set lifts it to 5
+    ratio = math.prod(seeded_primes(4, PRIME_SEED)) + 5
+    seq = [F(ratio) ** n for n in range(12)]
+    assert detection(seq) == rational_bm_detection(seq) == (1, (1, ratio))
+    assert bm_runs == [(4, "ran"), (8, "ran"), (16, "ran")]
+
+
+def test_failures_are_raised_at_the_same_inputs_as_rational_bm():
+    rng = random.Random(11)
+    for trial in range(300):
+        order = rng.randint(0, 6)
+        taps = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(order)]
+        seq = [F(rng.randint(-20, 20)) for _ in range(order + rng.randint(0, 3))]
+        length = rng.randint(6, 30)
+        while len(seq) < length:
+            seq.append(sum(c * seq[-1 - i] for i, c in enumerate(taps)) if order else F(0))
+        if rng.random() < 0.2:
+            seq[rng.randrange(len(seq))] += 1  # a glitch lengthens the LFSR
+        guard = rng.choice([None, 4, 8, 12])
+        assert detection(seq, guard) == rational_bm_detection(seq, guard), trial
+
+
+def test_one_prime_in_a_coefficient_denominator_is_a_non_unit(bm_runs):
+    # s_n = p^(11-n) 2^n is integral on 12 terms, with ratio 2/p over Q;
+    # modulo p it is 0, ..., 0, 2^11, whose LFSR has length 12, so the runs
+    # modulo the primes of the set part ways at s_0, a non-unit
+    p = seeded_primes(1, PRIME_SEED)[0]
+    seq = [F(p ** (11 - n) * 2**n) for n in range(12)]
+    assert detection(seq) == rational_bm_detection(seq) == (1, (1, F(2, p)))
+    assert bm_runs == [(4, "raised"), (8, "ran")]
+
+
+@pytest.mark.xfail(strict=True, reason="when every prime of a set divides the "
+                   "denominator of a minimal-LFSR coefficient alike, the LFSR "
+                   "mod M is too long and detection stops there")
+def test_every_prime_in_a_coefficient_denominator_is_not_detected():
+    m = math.prod(seeded_primes(4, PRIME_SEED))
+    seq = [F(m ** (11 - n) * 2**n) for n in range(12)]
+    assert rational_bm_detection(seq) == (1, (1, F(2, m)))
+    assert detection(seq) == rational_bm_detection(seq)
