@@ -255,13 +255,16 @@ def run_gen(args):
     if depth is None:
         raise ConfigError("--depth auto needs a tabulated order; give an explicit depth")
     target = (node, depth) if args.node is not None else depth
+    started = time.perf_counter()
     table, spec, retries = _retrying(lambda spec: generate(lt, spec, target), specs)
+    generate_s = time.perf_counter() - started
     payload = {
         "job": "gen",
         "config": _config_echo(lt, node, mode, args),
         "q": [str(v) for v in initial_values(lt, spec)],
         "table": table.to_json_dict(),
         "retries": retries,
+        "timings": {"generate_s": round(generate_s, 6)},
     }
     payload["digest"] = _digest(payload)
     _emit(payload, args, csv_rows=table.to_csv_rows())
@@ -400,8 +403,10 @@ def _verify_checks(lt, node, mode, rec, table, qvals, y):
 
 def run_verify(args):
     lt, node, mode, primes, depth, specs = _prologue(args, "verify")
+    started = time.perf_counter()
     (rec, table, _depth_used), spec, retries = _retrying(
         lambda spec: _detect(lt, node, spec, depth, args.guard, primes), specs)
+    detect_s = time.perf_counter() - started
 
     qvals = initial_values(lt, spec)
     y = spec.y if isinstance(spec, CharacterPoint) else None
@@ -420,7 +425,8 @@ def run_verify(args):
     }
     if y is not None:
         payload["y"] = [str(v) for v in y]
-    payload["timings"] = {"checks_s": round(time.perf_counter() - started, 6)}
+    payload["timings"] = {"detect_s": round(detect_s, 6),
+                          "checks_s": round(time.perf_counter() - started, 6)}
     payload["digest"] = _digest(payload)
     _emit(payload, args)
     failed = any(c["status"] == "fail" for c in checks)

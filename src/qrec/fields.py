@@ -3,15 +3,20 @@ of distinct primes), rational reconstruction from Z/m, and the seeded prime
 generator used by detection."""
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e24
 
 
 class Rationals:
+    """Q, with Fraction elements.  Like PrimeField, it offers of, inverses
+    and reduce; callers compute on plain operators and reduce each result."""
+
     name = "rational"
     zero = Fraction(0)
     one = Fraction(1)
@@ -21,26 +26,15 @@ class Rationals:
         return Fraction(value)
 
     @staticmethod
-    def add(a, b):
-        return a + b
+    def inverses(values) -> list:
+        """1/v for each value; raises ZeroDivisionError on a zero.  Over Q
+        one reciprocal each is cheaper than Montgomery's products."""
+        return [Fraction(1, v.numerator) if v.denominator == 1 else v ** -1
+                for v in values]
 
     @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in the rationals")
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
+    def reduce(x):
+        return x
 
     def __repr__(self):
         return "Rationals()"
@@ -54,7 +48,7 @@ class PrimeField:
     """Z/m for m a prime or a product of distinct primes; elements are plain
     ints in [0, m).  By the CRT, Z/m is the product of the prime fields, so a
     computation over it is one computation per prime factor, provided every
-    divisor is a unit: dividing by a non-unit raises ZeroDivisionError."""
+    divisor is a unit: inverting a non-unit raises ZeroDivisionError."""
 
     modulus: int
 
@@ -82,20 +76,23 @@ class PrimeField:
             return value.numerator * self._inverse(value.denominator) % self.modulus
         return int(value) % self.modulus
 
-    def add(self, a, b):
-        return (a + b) % self.modulus
+    def inverses(self, values) -> list[int]:
+        """The inverse of each value, by Montgomery's trick: one inversion
+        of the product and 3(r - 1) products.  Raises ZeroDivisionError when
+        any value is a non-unit."""
+        m = self.modulus
+        prefix = [1]
+        for v in values:
+            prefix.append(prefix[-1] * v % m)
+        inv = self._inverse(prefix[-1])
+        out = [0] * len(values)
+        for i in range(len(values) - 1, -1, -1):
+            out[i] = inv * prefix[i] % m
+            inv = inv * values[i] % m
+        return out
 
-    def sub(self, a, b):
-        return (a - b) % self.modulus
-
-    def mul(self, a, b):
-        return a * b % self.modulus
-
-    def div(self, a, b):
-        return a * self._inverse(b) % self.modulus
-
-    def neg(self, a):
-        return -a % self.modulus
+    def reduce(self, x: int) -> int:
+        return x % self.modulus
 
 
 def rational_reconstruction(a: int, m: int) -> Fraction | None:
@@ -142,18 +139,27 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def seeded_primes(count: int, seed: int, bits: int = 51) -> list[int]:
-    """Distinct primes in [2^(bits-1), 2^bits), reproducible from the seed.
+def prime_stream(seed: int, bits: int = 51) -> Iterator[int]:
+    """Distinct primes in [2^(bits-1), 2^bits), reproducible from the seed;
+    the first count of them are seeded_primes(count, seed, bits).
 
     bits must be at least 51 so every prime exceeds 2^50.
     """
     if bits < 51:
         raise ValueError("primes below 2^50 are not allowed")
-    rng = random.Random(f"qrec-primes-{seed}")
-    primes: list[int] = []
-    while len(primes) < count:
-        candidate = rng.randrange(1 << (bits - 1), 1 << bits) | 1
-        if candidate not in primes and is_probable_prime(candidate):
-            primes.append(candidate)
-    return primes
+    return _primes(random.Random(f"qrec-primes-{seed}"), bits)
 
+
+def _primes(rng: random.Random, bits: int) -> Iterator[int]:
+    """The generator behind prime_stream, which checks bits at the call."""
+    seen: set[int] = set()
+    while True:
+        candidate = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        if candidate not in seen and is_probable_prime(candidate):
+            seen.add(candidate)
+            yield candidate
+
+
+def seeded_primes(count: int, seed: int, bits: int = 51) -> list[int]:
+    """The first count primes of prime_stream(seed, bits)."""
+    return list(itertools.islice(prime_stream(seed, bits), count))

@@ -43,12 +43,12 @@ def solve_overdetermined(rows, rhs, field=None):
         if pivot is None:
             continue
         aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
-        inv = field.div(field.one, aug[row_at][col])
-        aug[row_at] = [field.mul(x, inv) for x in aug[row_at]]
+        inv, = field.inverses([aug[row_at][col]])
+        aug[row_at] = [field.reduce(x * inv) for x in aug[row_at]]
         for r in range(m):
             if r != row_at and aug[r][col] != field.zero:
                 factor = aug[r][col]
-                aug[r] = [field.sub(x, field.mul(factor, y))
+                aug[r] = [field.reduce(x - factor * y)
                           for x, y in zip(aug[r], aug[row_at])]
         pivots.append(col)
         row_at += 1

@@ -8,12 +8,13 @@ coefficient list `alternating()`.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
 
-from .fields import RATIONALS, PrimeField, rational_reconstruction, seeded_primes
+from .fields import RATIONALS, PrimeField, prime_stream, rational_reconstruction
 
 PRIME_SEED = 0  # seed of the primes that exact detection works modulo
 
@@ -72,44 +73,36 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS):
 
     Returns (L, conn) with conn[0] = 1 and
     sum_{i=0..L} conn[i] * seq[n-i] = 0 for all L <= n < len(seq).
+    Each discrepancy is one inner product and each update one pass over
+    prev, on plain operators, with one field.reduce per element.
     Over Z/m, a discrepancy that is not a unit where L changes is one that
     vanishes modulo some of the primes only, where the per-prime runs part
     ways; inverting it raises ZeroDivisionError.
     """
+    reduce = field.reduce
     cur = [field.one]
     prev = [field.one]
     L, m, b_inv = 0, 1, field.one
     for n, s_n in enumerate(seq):
-        d = s_n
-        for i in range(1, min(L, len(cur) - 1) + 1):
-            d = field.add(d, field.mul(cur[i], seq[n - i]))
+        k = min(L, len(cur) - 1)
+        d = reduce(s_n + sum(map(mul, cur[1:k + 1], reversed(seq[n - k:n]))))
         if d == field.zero:
             m += 1
             continue
-        coef = field.mul(d, b_inv)
+        coef = reduce(d * b_inv)
         shifted_len = m + len(prev)
         if len(cur) < shifted_len:
             cur.extend([field.zero] * (shifted_len - len(cur)))
-        if 2 * L <= n:
-            stash = list(cur)
-            for i, pi in enumerate(prev):
-                cur[m + i] = field.sub(cur[m + i], field.mul(coef, pi))
-            L = n + 1 - L
-            prev, b_inv, m = stash, field.div(field.one, d), 1
-        else:
-            for i, pi in enumerate(prev):
-                cur[m + i] = field.sub(cur[m + i], field.mul(coef, pi))
+        stash = cur[:L + 1] if 2 * L <= n else None  # deg cur <= L
+        cur[m:shifted_len] = [reduce(c - coef * p) for c, p in zip(cur[m:shifted_len], prev)]
+        if stash is None:
             m += 1
+        else:
+            L = n + 1 - L
+            prev, (b_inv,), m = stash, field.inverses([d]), 1
     conn = cur[: L + 1]
     conn.extend([field.zero] * (L + 1 - len(conn)))
     return L, conn
-
-
-def _holds_at(seq, conn, n, field) -> bool:
-    acc = field.zero
-    for i, c in enumerate(conn):
-        acc = field.add(acc, field.mul(c, seq[n - i]))
-    return acc == field.zero
 
 
 def _cleared(values) -> tuple[list[int], int]:
@@ -118,18 +111,17 @@ def _cleared(values) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _holds(window, taps, n, modulus) -> bool:
-    """Whether the reversed connection polynomial taps annihilates the
-    integer window at n: one inner product, reduced mod the modulus unless
-    it is 0 (over Q)."""
-    residual = sum(map(mul, taps, window[n + 1 - len(taps):n + 1]))
-    return (residual % modulus if modulus else residual) == 0
+def _holds(seq, taps, n, field) -> bool:
+    """Whether the reversed connection polynomial taps annihilates seq at n:
+    one inner product, reduced once."""
+    return field.reduce(sum(map(mul, taps, seq[n + 1 - len(taps):n + 1]))) == 0
 
 
 def _lifted_candidates(window, scale):
     """(L, conn) of BM on the integer window modulo products of 4, 8, 16, ...
-    fresh seeded primes, each coefficient lifted to Q by rational
-    reconstruction; conn is None when one has no lift.
+    fresh seeded primes, drawn in turn from one prime_stream, each
+    coefficient lifted to Q by rational reconstruction; conn is None when
+    one has no lift.
 
     A set is skipped when one of its primes divides the window's scale or a
     discrepancy BM must invert.  An LFSR of length L <= N/2 has coefficients
@@ -140,11 +132,10 @@ def _lifted_candidates(window, scale):
     """
     n_total = len(window)
     need = n_total * (max(map(abs, window)).bit_length() + n_total.bit_length()) + 1
-    drawn, count, past_bound = 0, 4, 0
+    stream, count, past_bound = prime_stream(PRIME_SEED), 4, 0
     while past_bound < 2:
-        primes = seeded_primes(drawn + count, PRIME_SEED)[drawn:]
-        drawn, count = drawn + count, 2 * count
-        modulus = math.prod(primes)
+        modulus = math.prod(itertools.islice(stream, count))
+        count *= 2
         past_bound += modulus.bit_length() > need
         if math.gcd(scale, modulus) != 1:
             continue
@@ -184,8 +175,7 @@ def find_min_recurrence(seq: Sequence, guard: int | None = None,
         raise InsufficientData(
             f"{n_total} terms are too few for guard {guard if guard is not None else 8}")
     window, scale = _cleared(seq)
-    modulus = field.modulus if isinstance(field, PrimeField) else 0
-    candidates = ([berlekamp_massey(window, field)] if modulus
+    candidates = ([berlekamp_massey(window, field)] if isinstance(field, PrimeField)
                   else _lifted_candidates(window, scale))
     for L, conn in candidates:
         g = guard if guard is not None else max(8, L // 4)
@@ -196,7 +186,7 @@ def find_min_recurrence(seq: Sequence, guard: int | None = None,
         if conn is None:
             continue
         taps = _cleared(conn)[0][::-1]
-        if all(_holds(window, taps, n, modulus) for n in range(L, n_total)):
+        if all(_holds(window, taps, n, field) for n in range(L, n_total)):
             break
     else:
         raise CertificateFailure(
@@ -208,34 +198,31 @@ def find_min_recurrence(seq: Sequence, guard: int | None = None,
     taps = taps[len(taps) - len(conn):]
     order = len(conn) - 1
     start = L
-    while start > order and _holds(window, taps, start - 1, modulus):
+    while start > order and _holds(window, taps, start - 1, field):
         start -= 1
-    coeffs = tuple(c if k % 2 == 0 else field.neg(c) for k, c in enumerate(conn))
+    coeffs = tuple(c if k % 2 == 0 else field.reduce(-c) for k, c in enumerate(conn))
     return RecurrencePoly(order=order, coeffs=coeffs, start=start)
 
 
 def annihilates(seq: Sequence, rec: RecurrencePoly, field=RATIONALS) -> bool:
     """Direct-substitution soundness check, independent of the detector."""
-    conn = [field.of(c) if k % 2 == 0 else field.neg(field.of(c))
-            for k, c in enumerate(rec.coeffs)]
-    return all(_holds_at(seq, conn, n, field) for n in range(rec.start, len(seq)))
+    taps = [field.of(c) for c in reversed(rec.alternating())]
+    return all(_holds(seq, taps, n, field) for n in range(rec.start, len(seq)))
 
 
 def poly_mul(a: Sequence, b: Sequence, field=RATIONALS) -> list:
     out = [field.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai == field.zero:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return out
+        if ai != field.zero:
+            out[i:i + len(b)] = [o + ai * bj for o, bj in zip(out[i:i + len(b)], b)]
+    return [field.reduce(o) for o in out]
 
 
 def expand_linear_product(values, stride: int = 1, field=RATIONALS) -> list:
     """prod_i (1 - v_i D^stride) as a dense coefficient list."""
     poly = [field.one]
     for v in values:
-        factor = [field.one] + [field.zero] * (stride - 1) + [field.neg(field.of(v))]
+        factor = [field.one] + [field.zero] * (stride - 1) + [field.reduce(-field.of(v))]
         poly = poly_mul(poly, factor, field)
     return poly
 
@@ -244,13 +231,13 @@ def series_divide(num: Sequence, den: Sequence, order: int, field=RATIONALS) -> 
     """First order+1 coefficients of num(D)/den(D); den must be a unit."""
     if not den or den[0] == field.zero:
         raise ValueError("series division requires a nonzero constant term")
-    inv0 = field.div(field.one, den[0])
+    inv0, = field.inverses([den[0]])
     out = []
     for n in range(order + 1):
-        acc = num[n] if n < len(num) else field.zero
-        for k in range(1, min(n, len(den) - 1) + 1):
-            acc = field.sub(acc, field.mul(den[k], out[n - k]))
-        out.append(field.mul(acc, inv0))
+        k = min(n, len(den) - 1)
+        acc = (num[n] if n < len(num) else field.zero) - sum(
+            map(mul, den[1:k + 1], reversed(out[n - k:n])))
+        out.append(field.reduce(acc * inv0))
     return out
 
 
@@ -260,9 +247,8 @@ def numerator(seq: Sequence, rec: RecurrencePoly, field=RATIONALS) -> list:
     tail_from = max(rec.order, rec.start)
     coeffs = []
     for n in range(len(seq)):
-        acc = field.zero
-        for k in range(0, min(n, rec.order) + 1):
-            acc = field.add(acc, field.mul(a[k], seq[n - k]))
+        k = min(n, rec.order)
+        acc = field.reduce(sum(map(mul, a[:k + 1], reversed(seq[n - k:n + 1]))))
         if n >= tail_from and acc != field.zero:
             raise NonVanishingTail(f"product coefficient at degree {n} is {acc}")
         coeffs.append(acc)

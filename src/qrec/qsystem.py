@@ -220,7 +220,7 @@ class QTable:
 
 def _product_term(C, vals, field, a, m):
     """The coupling product for node a at level m, or None if inputs missing."""
-    prod = field.one
+    prod = None
     for b in range(len(C)):
         if b == a or C[a][b] == 0:
             continue
@@ -228,8 +228,8 @@ def _product_term(C, vals, field, a, m):
             idx = (C[b][a] * m - k) // C[a][b]
             if idx >= len(vals[b]):
                 return None
-            prod = field.mul(prod, vals[b][idx])
-    return prod
+            prod = vals[b][idx] if prod is None else prod * vals[b][idx]
+    return field.one if prod is None else field.reduce(prod)
 
 
 def generate(lt: LieType, spec: Specialization, target,
@@ -239,8 +239,9 @@ def generate(lt: LieType, spec: Specialization, target,
 
     Nodes are interleaved: each sweep advances every node whose inputs are
     available, so cross-node index excursions resolve without recursion.
-    Raises SingularSpecialization on division by zero in the field, or over
-    Z/m by a non-unit.
+    The divisors of a sweep are inverted together, in one field.inverses
+    call.  Raises SingularSpecialization on division by zero in the field,
+    or over Z/m by a non-unit, at the first node that divides by it.
     """
     if isinstance(target, int):
         node, depth = None, target
@@ -257,20 +258,28 @@ def generate(lt: LieType, spec: Specialization, target,
     q = initial_values(lt, spec)
     check_integrality = field is RATIONALS and all(v.denominator == 1 for v in q)
     vals = [[field.one, field.of(v)] for v in q]
-    while any(len(vals[a]) - 1 < depths[a] for a in range(r)):
+    while True:
+        pending = [a for a in range(r) if len(vals[a]) - 1 < depths[a]]
+        if not pending:
+            break
+        try:
+            inverses = field.inverses([vals[a][-2] for a in pending])
+        except ZeroDivisionError:
+            # a non-unit: invert one by one, so the node that reaches it first
+            # reports it
+            inverses = [None] * len(pending)
         advanced = False
-        for a in range(r):
+        for a, inverse in zip(pending, inverses):
             m = len(vals[a]) - 1
-            if m >= depths[a]:
-                continue
             prod = _product_term(C, vals, field, a, m)
             if prod is None:
                 continue
-            num = field.sub(field.mul(vals[a][m], vals[a][m]), prod)
-            try:
-                nxt = field.div(num, vals[a][m - 1])
-            except ZeroDivisionError:
-                raise SingularSpecialization(a + 1, m - 1) from None
+            if inverse is None:
+                try:
+                    inverse, = field.inverses([vals[a][m - 1]])
+                except ZeroDivisionError:
+                    raise SingularSpecialization(a + 1, m - 1) from None
+            nxt = field.reduce((vals[a][m] * vals[a][m] - prod) * inverse)
             if check_integrality and nxt.denominator != 1:
                 raise AssertionError(
                     f"integrality violated at node {a + 1} level {m + 1}: {nxt} "
@@ -293,6 +302,4 @@ def check_relation(table: QTable, a: int, m: int, field=RATIONALS) -> bool:
     if prod is None:
         raise ValueError(f"stored table too shallow to check node {a} level {m}")
     seq = vals[a - 1]
-    lhs = field.mul(seq[m], seq[m])
-    rhs = field.add(field.mul(seq[m + 1], seq[m - 1]), prod)
-    return lhs == rhs
+    return field.reduce(seq[m] * seq[m] - seq[m + 1] * seq[m - 1] - prod) == field.zero

@@ -349,3 +349,13 @@ def test_detect_and_interpolate_report_detection_time(capsys):
     code, payload = run_json(capsys, "interpolate", "--type", "A2", "--k", "1",
                              "--runs", "12", "--degree", "1", "--seed", "2")
     assert code == 0 and payload["timings"]["detect_s"] >= 0
+
+
+def test_gen_and_verify_report_their_timings_outside_the_digest(capsys):
+    from test_cli_digests import PINS
+    for text, key in (("gen --type G2 --seed 3 --depth 8", "generate_s"),
+                      ("verify --type G2 --node 1 --seed 11", "detect_s")):
+        code, payload = run_json(capsys, *text.split())
+        assert payload["timings"][key] >= 0
+        assert (code, payload["digest"]) == PINS[text]
+    assert payload["timings"]["checks_s"] >= 0

@@ -92,6 +92,10 @@ PINS = {
         (0, "3cc5ad26435d28cb7d35a96feb75e972dfb32ab2fe31725850aa77d629a4b820"),
     "verify --type C5 --node 5 --mode character-point --seed 12":  # 16 primes
         (0, "d60f15527fa4203b6d8b8a0bb982cc4da5bda358fc5f6c6702f59dfe0d8a54d1"),
+    "detect --type E8 --node 7 --modular 5 --seed 2":  # order 241
+        (0, "bc10a357223931e841068a0d771c63a73517b143e09b9864dddd4c97377855bb"),
+    "detect --type E6 --node 2 --modular 8 --seed 1":  # order 243
+        (0, "67e9b379d80560865c97dfd3f52e0110af61f66d29b08492a18bc6a41747e765"),
 }
 
 

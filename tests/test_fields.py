@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qrec.fields import rational_reconstruction, seeded_primes
+from qrec.fields import RATIONALS, PrimeField, rational_reconstruction, seeded_primes
 
 F = Fraction
 
@@ -50,3 +50,40 @@ def test_residues_of_integers_and_zero():
     assert rational_reconstruction(0, m) == 0
     assert rational_reconstruction(m - 5, m) == -5
     assert rational_reconstruction(7 + 3 * m, m) == 7  # any representative
+
+
+def test_inverses_mod_a_product_of_primes():
+    p1, p2, p3 = seeded_primes(3, 2)
+    m = p1 * p2 * p3
+    field = PrimeField(m)
+    rng = random.Random(5)
+    units = []
+    while len(units) < 40:
+        v = rng.randrange(1, m)
+        if math.gcd(v, m) == 1:
+            units.append(v)
+    inverses = field.inverses(units)
+    assert all(v * inv % m == 1 for v, inv in zip(units, inverses))
+    assert inverses == [pow(v, -1, m) for v in units]
+    assert field.inverses([units[0]]) == [pow(units[0], -1, m)]
+    assert field.inverses([]) == []
+    assert field.reduce(-1) == m - 1 and field.reduce(m * m + 3) == 3
+
+
+def test_inverses_raise_on_one_non_unit_among_many():
+    p1, p2, p3 = seeded_primes(3, 2)
+    field = PrimeField(p1 * p2 * p3)
+    values = [3, 5, 7 * p2, 11, 13]
+    with pytest.raises(ZeroDivisionError):
+        field.inverses(values)
+    with pytest.raises(ZeroDivisionError):
+        field.inverses([0])
+
+
+def test_rational_inverses():
+    values = [F(3), F(-2, 7), F(5, 4), F(-1)]
+    assert RATIONALS.inverses(values) == [1 / v for v in values]
+    assert RATIONALS.inverses([]) == []
+    assert RATIONALS.reduce(F(7, 3)) == F(7, 3)
+    with pytest.raises(ZeroDivisionError):
+        RATIONALS.inverses([F(2), F(0), F(3)])

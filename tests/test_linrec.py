@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import qrec.linrec as linrec
-from qrec.fields import RATIONALS, PrimeField, seeded_primes
+from qrec.fields import RATIONALS, PrimeField, prime_stream, seeded_primes
 from qrec.linrec import (PRIME_SEED, InsufficientData, LiftOverflow,
                          NonVanishingTail, NoStableRecurrence, PrimeDisagreement,
                          annihilates, berlekamp_massey, expand_linear_product,
@@ -165,6 +165,38 @@ def test_multi_prime_validation():
         multi_prime_detect(lambda p: FIB, [3, 5, 7])
 
 
+def test_berlekamp_massey_mod_a_product_is_bm_mod_each_prime():
+    primes = seeded_primes(3, 4)
+    field = PrimeField(math.prod(primes))
+    rng = random.Random(17)
+    for trial in range(60):
+        order = rng.randint(0, 6)
+        taps = [rng.randint(-9, 9) for _ in range(order)]
+        if order:
+            taps[-1] = rng.choice([-3, -2, -1, 1, 2, 3])
+        seq = [rng.randint(-30, 30) for _ in range(order)]
+        while len(seq) < 2 * order + rng.randint(4, 12):
+            seq.append(sum(c * seq[-1 - i] for i, c in enumerate(taps)))
+        L, conn = berlekamp_massey([s % field.modulus for s in seq], field)
+        want_order, want = dense_min_recurrence(seq, order)
+        assert L == want_order, trial
+        assert conn == [field.of(c if k % 2 == 0 else -c) for k, c in enumerate(want)], trial
+        for p in primes:
+            assert berlekamp_massey([s % p for s in seq], PrimeField(p)) == \
+                (L, [c % p for c in conn]), (trial, p)
+
+
+def test_berlekamp_massey_raises_where_the_primes_part_ways():
+    p1, p2, p3 = seeded_primes(3, 4)
+    # s_n = 3 p2 2^n: BM modulo p2 sees zeros (L = 0), modulo p1 and p3 a
+    # geometric sequence (L = 1), so s_0 is a non-unit mod p1*p2*p3
+    seq = [3 * p2 * 2**n for n in range(10)]
+    assert berlekamp_massey([s % p2 for s in seq], PrimeField(p2)) == (0, [1])
+    assert berlekamp_massey([s % p1 for s in seq], PrimeField(p1)) == (1, [1, p1 - 2])
+    with pytest.raises(ZeroDivisionError):
+        berlekamp_massey(seq, PrimeField(p1 * p2 * p3))
+
+
 def crt(residues, moduli):
     """The integer in [0, prod moduli) with the given residues."""
     modulus = math.prod(moduli)
@@ -276,6 +308,10 @@ def test_seeded_primes_properties():
     assert all(p > 2**50 for p in primes)
     with pytest.raises(ValueError):
         seeded_primes(2, 0, bits=40)
+    with pytest.raises(ValueError):
+        prime_stream(0, bits=40)
+    stream = prime_stream(9)
+    assert [next(stream) for _ in range(6)] == seeded_primes(6, 9)
 
 
 def rational_bm_detection(seq, guard=None):
@@ -374,6 +410,22 @@ def test_substitution_rejects_a_lift_that_fits_the_wrong_modulus(bm_runs):
     seq = [F(ratio) ** n for n in range(12)]
     assert detection(seq) == rational_bm_detection(seq) == (1, (1, ratio))
     assert bm_runs == [(4, "ran"), (8, "ran"), (16, "ran")]
+
+
+def test_prime_sets_are_consecutive_slices_of_one_stream(monkeypatch):
+    moduli = []
+    original = linrec.berlekamp_massey
+
+    def recording(seq, field=RATIONALS):
+        moduli.append(field.modulus)
+        return original(seq, field)
+
+    monkeypatch.setattr(linrec, "berlekamp_massey", recording)
+    ratio = math.prod(seeded_primes(4, PRIME_SEED)) + 5  # needs 3 sets, as above
+    find_min_recurrence([F(ratio) ** n for n in range(12)])
+    primes = seeded_primes(28, PRIME_SEED)
+    assert moduli == [math.prod(primes[:4]), math.prod(primes[4:12]),
+                      math.prod(primes[12:28])]
 
 
 def test_failures_are_raised_at_the_same_inputs_as_rational_bm():

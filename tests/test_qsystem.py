@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -91,7 +92,7 @@ def test_modular_consistency():
         lt = LieType.parse(name)
         q = tuple(rng.randint(-50, 50) for _ in range(lt.rank))
         rational = generate(lt, RawQ(q), target=(1, 40))
-        for p in primes:
+        for p in primes + [math.prod(primes)]:
             modular = generate(lt, RawQ(q), target=(1, 40), field=PrimeField(p))
             for a in range(1, lt.rank + 1):
                 want = [int(v) % p for v in rational.node(a)]
@@ -99,19 +100,40 @@ def test_modular_consistency():
                 assert want == got[:len(want)] or want[:len(got)] == got, (name, p, a)
 
 
+# each (node, level) below was recorded with one division per level, before
+# the divisors of a sweep were inverted together
+
+
 def test_singular_specialization():
     lt = LieType.parse("A1")
     with pytest.raises(SingularSpecialization) as err:
         generate(lt, RawQ((1,)), target=(1, 6))
-    assert err.value.node == 1
+    assert (err.value.node, err.value.level) == (1, 2)
 
 
 def test_non_unit_divisor_is_singular():
     # q = p1 is nonzero mod p1*p2*p3 but not a unit, and Q_3 divides by it
     p1, p2, p3 = seeded_primes(3, 0)
-    with pytest.raises(SingularSpecialization):
+    with pytest.raises(SingularSpecialization) as err:
         generate(LieType.parse("A1"), RawQ((p1,)), target=(1, 6),
                  field=PrimeField(p1 * p2 * p3))
+    assert (err.value.node, err.value.level) == (1, 1)
+
+
+@pytest.mark.parametrize("name, q, target, modular, label", [
+    # the raw-random draw of `qrec detect --type B3 --seed 177`
+    ("B3", (19, -37, -1), (1, 40), False, (3, 9)),
+    ("C3", (-3, -1, 5), 40, False, (3, 3)),
+    # node 1 is the first zero divisor in node order, but it waits for
+    # node 3 in the sweep where node 3 divides by zero
+    ("B3", (0, 1, 0), 12, False, (3, 1)),
+    ("B3", (0, 1, 0), 12, True, (3, 1)),
+])
+def test_singular_draw_keeps_its_label(name, q, target, modular, label):
+    field = PrimeField(math.prod(seeded_primes(3, 0))) if modular else RATIONALS
+    with pytest.raises(SingularSpecialization) as err:
+        generate(LieType.parse(name), RawQ(q), target=target, field=field)
+    assert (err.value.node, err.value.level) == label
 
 
 def test_character_point_initial_values():
