@@ -18,12 +18,12 @@ from fractions import Fraction
 
 from . import conjectures
 from .cartan import LieType, order_tables, cartan_data, growth_degree, predicted_order
-from .fields import PrimeField, seeded_primes
+from .fields import RATIONALS, PrimeField, seeded_primes
 from .linrec import (CertificateFailure, InsufficientData, LiftOverflow,
                      NoStableRecurrence, PrimeDisagreement, find_min_recurrence,
                      multi_prime_detect)
 from .qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode, RawQ,
-                      SingularSpecialization, generate, initial_values)
+                      SingularSpecialization, generate, initial_values, levels)
 from .weights import DimensionCapExceeded, weight_system
 
 EXIT_OK = 0
@@ -31,8 +31,8 @@ EXIT_CHECK_FAILED = 2
 EXIT_CONFIG = 3
 EXIT_RESOURCE = 4
 
-RATIONAL_ORDER_CAP = 400
-MODULAR_ORDER_CAP = 3000
+RATIONAL_DEPTH_CEILING = 1024
+MODULAR_DEPTH_CEILING = 8192
 MAX_SINGULAR_RETRIES = 5
 
 
@@ -133,17 +133,12 @@ def _specializations(lt, mode, args, rng, branching):
         yield DimensionMode(branching)
 
 
-def _resolve_depth(lt, node, args, modular) -> int | None:
+def _resolve_depth(lt, node, args) -> int | None:
     if args.depth is not None and args.depth != "auto":
         return int(args.depth)
     pred = predicted_order(lt, node)
     if pred is None:
         return None
-    cap = MODULAR_ORDER_CAP if modular else RATIONAL_ORDER_CAP
-    if pred > cap:
-        raise conjectures.CapExceeded(
-            f"predicted order {pred} exceeds the {'modular' if modular else 'rational'} "
-            f"depth-policy cap {cap}")
     g = args.guard if args.guard is not None else max(8, pred // 4)
     return 2 * pred + g + 4
 
@@ -158,6 +153,11 @@ def _prologue(args, tag):
     """
     lt = _parse_type(args)
     mode = _resolve_mode(args)
+    for option, reader in (("q", "raw-explicit"), ("y", "character-point")):
+        if getattr(args, option, None) is not None and mode != reader:
+            raise ConfigError(f"--{option} is read in {reader} mode only, not {mode}")
+    if args.guard is not None and args.guard < 4:
+        raise ConfigError(f"--guard {args.guard} is below 4")
     node = 1 if args.node is None else args.node
     branching = _load_branching(getattr(args, "branching", None), lt)
     modular = getattr(args, "modular", None)
@@ -172,7 +172,7 @@ def _prologue(args, tag):
     if primes and isinstance(first, RawQ) and any(v.denominator != 1 for v in first.values):
         raise ConfigError("modular detection lifts integer coefficients; "
                           "--q must be integers")
-    depth = _resolve_depth(lt, node, args, modular=bool(primes))
+    depth = _resolve_depth(lt, node, args)
     return lt, node, mode, primes, depth, itertools.chain([first], specs)
 
 
@@ -194,33 +194,33 @@ def _retrying(step, specs):
 
 
 def _detect(lt, node, spec, depth, guard, modular_primes):
-    """Detects the recurrence of node at depth, or, when depth is None, at
-    depths doubling from 32 until detection is stable or the ceiling is
-    reached.  A depth past that ceiling raises CapExceeded before any table
-    is generated.  Returns (rec, rational QTable or None, depth used)."""
-    cap = MODULAR_ORDER_CAP if modular_primes else RATIONAL_ORDER_CAP
-    ceiling = 32
-    while ceiling < 2 * cap + 64:
-        ceiling *= 2
+    """Detects the recurrence of node on levels 0..depth or, when depth is
+    None, on the levels read online until detection is stable.  Past the
+    depth ceiling it raises CapExceeded: for a given depth before any table
+    is generated, for a stream before a level past it is.  Returns (rec, the
+    exact sequence or None, the depth read)."""
+    ceiling = MODULAR_DEPTH_CEILING if modular_primes else RATIONAL_DEPTH_CEILING
     if depth is not None and depth > ceiling:
-        raise conjectures.CapExceeded(
-            f"depth {depth} exceeds the {'modular' if modular_primes else 'rational'} "
-            f"depth ceiling {ceiling}")
-    trial = 32 if depth is None else depth
-    while True:
-        try:
-            if modular_primes:
-                def factory(p):
-                    table = generate(lt, spec, (node, trial), field=PrimeField(p))
-                    return table.node(node)
-                rec = multi_prime_detect(factory, modular_primes, guard=guard)
-                return rec, None, trial
-            table = generate(lt, spec, (node, trial))
-            return find_min_recurrence(table.node(node), guard=guard), table, trial
-        except (NoStableRecurrence, InsufficientData):
-            if depth is not None or trial >= ceiling:
-                raise
-            trial *= 2
+        raise conjectures.CapExceeded(f"depth {depth} exceeds the depth ceiling {ceiling}")
+    read = []
+
+    def stream(field):
+        for level in levels(lt, spec, node, field):
+            read.append(level)
+            yield level
+            if len(read) > ceiling:
+                raise conjectures.CapExceeded(f"detection reads past the depth ceiling {ceiling}")
+
+    def terms(field):
+        if depth is None:
+            return stream(field)
+        read[:] = generate(lt, spec, (node, depth), field=field).node(node)
+        return read
+
+    if modular_primes:
+        rec = multi_prime_detect(lambda m: terms(PrimeField(m)), modular_primes, guard=guard)
+        return rec, None, len(read) - 1
+    return find_min_recurrence(terms(RATIONALS), guard=guard), read, len(read) - 1
 
 
 def _digest(payload: dict) -> str:
@@ -290,7 +290,7 @@ def _config_echo(lt, node, mode, args):
 def run_detect(args):
     lt, node, mode, primes, depth, specs = _prologue(args, "detect")
     started = time.perf_counter()
-    (rec, _table, depth_used), spec, retries = _retrying(
+    (rec, _seq, depth_used), spec, retries = _retrying(
         lambda spec: _detect(lt, node, spec, depth, args.guard, primes), specs)
     detect_s = time.perf_counter() - started
     payload = {
@@ -319,7 +319,7 @@ def _skip(name, reason):
     return {"name": name, "status": "skipped", "witness": reason}
 
 
-def _verify_checks(lt, node, mode, rec, table, qvals, y):
+def _verify_checks(lt, node, mode, rec, seq, qvals, y):
     checks = []
     pred = predicted_order(lt, node)
     if pred is None:
@@ -387,10 +387,9 @@ def _verify_checks(lt, node, mode, rec, table, qvals, y):
         except conjectures.NotInCatalogue as exc:
             checks.append(_skip("coefficient_formula", str(exc)))
 
-    if table is not None:
+    if seq is not None:
         try:
-            ok, wit = conjectures.check_numerator(
-                lt, node, table.node(node), rec, qvals=qvals, y=y)
+            ok, wit = conjectures.check_numerator(lt, node, seq, rec, qvals=qvals, y=y)
             checks.append(_check("numerator", ok, wit))
         except conjectures.NotInCatalogue as exc:
             checks.append(_skip("numerator", str(exc)))
@@ -404,14 +403,14 @@ def _verify_checks(lt, node, mode, rec, table, qvals, y):
 def run_verify(args):
     lt, node, mode, primes, depth, specs = _prologue(args, "verify")
     started = time.perf_counter()
-    (rec, table, _depth_used), spec, retries = _retrying(
+    (rec, seq, _depth_used), spec, retries = _retrying(
         lambda spec: _detect(lt, node, spec, depth, args.guard, primes), specs)
     detect_s = time.perf_counter() - started
 
     qvals = initial_values(lt, spec)
     y = spec.y if isinstance(spec, CharacterPoint) else None
     started = time.perf_counter()
-    checks = _verify_checks(lt, node, mode, rec, table, qvals, y)
+    checks = _verify_checks(lt, node, mode, rec, seq, qvals, y)
     payload = {
         "job": "verify",
         "config": _config_echo(lt, node, mode, args),
@@ -457,6 +456,8 @@ def run_interpolate(args):
         raise ConfigError("--k is required for interpolate")
     if k < 0:
         raise ConfigError(f"--k {k} is negative")
+    if args.degree < 0:
+        raise ConfigError(f"--degree {args.degree} is negative")
     lt, node, mode, primes, depth, specs = _prologue(args, "interpolate")
     if depth is None:
         raise ConfigError("interpolation needs a tabulated order or explicit --depth")

@@ -654,21 +654,16 @@ def check_growth_degree(lt: LieType, table: QTable) -> list[GrowthResult]:
 
 
 def elldim_entries(lt: LieType) -> list[tuple[int, int]]:
-    """Nodes where C_1 = q_a + delta with t_a = 1, as (node, delta)."""
-    fam, r = lt.family, lt.rank
-    if fam == "A":
-        return [(a, 0) for a in range(1, r + 1)]
-    if fam == "B":
-        return [(1, -1)]
-    if fam == "D":
-        return [(1, 0), (r - 1, 0), (r, 0)]
-    if (fam, r) == ("E", 6):
-        return [(1, 0)]
-    if (fam, r) == ("E", 7):
-        return [(6, 0)]
-    if (fam, r) == ("E", 8):
-        return [(7, -8)]
-    return []
+    """Nodes where C_1 = q_a + delta with t_a = 1, as (node, delta), read
+    off the catalogued C_1 identities."""
+    t, const = cartan_data(lt).t, (0,) * lt.rank
+    entries = []
+    for a in range(1, lt.rank + 1):
+        for ident in identity_catalogue(lt, a)[0]:
+            rest = (ident.poly - QPoly.var(lt.rank, a)).terms
+            if ident.k == 1 and t[a - 1] == 1 and set(rest) <= {const}:
+                entries.append((a, rest.get(const, 0)))
+    return entries
 
 
 def level1_dimension(lt: LieType, a: int) -> int:

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .fields import RATIONALS, PrimeField, prime_stream, rational_reconstruction
 
@@ -68,24 +68,26 @@ class RecurrencePoly:
         return out
 
 
-def berlekamp_massey(seq: Sequence, field=RATIONALS):
+def berlekamp_massey(seq: Sequence, field=RATIONALS, state: list | None = None):
     """Minimal LFSR of seq over the field (or Z/m).
 
     Returns (L, conn) with conn[0] = 1 and
     sum_{i=0..L} conn[i] * seq[n-i] = 0 for all L <= n < len(seq).
+    A state list, empty at first, carries the terms fed, the connection
+    polynomials cur and prev, L, the shift m and b_inv = 1/(prev's d) from
+    one call to the next, and seq holds only the terms that follow theirs.
     Each discrepancy is one inner product and each update one pass over
     prev, on plain operators, with one field.reduce per element.
     Over Z/m, a discrepancy that is not a unit where L changes is one that
     vanishes modulo some of the primes only, where the per-prime runs part
-    ways; inverting it raises ZeroDivisionError.
+    ways; inverting it raises ZeroDivisionError, and the state is spent.
     """
     reduce = field.reduce
-    cur = [field.one]
-    prev = [field.one]
-    L, m, b_inv = 0, 1, field.one
-    for n, s_n in enumerate(seq):
+    terms, cur, prev, L, m, b_inv = state or ([], [field.one], [field.one], 0, 1, field.one)
+    terms.extend(seq)
+    for n in range(len(terms) - len(seq), len(terms)):
         k = min(L, len(cur) - 1)
-        d = reduce(s_n + sum(map(mul, cur[1:k + 1], reversed(seq[n - k:n]))))
+        d = reduce(terms[n] + sum(map(mul, cur[1:k + 1], reversed(terms[n - k:n]))))
         if d == field.zero:
             m += 1
             continue
@@ -100,15 +102,17 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS):
         else:
             L = n + 1 - L
             prev, (b_inv,), m = stash, field.inverses([d]), 1
+    if state is not None:
+        state[:] = terms, cur, prev, L, m, b_inv
     conn = cur[: L + 1]
     conn.extend([field.zero] * (L + 1 - len(conn)))
     return L, conn
 
 
-def _cleared(values) -> tuple[list[int], int]:
-    """(the values times the lcm of their denominators, that lcm)."""
+def _cleared(values) -> list[int]:
+    """The values times the lcm of their denominators."""
     scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _holds(seq, taps, n, field) -> bool:
@@ -117,43 +121,72 @@ def _holds(seq, taps, n, field) -> bool:
     return field.reduce(sum(map(mul, taps, seq[n + 1 - len(taps):n + 1]))) == 0
 
 
-def _lifted_candidates(window, scale):
-    """(L, conn) of BM on the integer window modulo products of 4, 8, 16, ...
-    fresh seeded primes, drawn in turn from one prime_stream, each
-    coefficient lifted to Q by rational reconstruction; conn is None when
-    one has no lift.
+def _residues(seq, modulus):
+    """seq modulo the modulus, its denominators inverted in one inverses
+    call; raises ZeroDivisionError when one is a non-unit."""
+    inverses = PrimeField(modulus).inverses([x.denominator for x in seq])
+    return [x.numerator * inv % modulus for x, inv in zip(seq, inverses)]
 
-    A set is skipped when one of its primes divides the window's scale or a
-    discrepancy BM must invert.  An LFSR of length L <= N/2 has coefficients
-    that are ratios of L x L minors of the window, each at most
-    (sqrt(L) * max|window|)^L by Hadamard, and reconstruction needs a
-    modulus above twice their square; the candidates stop after two sets
+
+def _lifted_candidates(seq, window, moduli, run=None):
+    """(L, conn) of BM on seq modulo each product of primes in moduli, each
+    coefficient lifted to Q by rational reconstruction; conn is None when one
+    has no lift.  run is BM's (L, conn) modulo the first, if it has run.
+
+    A set is skipped when one of its primes divides a denominator of seq or
+    a discrepancy BM must invert.  An LFSR of length L <= N/2 has
+    coefficients that are ratios of L x L minors of the integer window, each
+    at most (sqrt(L) * max|window|)^L by Hadamard, and reconstruction needs
+    a modulus above twice their square; the candidates stop after two sets
     past that bound.
     """
     n_total = len(window)
     need = n_total * (max(map(abs, window)).bit_length() + n_total.bit_length()) + 1
-    stream, count, past_bound = prime_stream(PRIME_SEED), 4, 0
-    while past_bound < 2:
-        modulus = math.prod(itertools.islice(stream, count))
-        count *= 2
+    past_bound = 0
+    for modulus in moduli:
+        if past_bound == 2:
+            return
         past_bound += modulus.bit_length() > need
-        if math.gcd(scale, modulus) != 1:
-            continue
         try:
-            L, conn = berlekamp_massey([x % modulus for x in window],
-                                       PrimeField(modulus))
+            L, conn = run or berlekamp_massey(_residues(seq, modulus), PrimeField(modulus))
         except ZeroDivisionError:
             continue
+        run = None
         lifted = [rational_reconstruction(c, modulus) for c in conn]
         yield L, None if None in lifted else lifted
 
 
-def find_min_recurrence(seq: Sequence, guard: int | None = None,
-                        field=RATIONALS) -> RecurrencePoly:
-    """Stable minimal recurrence of seq.
+def _read(terms, guard, field, moduli):
+    """(the terms read, the streamed modulus, BM's (L, conn) on the terms
+    over Z/m or modulo that modulus) of a stream read online: 33 terms, then
+    chunks each ending at 2L + g terms for BM's current L, until 2L + g
+    terms are read.  BM resumes on each chunk once it is read.  Over Q a
+    non-unit denominator or discrepancy restarts BM on the terms read so far
+    modulo the next of the moduli."""
+    seq, run = [], None
+    bm_field = field if isinstance(field, PrimeField) else PrimeField(next(moduli))
+    state, chunk = [], list(itertools.islice(terms, 33))
+    while chunk:
+        seq += chunk
+        try:
+            run = berlekamp_massey(_residues(chunk, bm_field.modulus), bm_field, state)
+        except ZeroDivisionError:
+            if bm_field is field:
+                raise
+            bm_field, state, chunk, seq = PrimeField(next(moduli)), [], seq, []
+            continue
+        g = guard if guard is not None else max(8, run[0] // 4)
+        chunk = list(itertools.islice(terms, max(0, 2 * run[0] + g - len(seq))))
+    return seq, bm_field.modulus, run
 
-    The minimal LFSR of the whole sequence is accepted once the sequence
-    holds at least 2*L + guard terms (guard defaults to max(8, L // 4)) and
+
+def find_min_recurrence(seq: Sequence | Iterator, guard: int | None = None,
+                        field=RATIONALS) -> RecurrencePoly:
+    """Stable minimal recurrence of seq, a window, or an iterator read online
+    (see _read) into the window to validate.
+
+    The minimal LFSR of the whole window is accepted once the window holds
+    at least 2*L + guard terms (guard defaults to max(8, L // 4)) and
     direct substitution confirms every window term.  A transient at the
     start is absorbed into the LFSR's initial fill and shows as a later
     start index.
@@ -170,13 +203,20 @@ def find_min_recurrence(seq: Sequence, guard: int | None = None,
     """
     if guard is not None and guard < 4:
         raise ValueError("guard must be at least 4")
+    # products of 4, 8, 16, ... fresh seeded primes, drawn from one stream
+    primes = prime_stream(PRIME_SEED)
+    moduli = (math.prod(itertools.islice(primes, 4 << k)) for k in itertools.count())
+    run = None
+    if isinstance(seq, Iterator):
+        seq, modulus, run = _read(seq, guard, field, moduli)
+        moduli = itertools.chain([modulus], moduli)
     n_total = len(seq)
     if n_total < 2 + (guard if guard is not None else 8):
         raise InsufficientData(
             f"{n_total} terms are too few for guard {guard if guard is not None else 8}")
-    window, scale = _cleared(seq)
-    candidates = ([berlekamp_massey(window, field)] if isinstance(field, PrimeField)
-                  else _lifted_candidates(window, scale))
+    window = _cleared(seq)
+    candidates = ([run or berlekamp_massey(window, field)] if isinstance(field, PrimeField)
+                  else _lifted_candidates(seq, window, moduli, run))
     for L, conn in candidates:
         g = guard if guard is not None else max(8, L // 4)
         if 2 * L + g > n_total:
@@ -185,7 +225,7 @@ def find_min_recurrence(seq: Sequence, guard: int | None = None,
                 f"{g} guard terms do not validate")
         if conn is None:
             continue
-        taps = _cleared(conn)[0][::-1]
+        taps = _cleared(conn)[::-1]
         if all(_holds(window, taps, n, field) for n in range(L, n_total)):
             break
     else:
@@ -263,10 +303,11 @@ def multi_prime_detect(seq_factory: Callable[[int], Sequence[int]], primes,
     """Detection modulo the product M of the primes, lifted to the symmetric
     range (-M/2, M/2].
 
-    seq_factory(M) must yield the integer sequence reduced mod M.  Z/M is
-    the product of the prime fields, so this one detection is the per-prime
-    detections joined by CRT; a division by a non-unit mod M is where they
-    would disagree.  The result is flagged "modular" confidence.
+    seq_factory(M) must give the integer sequence reduced mod M, as a window
+    or a stream (see find_min_recurrence).  Z/M is the product of the prime
+    fields, so this one detection is the per-prime detections joined by
+    CRT; a division by a non-unit mod M is where they would disagree.  The
+    result is flagged "modular" confidence.
     """
     primes = sorted(set(int(p) for p in primes))
     if len(primes) < 3:
@@ -274,9 +315,8 @@ def multi_prime_detect(seq_factory: Callable[[int], Sequence[int]], primes,
     if any(p <= 2**50 for p in primes):
         raise ValueError("primes must exceed 2^50")
     modulus = math.prod(primes)
-    seq = [x % modulus for x in seq_factory(modulus)]
     try:
-        rec = find_min_recurrence(seq, guard=guard, field=PrimeField(modulus))
+        rec = find_min_recurrence(seq_factory(modulus), guard=guard, field=PrimeField(modulus))
     except ZeroDivisionError as exc:
         raise PrimeDisagreement(f"detections modulo the primes disagree: {exc}") from None
     lifted = []

@@ -8,12 +8,13 @@ the level-1 data: explicit values, a torus point, or dimensions.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .cartan import LieType, cartan_data
-from .fields import RATIONALS, PrimeField
+from .fields import RATIONALS
 from .weights import Weight, dimension, evaluate, is_dominant, weight_system, zero
 
 
@@ -148,10 +149,21 @@ def initial_values(lt: LieType, spec: Specialization) -> list[Fraction]:
     raise TypeError(f"unsupported specialization {spec!r}")
 
 
-def _close_depths(lt: LieType, need: list[int]) -> list[int]:
+def required_depths(lt: LieType, node: int | None, depth: int) -> list[int]:
+    """Minimal per-node depths so Q^(node), or every node when node is None,
+    can be advanced to the given level.
+
+    Advancing node a through level m uses Q^(b) at floor((C_ba*m - k)/C_ab),
+    which can run ahead of m (node 1 of G2 pulls node 2 to triple depth), so
+    the requirement is closed under a fixed point across nodes.
+    """
+    if node is not None and not 1 <= node <= lt.rank:
+        raise ValueError(f"node {node} out of range for {lt}")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     C = cartan_data(lt).cartan
     r = lt.rank
-    need = [max(1, n) for n in need]
+    need = [max(1, depth) if node in (None, a + 1) else 1 for a in range(r)]
     changed = True
     while changed:
         changed = False
@@ -170,22 +182,6 @@ def _close_depths(lt: LieType, need: list[int]) -> list[int]:
     return need
 
 
-def required_depths(lt: LieType, node: int, depth: int) -> list[int]:
-    """Minimal per-node depths so Q^(node) can be advanced to the given level.
-
-    Advancing node a through level m uses Q^(b) at floor((C_ba*m - k)/C_ab),
-    which can run ahead of m (node 1 of G2 pulls node 2 to triple depth), so
-    the requirement is closed under a fixed point across nodes.
-    """
-    if not 1 <= node <= lt.rank:
-        raise ValueError(f"node {node} out of range for {lt}")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    need = [1] * lt.rank
-    need[node - 1] = max(1, depth)
-    return _close_depths(lt, need)
-
-
 @dataclass(frozen=True)
 class QTable:
     """Per-node sequences Q_0..Q_{N_a} of exact field elements."""
@@ -197,9 +193,6 @@ class QTable:
 
     def node(self, a: int) -> tuple:
         return self.values[a - 1]
-
-    def depth(self, a: int) -> int:
-        return len(self.values[a - 1]) - 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,10 +225,9 @@ def _product_term(C, vals, field, a, m):
     return field.one if prod is None else field.reduce(prod)
 
 
-def generate(lt: LieType, spec: Specialization, target,
-             field=RATIONALS) -> QTable:
-    """Advance the recursion until the target is reached: either a
-    (node, depth) pair or a bare depth meaning every node.
+def _tables(lt, spec, field, targets):
+    """For each list of per-node depths in targets, in turn: the levels of
+    every node, a list per node, extended in place to those depths.
 
     Nodes are interleaved: each sweep advances every node whose inputs are
     available, so cross-node index excursions resolve without recursion.
@@ -243,55 +235,61 @@ def generate(lt: LieType, spec: Specialization, target,
     call.  Raises SingularSpecialization on division by zero in the field,
     or over Z/m by a non-unit, at the first node that divides by it.
     """
-    if isinstance(target, int):
-        node, depth = None, target
-    else:
-        node, depth = target
-    if depth < 1:
-        raise ValueError("target depth must be at least 1")
     C = cartan_data(lt).cartan
-    r = lt.rank
-    if node is None:
-        depths = _close_depths(lt, [depth] * r)
-    else:
-        depths = required_depths(lt, node, depth)
     q = initial_values(lt, spec)
     check_integrality = field is RATIONALS and all(v.denominator == 1 for v in q)
     vals = [[field.one, field.of(v)] for v in q]
-    while True:
-        pending = [a for a in range(r) if len(vals[a]) - 1 < depths[a]]
-        if not pending:
-            break
-        try:
-            inverses = field.inverses([vals[a][-2] for a in pending])
-        except ZeroDivisionError:
-            # a non-unit: invert one by one, so the node that reaches it first
-            # reports it
-            inverses = [None] * len(pending)
-        advanced = False
-        for a, inverse in zip(pending, inverses):
-            m = len(vals[a]) - 1
-            prod = _product_term(C, vals, field, a, m)
-            if prod is None:
-                continue
-            if inverse is None:
-                try:
-                    inverse, = field.inverses([vals[a][m - 1]])
-                except ZeroDivisionError:
-                    raise SingularSpecialization(a + 1, m - 1) from None
-            nxt = field.reduce((vals[a][m] * vals[a][m] - prod) * inverse)
-            if check_integrality and nxt.denominator != 1:
-                raise AssertionError(
-                    f"integrality violated at node {a + 1} level {m + 1}: {nxt} "
-                    "(this is a bug, not bad input)"
-                )
-            vals[a].append(nxt)
-            advanced = True
-        if not advanced:
-            raise RuntimeError("recursion scheduling made no progress (bug)")
+    for depths in targets:
+        while pending := [a for a in range(lt.rank) if len(vals[a]) - 1 < depths[a]]:
+            try:
+                inverses = field.inverses([vals[a][-2] for a in pending])
+            except ZeroDivisionError:
+                # a non-unit: invert one by one, so the node that reaches it
+                # first reports it
+                inverses = [None] * len(pending)
+            advanced = False
+            for a, inverse in zip(pending, inverses):
+                m = len(vals[a]) - 1
+                prod = _product_term(C, vals, field, a, m)
+                if prod is None:
+                    continue
+                if inverse is None:
+                    try:
+                        inverse, = field.inverses([vals[a][m - 1]])
+                    except ZeroDivisionError:
+                        raise SingularSpecialization(a + 1, m - 1) from None
+                nxt = field.reduce((vals[a][m] * vals[a][m] - prod) * inverse)
+                if check_integrality and nxt.denominator != 1:
+                    raise AssertionError(
+                        f"integrality violated at node {a + 1} level {m + 1}: {nxt} "
+                        "(this is a bug, not bad input)"
+                    )
+                vals[a].append(nxt)
+                advanced = True
+            if not advanced:
+                raise RuntimeError("recursion scheduling made no progress (bug)")
+        yield vals
+
+
+def generate(lt: LieType, spec: Specialization, target,
+             field=RATIONALS) -> QTable:
+    """Advance the recursion until the target is reached: either a
+    (node, depth) pair or a bare depth meaning every node (see _tables)."""
+    node, depth = (None, target) if isinstance(target, int) else target
+    if depth < 1:
+        raise ValueError("target depth must be at least 1")
+    vals = next(_tables(lt, spec, field, [required_depths(lt, node, depth)]))
     kind = type(spec).__name__
     return QTable(lie_type=lt, field_name=field.name,
                   values=tuple(tuple(v) for v in vals), spec_kind=kind)
+
+
+def levels(lt: LieType, spec: Specialization, node: int, field=RATIONALS):
+    """Q^(node)_0, Q^(node)_1, ... without end, as generate's table at each
+    next depth: each level is generated once, when it is read."""
+    targets = (required_depths(lt, node, depth) for depth in itertools.count())
+    for depth, vals in enumerate(_tables(lt, spec, field, targets)):
+        yield vals[node - 1][depth]
 
 
 def check_relation(table: QTable, a: int, m: int, field=RATIONALS) -> bool:

@@ -41,14 +41,6 @@ def wsum(u: Weight, v: Weight) -> Weight:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def wneg(u: Weight) -> Weight:
-    return tuple(-a for a in u)
-
-
-def wscale(k: int, u: Weight) -> Weight:
-    return tuple(k * a for a in u)
-
-
 def is_dominant(w: Weight) -> bool:
     return all(c >= 0 for c in w)
 

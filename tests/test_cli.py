@@ -98,8 +98,7 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
     assert main(["verify", "--type", "E6", "--node", "1", "--mode",
                  "character-point", "--seed", "1"]) in (3, 4)
     monkeypatch.delenv("QREC_CAP_DIM")
-    # depth policy cap: E8 node 7 in rational mode wants order 241 > 400? no;
-    # B7 node 7 order 2060 exceeds the rational cap 400
+    # B7 node 7 (order 2060) needs a window past the rational depth ceiling
     code = main(["detect", "--type", "B7", "--node", "7"])
     assert code == 4
 
@@ -124,7 +123,8 @@ def test_dims_g2(capsys):
 
 
 def test_detect_doubling_for_unknown_orders(capsys, monkeypatch):
-    # discovery targets resolve depth by doubling until detection stabilizes
+    # an untabulated order is read online until detection stabilizes; here
+    # the first read of 33 terms suffices
     import qrec.cli as cli_mod
     monkeypatch.setattr(cli_mod, "predicted_order", lambda lt, a: None)
     code, payload = run_json(capsys, "detect", "--type", "G2", "--node", "1",
@@ -359,3 +359,79 @@ def test_gen_and_verify_report_their_timings_outside_the_digest(capsys):
         assert payload["timings"][key] >= 0
         assert (code, payload["digest"]) == PINS[text]
     assert payload["timings"]["checks_s"] >= 0
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("detect --type A2 --q 1,2 --mode raw-random --seed 1", "--q"),
+    ("detect --type A2 --y 1,2 --q 3,4", "--y"),
+    ("gen --type A2 --mode dimension --depth 5 --y 1,2", "--y"),
+    ("verify --type B3 --mode character-point --q 1,2,3", "--q"),
+])
+def test_an_option_the_mode_does_not_read_is_a_usage_error(argv, option, capsys,
+                                                           monkeypatch):
+    import qrec.cli as cli_mod
+
+    def no_draw(*args):
+        raise AssertionError("a specialization was drawn")
+
+    monkeypatch.setattr(cli_mod, "_specializations", no_draw)
+    assert main(argv.split()) == 3
+    assert f"configuration error: {option} is read in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["detect", "--type", "A2", "--guard=-50"], "--guard -50"),
+    (["detect", "--type", "A2", "--guard", "3", "--depth", "40"], "--guard 3"),
+    (["interpolate", "--type", "A2", "--k", "1", "--degree=-1"], "--degree -1"),
+])
+def test_guard_and_degree_are_checked_before_any_generation(argv, option, capsys,
+                                                            monkeypatch):
+    import qrec.cli as cli_mod
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was generated")
+
+    monkeypatch.setattr(cli_mod, "generate", no_table)
+    monkeypatch.setattr(cli_mod, "levels", no_table)
+    assert main(argv) == 3
+    assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "detect --type F4 --node 2 --modular 8 --seed 1",
+    "detect --type G2 --node 2 --seed 5",
+])
+def test_the_depth_a_stream_reports_reproduces_its_recurrence(argv, capsys, monkeypatch):
+    import qrec.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "predicted_order", lambda lt, a: None)
+    code, streamed = run_json(capsys, *argv.split())
+    assert code == 0
+    code, window = run_json(capsys, *argv.split(), "--depth", str(streamed["depth"]))
+    assert code == 0
+    assert window["depth"] == streamed["depth"]
+    assert window["recurrence"] == streamed["recurrence"]
+    if "F4" in argv:  # 2L + g = 326 terms for L = 145
+        assert streamed["recurrence"]["order"] == 145 and streamed["depth"] <= 325
+
+
+@pytest.mark.parametrize("argv, ceiling", [
+    ("detect --type G2 --node 2 --seed 5", "RATIONAL_DEPTH_CEILING"),
+    ("verify --type G2 --node 2 --seed 5", "RATIONAL_DEPTH_CEILING"),
+    ("detect --type F4 --node 2 --modular 3 --seed 1", "MODULAR_DEPTH_CEILING"),
+])
+def test_a_stream_past_the_ceiling_is_a_resource_cap(argv, ceiling, capsys, monkeypatch):
+    import qrec.cli as cli_mod
+    read = []
+
+    def counted(lt, spec, node, field):
+        for level in cli_mod_levels(lt, spec, node, field):
+            read.append(level)
+            yield level
+
+    cli_mod_levels = cli_mod.levels
+    monkeypatch.setattr(cli_mod, "predicted_order", lambda lt, a: None)
+    monkeypatch.setattr(cli_mod, "levels", counted)
+    monkeypatch.setattr(cli_mod, ceiling, 40)
+    assert main(argv.split()) == 4
+    assert "depth ceiling 40" in capsys.readouterr().err
+    assert len(read) == 41  # levels 0..40, and none past the ceiling

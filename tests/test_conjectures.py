@@ -387,6 +387,25 @@ def test_ell_lambda_for_spin_nodes():
             assert rec.order == level1_dimension(ltx, a) + delta
 
 
+# recorded from the shipped list, before elldim_entries was computed from
+# the catalogued C_1 identities
+ELLDIM = {
+    **{f"A{r}": [(a, 0) for a in range(1, r + 1)] for r in range(1, 8)},
+    **{f"B{r}": [(1, -1)] for r in range(2, 8)},
+    **{f"C{r}": [] for r in range(2, 8)},
+    **{f"D{r}": [(1, 0), (r - 1, 0), (r, 0)] for r in range(3, 8)},
+    "E6": [(1, 0)], "E7": [(6, 0)], "E8": [(7, -8)], "F4": [], "G2": [],
+}
+
+
+def test_elldim_entries_of_every_tabulated_type():
+    from qrec.cartan import order_tables
+    types = [f"{row['type']}{row['rank']}" for row in order_tables()]
+    assert sorted(types) == sorted(ELLDIM) and len(types) == 29
+    for name in types:
+        assert elldim_entries(lt(name)) == ELLDIM[name], name
+
+
 def test_elldim_catalogue():
     assert elldim_entries(lt("A3")) == [(1, 0), (2, 0), (3, 0)]
     assert elldim_entries(lt("B4")) == [(1, -1)]

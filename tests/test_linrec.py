@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -461,3 +462,76 @@ def test_every_prime_in_a_coefficient_denominator_is_not_detected():
     seq = [F(m ** (11 - n) * 2**n) for n in range(12)]
     assert rational_bm_detection(seq) == (1, (1, F(2, m)))
     assert detection(seq) == rational_bm_detection(seq)
+
+
+def lfsr_stream(taps, fill, pulled):
+    """The terms of the LFSR with these taps from this fill, without end,
+    each also appended to pulled as it is read."""
+    seq = list(fill)
+    for n in itertools.count():
+        if n >= len(seq):
+            seq.append(sum(c * seq[-1 - i] for i, c in enumerate(taps)))
+        pulled.append(seq[n])
+        yield seq[n]
+
+
+@pytest.fixture
+def stream_runs(monkeypatch):
+    """(primes in the modulus, terms fed, whether BM was given a state, ran
+    or raised) of each BM call."""
+    runs = []
+    original = linrec.berlekamp_massey
+    primes = seeded_primes(60, PRIME_SEED)
+
+    def recording(seq, field=RATIONALS, *state):
+        run = [sum(field.modulus % p == 0 for p in primes), len(seq), bool(state), "ran"]
+        runs.append(run)
+        try:
+            return original(seq, field, *state)
+        except ZeroDivisionError:
+            run[3] = "raised"
+            raise
+
+    monkeypatch.setattr(linrec, "berlekamp_massey", recording)
+    return runs
+
+
+@pytest.mark.parametrize("modular", [False, True])
+def test_a_stream_is_read_online_and_fed_to_bm_once(modular, stream_runs):
+    rng = random.Random(5)
+    modulus = math.prod(seeded_primes(3, 9))
+    field = PrimeField(modulus) if modular else RATIONALS
+    taps = [rng.randint(-9, 9) if modular else F(rng.randint(-9, 9), rng.randint(1, 4))
+            for _ in range(19)] + [1]
+    fill = [rng.randint(-20, 20) for _ in taps]
+    pulled = []
+    stream = lfsr_stream(taps, fill, pulled)
+    if modular:
+        stream = (x % modulus for x in stream)
+    rec = find_min_recurrence(stream, field=field)
+    # 33 terms, then chunks up to 2L + g for L = 20 and g = 8
+    assert rec.order == 20 and len(pulled) == 48
+    streamed = [(primes, terms) for primes, terms, stated, _ in stream_runs if stated]
+    assert streamed[0][1] == 33
+    assert sum(terms for _, terms in streamed) == len(pulled)
+    assert len({primes for primes, _ in streamed}) == 1
+    window = [x % modulus for x in pulled] if modular else pulled
+    assert rec == find_min_recurrence(window, field=field)
+
+
+def test_a_stream_skips_prime_sets_like_a_window(stream_runs):
+    p = seeded_primes(1, PRIME_SEED)[0]
+    for seq in ([(p - 1) * 2**n + 3**n for n in range(24)],  # a non-unit discrepancy
+                [F(3**n, p) + 2**n for n in range(24)]):  # a non-unit denominator
+        rec = find_min_recurrence(iter(seq))
+        assert (rec.order, rec.coeffs) == detection(seq) == (2, (1, 5, 6))
+    # the first stream restarts on its 24 terms modulo 8 primes after the
+    # 4-prime run raised; the second never runs modulo the set holding p
+    assert [run for run in stream_runs if run[2]] == [
+        [4, 24, True, "raised"], [8, 24, True, "ran"], [8, 24, True, "ran"]]
+
+
+def test_a_short_stream_fails_like_its_window():
+    for seq in (FIB[:9], [F(2) ** n + F(n) ** 5 for n in range(15)]):
+        assert detection(iter(seq)) == detection(seq) in (InsufficientData,
+                                                          NoStableRecurrence)

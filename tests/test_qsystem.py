@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from qrec.cartan import LieType
 from qrec.fields import RATIONALS, PrimeField, seeded_primes
 from qrec.qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode,
                           RawQ, SingularSpecialization, check_relation,
-                          default_branching, generate, initial_values,
+                          default_branching, generate, initial_values, levels,
                           required_depths, resolve_branching)
 from qrec.weights import evaluate, weight_system
 
@@ -205,3 +206,32 @@ def test_generate_validates_input():
         generate(G2, RawQ((2, 3)), target=(1, 0))
     with pytest.raises(ValueError):
         CharacterPoint((F(0), F(1)))
+
+
+@pytest.mark.parametrize("name, node", [("G2", 1), ("G2", 2), ("F4", 2), ("B3", 3)])
+def test_levels_read_the_table_generating_each_level_once(name, node, monkeypatch):
+    import qrec.qsystem as qsystem
+    lt = LieType.parse(name)
+    spec = RawQ([(-1) ** a * (7 + 2 * a) for a in range(lt.rank)])
+    products = []
+    original = qsystem._product_term
+
+    def counting(*args):
+        prod = original(*args)
+        products.append(prod is not None)
+        return prod
+
+    monkeypatch.setattr(qsystem, "_product_term", counting)
+    for field in (RATIONALS, PrimeField(math.prod(seeded_primes(3, 0)))):
+        table = generate(lt, spec, (node, 30), field=field)
+        made = sum(products)
+        products.clear()
+        assert tuple(itertools.islice(levels(lt, spec, node, field), 31)) == table.node(node)
+        assert sum(products) == made  # the levels of the one-shot table, once each
+        products.clear()
+
+
+def test_levels_raise_a_singular_specialization():
+    with pytest.raises(SingularSpecialization) as err:
+        list(itertools.islice(levels(LieType.parse("A1"), RawQ((1,)), 1), 7))
+    assert (err.value.node, err.value.level) == (1, 2)
