@@ -40,10 +40,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("QREC_SEED", "0"))
-
-
 def _parse_type(args) -> LieType:
     if args.type is None:
         raise ConfigError("--type is required")
@@ -135,7 +131,10 @@ def _specializations(lt, mode, args, rng, branching):
 
 def _resolve_depth(lt, node, args) -> int | None:
     if args.depth is not None and args.depth != "auto":
-        return int(args.depth)
+        depth = int(args.depth)
+        if depth < 1:
+            raise ConfigError(f"--depth {depth} is below 1")
+        return depth
     pred = predicted_order(lt, node)
     if pred is None:
         return None
@@ -195,32 +194,27 @@ def _retrying(step, specs):
 
 def _detect(lt, node, spec, depth, guard, modular_primes):
     """Detects the recurrence of node on levels 0..depth or, when depth is
-    None, on the levels read online until detection is stable.  Past the
-    depth ceiling it raises CapExceeded: for a given depth before any table
-    is generated, for a stream before a level past it is.  Returns (rec, the
-    exact sequence or None, the depth read)."""
+    None, on the levels read online until detection is stable.  The source
+    refuses a request past the depth ceiling, with CapExceeded, before it
+    generates a level.  Returns (rec, the exact sequence or None, the depth
+    read)."""
     ceiling = MODULAR_DEPTH_CEILING if modular_primes else RATIONAL_DEPTH_CEILING
-    if depth is not None and depth > ceiling:
-        raise conjectures.CapExceeded(f"depth {depth} exceeds the depth ceiling {ceiling}")
     read = []
 
-    def stream(field):
-        for level in levels(lt, spec, node, field):
-            read.append(level)
-            yield level
-            if len(read) > ceiling:
-                raise conjectures.CapExceeded(f"detection reads past the depth ceiling {ceiling}")
+    def source(field):
+        table = levels(lt, spec, node, field)
 
-    def terms(field):
-        if depth is None:
-            return stream(field)
-        read[:] = generate(lt, spec, (node, depth), field=field).node(node)
-        return read
+        def terms(n):
+            if n - 1 > ceiling:
+                raise conjectures.CapExceeded(f"depth {n - 1} exceeds the depth ceiling {ceiling}")
+            read[:] = table(n)
+            return read
+        return terms if depth is None else terms(depth + 1)
 
     if modular_primes:
-        rec = multi_prime_detect(lambda m: terms(PrimeField(m)), modular_primes, guard=guard)
+        rec = multi_prime_detect(lambda m: source(PrimeField(m)), modular_primes, guard=guard)
         return rec, None, len(read) - 1
-    return find_min_recurrence(terms(RATIONALS), guard=guard), read, len(read) - 1
+    return find_min_recurrence(source(RATIONALS), guard=guard), read, len(read) - 1
 
 
 def _digest(payload: dict) -> str:
@@ -559,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         "type": dict(help="Lie type, e.g. B3 or E6 (or a family letter with --rank)"),
         "rank": dict(type=int),
         "node": dict(type=int, help="node index, 1-based (default 1)"),
-        "seed": dict(type=int, default=_default_seed()),
+        "seed": dict(type=int, default=os.environ.get("QREC_SEED", "0")),
         "depth": dict(help="recursion depth, or 'auto'"),
         "guard": dict(type=int, help="extra validation terms for detection"),
         "modular": dict(type=int, metavar="N",

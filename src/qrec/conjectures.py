@@ -114,14 +114,7 @@ class QPoly:
         return hash(frozenset(self.terms.items()))
 
     def evaluate(self, qvals) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = Fraction(c)
-            for q, exp in zip(qvals, e):
-                if exp:
-                    term *= Fraction(q) ** exp
-            total += term
-        return total
+        return evaluate(self.terms, qvals)
 
     def __str__(self):
         if not self.terms:
@@ -219,12 +212,12 @@ def build_lambda(lt: LieType, a: int) -> LambdaSpec:
         lam4 = _character_difference(lt, _omega(4, 4), None, 2)
         spec = LambdaSpec(lam4, lam1, t[3])
     elif (fam, a) == ("G", 1):
-        lam = frozenset({(1, 0), (-1, 0), (1, -3), (-1, 3), (2, -3), (-2, 3), (0, 0)})
+        lam = _character_difference(lt, _omega(2, 1), _omega(2, 2), 0)
         spec = LambdaSpec(lam, empty, 1)
     elif (fam, a) == ("G", 2):
-        lam1 = build_lambda(lt, 1).weights
-        lam2 = frozenset({(0, 1), (0, -1), (1, -1), (-1, 1), (1, -2), (-1, 2)})
-        spec = LambdaSpec(lam2, frozenset(lam1), t[1])
+        lam1 = _character_difference(lt, _omega(2, 1), _omega(2, 2), 0)
+        lam2 = _character_difference(lt, _omega(2, 2), None, 1)
+        spec = LambdaSpec(lam2, lam1, t[1])
     else:
         raise NotInCatalogue(f"no catalogued weight sets for {lt} node {a}")
 
@@ -580,14 +573,7 @@ def interpolate_coefficients(lt: LieType, a: int, k: int, candidates,
     rows = []
     rhs = []
     for qvals, value in experiments:
-        row = []
-        for e in candidates:
-            term = Fraction(1)
-            for q, exp in zip(qvals, e):
-                if exp:
-                    term *= Fraction(q) ** exp
-            row.append(term)
-        rows.append(row)
+        rows.append([evaluate(e, qvals) for e in candidates])
         rhs.append(Fraction(value))
     n = len(candidates)
     status, sol = solve_overdetermined(rows[:n], rhs[:n])

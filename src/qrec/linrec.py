@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .fields import RATIONALS, PrimeField, prime_stream, rational_reconstruction
 
@@ -158,32 +158,31 @@ def _lifted_candidates(seq, window, moduli, run=None):
 
 def _read(terms, guard, field, moduli):
     """(the terms read, the streamed modulus, BM's (L, conn) on the terms
-    over Z/m or modulo that modulus) of a stream read online: 33 terms, then
-    chunks each ending at 2L + g terms for BM's current L, until 2L + g
-    terms are read.  BM resumes on each chunk once it is read.  Over Q a
-    non-unit denominator or discrepancy restarts BM on the terms read so far
-    modulo the next of the moduli."""
-    seq, run = [], None
+    over Z/m or modulo that modulus) of a stream read online: terms(33),
+    then terms(2L + g) for BM's current L, until 2L + g terms are read or
+    the stream gives no more.  BM resumes on each new chunk once it is read.
+    Over Q a non-unit denominator or discrepancy restarts BM on the terms
+    read so far modulo the next of the moduli."""
+    seq, run, want, state = [], None, 33, []
     bm_field = field if isinstance(field, PrimeField) else PrimeField(next(moduli))
-    state, chunk = [], list(itertools.islice(terms, 33))
-    while chunk:
+    while want > len(seq) and (chunk := terms(want)[len(seq):]):
         seq += chunk
         try:
             run = berlekamp_massey(_residues(chunk, bm_field.modulus), bm_field, state)
         except ZeroDivisionError:
             if bm_field is field:
                 raise
-            bm_field, state, chunk, seq = PrimeField(next(moduli)), [], seq, []
+            bm_field, state, seq = PrimeField(next(moduli)), [], []
             continue
-        g = guard if guard is not None else max(8, run[0] // 4)
-        chunk = list(itertools.islice(terms, max(0, 2 * run[0] + g - len(seq))))
+        want = 2 * run[0] + (guard if guard is not None else max(8, run[0] // 4))
     return seq, bm_field.modulus, run
 
 
-def find_min_recurrence(seq: Sequence | Iterator, guard: int | None = None,
-                        field=RATIONALS) -> RecurrencePoly:
-    """Stable minimal recurrence of seq, a window, or an iterator read online
-    (see _read) into the window to validate.
+def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
+                        guard: int | None = None, field=RATIONALS) -> RecurrencePoly:
+    """Stable minimal recurrence of seq, a window, or a stream: a function
+    n -> the first n terms, read online (see _read) into the window to
+    validate.
 
     The minimal LFSR of the whole window is accepted once the window holds
     at least 2*L + guard terms (guard defaults to max(8, L // 4)) and
@@ -207,7 +206,7 @@ def find_min_recurrence(seq: Sequence | Iterator, guard: int | None = None,
     primes = prime_stream(PRIME_SEED)
     moduli = (math.prod(itertools.islice(primes, 4 << k)) for k in itertools.count())
     run = None
-    if isinstance(seq, Iterator):
+    if callable(seq):
         seq, modulus, run = _read(seq, guard, field, moduli)
         moduli = itertools.chain([modulus], moduli)
     n_total = len(seq)

@@ -8,7 +8,6 @@ the level-1 data: explicit values, a torus point, or dimensions.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -225,9 +224,9 @@ def _product_term(C, vals, field, a, m):
     return field.one if prod is None else field.reduce(prod)
 
 
-def _tables(lt, spec, field, targets):
-    """For each list of per-node depths in targets, in turn: the levels of
-    every node, a list per node, extended in place to those depths.
+def _table(lt, spec, field):
+    """A function that extends one table, a list of levels per node, in
+    place to the per-node depths it is given, and returns the table.
 
     Nodes are interleaved: each sweep advances every node whose inputs are
     available, so cross-node index excursions resolve without recursion.
@@ -239,7 +238,8 @@ def _tables(lt, spec, field, targets):
     q = initial_values(lt, spec)
     check_integrality = field is RATIONALS and all(v.denominator == 1 for v in q)
     vals = [[field.one, field.of(v)] for v in q]
-    for depths in targets:
+
+    def extend(depths):
         while pending := [a for a in range(lt.rank) if len(vals[a]) - 1 < depths[a]]:
             try:
                 inverses = field.inverses([vals[a][-2] for a in pending])
@@ -268,28 +268,28 @@ def _tables(lt, spec, field, targets):
                 advanced = True
             if not advanced:
                 raise RuntimeError("recursion scheduling made no progress (bug)")
-        yield vals
+        return vals
+
+    return extend
 
 
 def generate(lt: LieType, spec: Specialization, target,
              field=RATIONALS) -> QTable:
     """Advance the recursion until the target is reached: either a
-    (node, depth) pair or a bare depth meaning every node (see _tables)."""
+    (node, depth) pair or a bare depth meaning every node (see _table)."""
     node, depth = (None, target) if isinstance(target, int) else target
     if depth < 1:
         raise ValueError("target depth must be at least 1")
-    vals = next(_tables(lt, spec, field, [required_depths(lt, node, depth)]))
-    kind = type(spec).__name__
+    vals = _table(lt, spec, field)(required_depths(lt, node, depth))
     return QTable(lie_type=lt, field_name=field.name,
-                  values=tuple(tuple(v) for v in vals), spec_kind=kind)
+                  values=tuple(tuple(v) for v in vals), spec_kind=type(spec).__name__)
 
 
 def levels(lt: LieType, spec: Specialization, node: int, field=RATIONALS):
-    """Q^(node)_0, Q^(node)_1, ... without end, as generate's table at each
-    next depth: each level is generated once, when it is read."""
-    targets = (required_depths(lt, node, depth) for depth in itertools.count())
-    for depth, vals in enumerate(_tables(lt, spec, field, targets)):
-        yield vals[node - 1][depth]
+    """A function n -> [Q^(node)_0, ..., Q^(node)_{n-1}]; each call extends
+    one table to generate's at depth n - 1, so each level is made once."""
+    extend = _table(lt, spec, field)
+    return lambda n: extend(required_depths(lt, node, n - 1))[node - 1][:n]
 
 
 def check_relation(table: QTable, a: int, m: int, field=RATIONALS) -> bool:

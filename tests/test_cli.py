@@ -201,6 +201,19 @@ def test_seed_env_default(capsys, monkeypatch):
     assert payload["config"]["seed"] == 11
 
 
+def test_a_seed_in_the_environment_that_is_no_integer_is_a_usage_error(capsys,
+                                                                       monkeypatch):
+    monkeypatch.setenv("QREC_SEED", "abc")
+    for command in (["detect", "--type", "A2"], ["gen", "--type", "A2", "--depth", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command)
+        assert exc.value.code == 3, command
+        assert "--seed: invalid int value: 'abc'" in capsys.readouterr().err
+    # an explicit --seed is read instead of the environment
+    code, payload = run_json(capsys, "detect", "--type", "A2", "--seed", "11")
+    assert code == 0 and payload["config"]["seed"] == 11
+
+
 def test_interpolate_a2(capsys):
     code, payload = run_json(capsys, "interpolate", "--type", "A2", "--node", "1",
                              "--k", "1", "--runs", "12", "--degree", "1",
@@ -321,7 +334,7 @@ def test_depth_past_the_doubling_ceiling_is_a_resource_cap(argv, capsys, monkeyp
     def no_table(*args, **kwargs):
         raise AssertionError("a table was generated")
 
-    monkeypatch.setattr(cli_mod, "generate", no_table)
+    monkeypatch.setattr(cli_mod, "levels", lambda *args: no_table)
     assert main(argv) == 4
     assert "depth ceiling" in capsys.readouterr().err
 
@@ -331,11 +344,13 @@ def test_deepest_accepted_depth_is_the_doubling_ceiling(capsys, monkeypatch):
     from qrec.linrec import NoStableRecurrence
     depths = []
 
-    def record(lt, spec, target, **kwargs):
-        depths.append(target[1])
-        raise NoStableRecurrence("stop after the depth check")
+    def record(lt, spec, node, field):
+        def table(n):
+            depths.append(n - 1)
+            raise NoStableRecurrence("stop after the depth check")
+        return table
 
-    monkeypatch.setattr(cli_mod, "generate", record)
+    monkeypatch.setattr(cli_mod, "levels", record)
     assert main(["detect", "--type", "A2", "--q", "1,2", "--depth", "1024"]) == 2
     assert main(["detect", "--type", "A2", "--q", "1,2", "--depth", "1025"]) == 4
     assert main(["detect", "--type", "A2", "--q", "1,2", "--depth", "8192",
@@ -397,6 +412,22 @@ def test_guard_and_degree_are_checked_before_any_generation(argv, option, capsys
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    "detect --type A2", "verify --type A2", "interpolate --type A2 --k 1"])
+@pytest.mark.parametrize("option, depth", [(["--depth", "0"], "0"), (["--depth=-3"], "-3")])
+def test_a_depth_below_1_is_a_usage_error_before_any_generation(command, option, depth,
+                                                               capsys, monkeypatch):
+    import qrec.cli as cli_mod
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was generated")
+
+    monkeypatch.setattr(cli_mod, "generate", no_table)
+    monkeypatch.setattr(cli_mod, "levels", no_table)
+    assert main([*command.split(), *option]) == 3
+    assert f"--depth {depth} is below 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     "detect --type F4 --node 2 --modular 8 --seed 1",
     "detect --type G2 --node 2 --seed 5",
@@ -424,9 +455,12 @@ def test_a_stream_past_the_ceiling_is_a_resource_cap(argv, ceiling, capsys, monk
     read = []
 
     def counted(lt, spec, node, field):
-        for level in cli_mod_levels(lt, spec, node, field):
-            read.append(level)
-            yield level
+        table = cli_mod_levels(lt, spec, node, field)
+
+        def terms(n):
+            read[:] = table(n)
+            return read
+        return terms
 
     cli_mod_levels = cli_mod.levels
     monkeypatch.setattr(cli_mod, "predicted_order", lambda lt, a: None)
@@ -434,4 +468,6 @@ def test_a_stream_past_the_ceiling_is_a_resource_cap(argv, ceiling, capsys, monk
     monkeypatch.setattr(cli_mod, ceiling, 40)
     assert main(argv.split()) == 4
     assert "depth ceiling 40" in capsys.readouterr().err
-    assert len(read) == 41  # levels 0..40, and none past the ceiling
+    # levels 0..32, the first request; the next asks past level 40 and is
+    # refused before any level past the ceiling is generated
+    assert len(read) == 33

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -465,14 +464,16 @@ def test_every_prime_in_a_coefficient_denominator_is_not_detected():
 
 
 def lfsr_stream(taps, fill, pulled):
-    """The terms of the LFSR with these taps from this fill, without end,
-    each also appended to pulled as it is read."""
+    """A function n -> the first n terms of the LFSR with these taps from
+    this fill; pulled holds the terms asked for so far."""
     seq = list(fill)
-    for n in itertools.count():
-        if n >= len(seq):
+
+    def terms(n):
+        while len(seq) < n:
             seq.append(sum(c * seq[-1 - i] for i, c in enumerate(taps)))
-        pulled.append(seq[n])
-        yield seq[n]
+        pulled[len(pulled):] = seq[len(pulled):n]
+        return seq[:n]
+    return terms
 
 
 @pytest.fixture
@@ -505,9 +506,8 @@ def test_a_stream_is_read_online_and_fed_to_bm_once(modular, stream_runs):
             for _ in range(19)] + [1]
     fill = [rng.randint(-20, 20) for _ in taps]
     pulled = []
-    stream = lfsr_stream(taps, fill, pulled)
-    if modular:
-        stream = (x % modulus for x in stream)
+    terms = lfsr_stream(taps, fill, pulled)
+    stream = (lambda n: [x % modulus for x in terms(n)]) if modular else terms
     rec = find_min_recurrence(stream, field=field)
     # 33 terms, then chunks up to 2L + g for L = 20 and g = 8
     assert rec.order == 20 and len(pulled) == 48
@@ -523,7 +523,7 @@ def test_a_stream_skips_prime_sets_like_a_window(stream_runs):
     p = seeded_primes(1, PRIME_SEED)[0]
     for seq in ([(p - 1) * 2**n + 3**n for n in range(24)],  # a non-unit discrepancy
                 [F(3**n, p) + 2**n for n in range(24)]):  # a non-unit denominator
-        rec = find_min_recurrence(iter(seq))
+        rec = find_min_recurrence(lambda n: seq[:n])
         assert (rec.order, rec.coeffs) == detection(seq) == (2, (1, 5, 6))
     # the first stream restarts on its 24 terms modulo 8 primes after the
     # 4-prime run raised; the second never runs modulo the set holding p
@@ -533,5 +533,5 @@ def test_a_stream_skips_prime_sets_like_a_window(stream_runs):
 
 def test_a_short_stream_fails_like_its_window():
     for seq in (FIB[:9], [F(2) ** n + F(n) ** 5 for n in range(15)]):
-        assert detection(iter(seq)) == detection(seq) in (InsufficientData,
-                                                          NoStableRecurrence)
+        assert detection(lambda n: seq[:n]) == detection(seq) in (InsufficientData,
+                                                                  NoStableRecurrence)

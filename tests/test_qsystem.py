@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -226,12 +225,50 @@ def test_levels_read_the_table_generating_each_level_once(name, node, monkeypatc
         table = generate(lt, spec, (node, 30), field=field)
         made = sum(products)
         products.clear()
-        assert tuple(itertools.islice(levels(lt, spec, node, field), 31)) == table.node(node)
+        read = levels(lt, spec, node, field)
+        assert [tuple(read(n)) for n in range(1, 32)] == [table.node(node)[:n]
+                                                          for n in range(1, 32)]
         assert sum(products) == made  # the levels of the one-shot table, once each
         products.clear()
 
 
 def test_levels_raise_a_singular_specialization():
     with pytest.raises(SingularSpecialization) as err:
-        list(itertools.islice(levels(LieType.parse("A1"), RawQ((1,)), 1), 7))
+        levels(LieType.parse("A1"), RawQ((1,)), 1)(7)
     assert (err.value.node, err.value.level) == (1, 2)
+
+
+def test_a_stream_read_in_the_readers_chunks_costs_what_its_window_costs(monkeypatch):
+    # F4/2 at the draw of `detect --type F4 --node 2 --modular 8 --seed 1`
+    import qrec.qsystem as qsystem
+    from qrec.linrec import find_min_recurrence
+    lt = LieType.parse("F4")
+    spec = RawQ((-27, -13, 18, 17))
+    field = PrimeField(math.prod(seeded_primes(8, 1)))
+    table, requests = levels(lt, spec, 2, field), []
+    rec = find_min_recurrence(lambda n: requests.append(n) or table(n), field=field)
+    assert rec.order == 145 and len(requests) > 2 and requests[-1] == 326
+
+    counts = dict.fromkeys(("products", "inverses"), 0)
+    product_term, inverses = qsystem._product_term, PrimeField.inverses
+
+    def counted_product(*args):
+        prod = product_term(*args)
+        counts["products"] += prod is not None
+        return prod
+
+    def counted_inverses(self, values):
+        counts["inverses"] += 1
+        return inverses(self, values)
+
+    monkeypatch.setattr(qsystem, "_product_term", counted_product)
+    monkeypatch.setattr(PrimeField, "inverses", counted_inverses)
+    read = levels(lt, spec, 2, field)
+    for n in requests:
+        read(n)
+    streamed = dict(counts)
+    counts.update(products=0, inverses=0)
+    generate(lt, spec, (2, requests[-1] - 1), field=field)
+    # the same levels, and about the sweeps of one table
+    assert streamed["products"] == counts["products"]
+    assert streamed["inverses"] <= 1.1 * counts["inverses"]
