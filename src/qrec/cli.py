@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -452,6 +453,10 @@ def run_interpolate(args):
         raise ConfigError(f"--k {k} is negative")
     if args.degree < 0:
         raise ConfigError(f"--degree {args.degree} is negative")
+    need = math.comb(_parse_type(args).rank + args.degree, args.degree) + conjectures.MARGIN
+    if args.runs < need:
+        raise ConfigError(f"--runs {args.runs} is below {need}, the candidate monomials "
+                          f"of degree at most {args.degree} plus {conjectures.MARGIN}")
     lt, node, mode, primes, depth, specs = _prologue(args, "interpolate")
     if depth is None:
         raise ConfigError("interpolation needs a tabulated order or explicit --depth")
@@ -603,7 +608,7 @@ def main(argv=None) -> int:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (SingularSpecialization, NoStableRecurrence, PrimeDisagreement,
-            InsufficientData, CertificateFailure) as exc:
+            InsufficientData, CertificateFailure, conjectures.UnderdeterminedSystem) as exc:
         print(f"detection failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (ConfigError, BranchingIncomplete, ValueError) as exc:

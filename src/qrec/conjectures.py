@@ -8,6 +8,7 @@ E8 node 7, F4 nodes 1 and 4, and both G2 nodes.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -15,12 +16,14 @@ from typing import Mapping
 
 from . import linrec
 from .cartan import LieType, cartan_data, growth_degree
-from .fields import RATIONALS
 from .linalg import solve_overdetermined
 from .linrec import RecurrencePoly
 from .qsystem import QTable, default_branching
 from .weights import (Weight, dimension, dominance_leq, elementary_symmetric,
-                      evaluate, is_dominant, reflect, weight_system, zero)
+                      evaluate, is_dominant, omega, reflect, weight_system, zero)
+
+MARGIN = 5  # experiments past the candidate count, to verify the fit
+EXPANSION_CAP = 2_000_000  # terms of a character product decompose_invariant expands
 
 
 class NotInCatalogue(LookupError):
@@ -179,12 +182,6 @@ def _character_difference(lt, plus, minus, const: int) -> frozenset:
     return frozenset(acc)
 
 
-def _omega(r, a):
-    if a == 0:
-        return zero(r)
-    return tuple(int(i == a - 1) for i in range(r))
-
-
 def build_lambda(lt: LieType, a: int) -> LambdaSpec:
     """The catalogued factorization data (Lambda_a, Lambda'_a, stride t_a)."""
     fam, r = lt.family, lt.rank
@@ -192,36 +189,36 @@ def build_lambda(lt: LieType, a: int) -> LambdaSpec:
     empty = frozenset()
 
     if fam == "A":
-        spec = LambdaSpec(_distinct_weights(lt, _omega(r, a)), empty, 1)
+        spec = LambdaSpec(_distinct_weights(lt, omega(r, a)), empty, 1)
     elif fam == "B" and a == 1:
-        nonzero = _distinct_weights(lt, _omega(r, 1)) - {zero(r)}
+        nonzero = _distinct_weights(lt, omega(r, 1)) - {zero(r)}
         spec = LambdaSpec(frozenset(nonzero), empty, 1)
     elif fam == "C" and a == 1:
-        spec = LambdaSpec(_distinct_weights(lt, _omega(r, 1)),
+        spec = LambdaSpec(_distinct_weights(lt, omega(r, 1)),
                           frozenset({zero(r)}), t[0])
     elif fam == "D" and a in (1, r - 1, r):
-        spec = LambdaSpec(_distinct_weights(lt, _omega(r, a)), empty, 1)
+        spec = LambdaSpec(_distinct_weights(lt, omega(r, a)), empty, 1)
     elif (fam, r, a) == ("E", 6, 1) or (fam, r, a) == ("E", 7, 6) or \
             (fam, r, a) == ("E", 8, 7):
-        spec = LambdaSpec(_distinct_weights(lt, _omega(r, a)), empty, 1)
+        spec = LambdaSpec(_distinct_weights(lt, omega(r, a)), empty, 1)
     elif (fam, a) == ("F", 1):
-        lam = _character_difference(lt, _omega(4, 1), _omega(4, 4), 1)
+        lam = _character_difference(lt, omega(4, 1), omega(4, 4), 1)
         spec = LambdaSpec(lam, empty, 1)
     elif (fam, a) == ("F", 4):
-        lam1 = _character_difference(lt, _omega(4, 1), _omega(4, 4), 1)
-        lam4 = _character_difference(lt, _omega(4, 4), None, 2)
+        lam1 = _character_difference(lt, omega(4, 1), omega(4, 4), 1)
+        lam4 = _character_difference(lt, omega(4, 4), None, 2)
         spec = LambdaSpec(lam4, lam1, t[3])
     elif (fam, a) == ("G", 1):
-        lam = _character_difference(lt, _omega(2, 1), _omega(2, 2), 0)
+        lam = _character_difference(lt, omega(2, 1), omega(2, 2), 0)
         spec = LambdaSpec(lam, empty, 1)
     elif (fam, a) == ("G", 2):
-        lam1 = _character_difference(lt, _omega(2, 1), _omega(2, 2), 0)
-        lam2 = _character_difference(lt, _omega(2, 2), None, 1)
+        lam1 = _character_difference(lt, omega(2, 1), omega(2, 2), 0)
+        lam2 = _character_difference(lt, omega(2, 2), None, 1)
         spec = LambdaSpec(lam2, lam1, t[1])
     else:
         raise NotInCatalogue(f"no catalogued weight sets for {lt} node {a}")
 
-    assert _omega(r, a) in spec.weights
+    assert omega(r, a) in spec.weights
     return spec
 
 
@@ -248,7 +245,7 @@ class ExteriorCombo:
 def coefficient_formula(lt: LieType, a: int, k: int) -> ExteriorCombo:
     fam, r = lt.family, lt.rank
     if fam == "A":
-        top = dimension(lt, _omega(r, a))
+        top = dimension(lt, omega(r, a))
         if not 0 <= k <= top:
             raise ValueError(f"k={k} out of range 0..{top}")
         return ExteriorCombo(((1, k),))
@@ -383,19 +380,19 @@ _E6_NUMERATOR = {
 }
 
 
-def e6_numerator_terms(r=6):
+def e6_numerator_terms():
     """The sixteen E6 numerator coefficients as (constant, signed highest
     weights) pairs; each evaluates to const + sum sign * chi(L(mu))."""
     table = dict(_E6_NUMERATOR)
-    w15 = tuple(int(i in (0, 4)) for i in range(r))  # omega_1 + omega_5
+    w15 = (1, 0, 0, 0, 1, 0)  # omega_1 + omega_5
     table[6] = (0, ((1, w15),))
     table[9] = (0, ((1, w15),))
-    table[7] = (0, ((-1, tuple(2 * int(i == 4) for i in range(r))),))  # 2*omega_5
-    table[8] = (0, ((-1, tuple(2 * int(i == 0) for i in range(r))),))  # 2*omega_1
+    table[7] = (0, ((-1, (0, 0, 0, 0, 2, 0)),))  # 2*omega_5
+    table[8] = (0, ((-1, (2, 0, 0, 0, 0, 0)),))  # 2*omega_1
     out = []
     for n in range(16):
         const, terms = table[n]
-        resolved = tuple((s, _omega(r, m) if isinstance(m, int) else m)
+        resolved = tuple((s, omega(6, m) if isinstance(m, int) else m)
                          for s, m in terms)
         out.append((const, resolved))
     return out
@@ -422,8 +419,7 @@ def expected_numerator(lt: LieType, a: int):
     return None
 
 
-def check_numerator(lt: LieType, a: int, seq, rec: RecurrencePoly,
-                    field=RATIONALS, qvals=None, y=None):
+def check_numerator(lt: LieType, a: int, seq, rec: RecurrencePoly, qvals=None, y=None):
     """Compare the computed numerator against the catalogue.
 
     Returns (ok, witness).  Raises SkippedNeedsCharacterPoint when the
@@ -433,23 +429,22 @@ def check_numerator(lt: LieType, a: int, seq, rec: RecurrencePoly,
     expected = expected_numerator(lt, a)
     if expected is None:
         raise NotInCatalogue(f"no catalogued numerator for {lt} node {a}")
-    computed = linrec.numerator(seq, rec, field)
+    computed = linrec.numerator(seq, rec)
     if expected == "e6-characters":
         if y is None:
             raise SkippedNeedsCharacterPoint(
                 "the E6 numerator needs character values at a torus point")
-        values = []
+        want = []
         for const, terms in e6_numerator_terms():
             v = Fraction(const)
             for sign, mu in terms:
                 v += sign * evaluate(weight_system(lt, mu), y)
-            values.append(v)
-        want = [field.of(v) for v in values]
+            want.append(v)
     else:
         if qvals is None:
             raise SkippedNeedsCharacterPoint("numerator entries are polynomials in q")
-        want = [field.of(p.evaluate(qvals)) for p in expected]
-    while len(want) > 1 and want[-1] == field.zero:
+        want = [p.evaluate(qvals) for p in expected]
+    while len(want) > 1 and want[-1] == 0:
         want.pop()
     if computed == want:
         return True, None
@@ -483,16 +478,16 @@ def check_factorization(rec: RecurrencePoly, spec: LambdaSpec, y):
 
 @lru_cache(maxsize=None)
 def _fundamental_system(lt: LieType, a: int):
-    return weight_system(lt, _omega(lt.rank, a))
+    return weight_system(lt, omega(lt.rank, a))
 
 
-def _product_expansion(lt: LieType, exps, cap: int):
+def _product_expansion(lt: LieType, exps):
     size = 1
     for a, e in enumerate(exps, start=1):
         if e:
-            size *= dimension(lt, _omega(lt.rank, a)) ** e
-    if size > cap:
-        raise CapExceeded(f"character product has {size} terms, cap {cap}")
+            size *= dimension(lt, omega(lt.rank, a)) ** e
+    if size > EXPANSION_CAP:
+        raise CapExceeded(f"character product has {size} terms, cap {EXPANSION_CAP}")
     acc = {zero(lt.rank): 1}
     for a, e in enumerate(exps, start=1):
         for _ in range(e):
@@ -506,8 +501,7 @@ def _product_expansion(lt: LieType, exps, cap: int):
     return acc
 
 
-def decompose_invariant(lt: LieType, invariant: Mapping[Weight, int],
-                        cap: int = 2_000_000) -> QPoly:
+def decompose_invariant(lt: LieType, invariant: Mapping[Weight, int]) -> QPoly:
     """Write a Weyl-invariant signed weight multiset as an integer polynomial
     in q_1..q_r by greedy elimination of the dominance-maximal dominant term."""
     cd = cartan_data(lt)
@@ -525,7 +519,7 @@ def decompose_invariant(lt: LieType, invariant: Mapping[Weight, int],
                    if not any(v != w and dominance_leq(cd, w, v) for v in doms)]
         mu = max(maximal)  # lexicographic tie-break
         c = work[mu]
-        for w, m in _product_expansion(lt, mu, cap).items():
+        for w, m in _product_expansion(lt, mu).items():
             nv = work.get(w, 0) - c * m
             if nv:
                 work[w] = nv
@@ -540,25 +534,14 @@ def decompose_invariant(lt: LieType, invariant: Mapping[Weight, int],
 
 
 def degree_monomials(rank: int, max_degree: int = 2) -> list[tuple]:
-    """All exponent vectors of total degree <= max_degree (the default
+    """All exponent vectors of total degree <= max_degree, sorted (the
     candidate pool for interpolation)."""
-    out = [tuple([0] * rank)]
-    frontier = [tuple([0] * rank)]
-    for _ in range(max_degree):
-        nxt = []
-        for e in frontier:
-            start = next((i for i in range(rank) if e[i]), rank - 1)
-            for i in range(start + 1):
-                grown = list(e)
-                grown[i] += 1
-                nxt.append(tuple(grown))
-        frontier = sorted(set(nxt))
-        out.extend(frontier)
-    return sorted(set(out))
+    return sorted(tuple(combo.count(i) for i in range(rank))
+                  for degree in range(max_degree + 1)
+                  for combo in itertools.combinations_with_replacement(range(rank), degree))
 
 
-def interpolate_coefficients(lt: LieType, a: int, k: int, candidates,
-                             experiments, margin: int = 5):
+def interpolate_coefficients(lt: LieType, a: int, k: int, candidates, experiments):
     """Fit an integer polynomial in q to observed coefficient values.
 
     experiments: list of (qvals, value of C_k).  Solves exactly on a prefix,
@@ -566,9 +549,9 @@ def interpolate_coefficients(lt: LieType, a: int, k: int, candidates,
     error, a failed verification returns None (no fit).
     """
     candidates = [tuple(c) for c in candidates]
-    if len(experiments) < len(candidates) + margin:
+    if len(experiments) < len(candidates) + MARGIN:
         raise ValueError(
-            f"need at least {len(candidates) + margin} experiments "
+            f"need at least {len(candidates) + MARGIN} experiments "
             f"for {len(candidates)} candidates, got {len(experiments)}")
     rows = []
     rhs = []

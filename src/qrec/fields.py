@@ -139,27 +139,18 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def prime_stream(seed: int, bits: int = 51) -> Iterator[int]:
-    """Distinct primes in [2^(bits-1), 2^bits), reproducible from the seed;
-    the first count of them are seeded_primes(count, seed, bits).
-
-    bits must be at least 51 so every prime exceeds 2^50.
-    """
-    if bits < 51:
-        raise ValueError("primes below 2^50 are not allowed")
-    return _primes(random.Random(f"qrec-primes-{seed}"), bits)
-
-
-def _primes(rng: random.Random, bits: int) -> Iterator[int]:
-    """The generator behind prime_stream, which checks bits at the call."""
+def prime_stream(seed: int) -> Iterator[int]:
+    """Distinct 51-bit primes, each above 2^50, reproducible from the seed;
+    the first count of them are seeded_primes(count, seed)."""
+    rng = random.Random(f"qrec-primes-{seed}")
     seen: set[int] = set()
     while True:
-        candidate = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        candidate = rng.randrange(1 << 50, 1 << 51) | 1
         if candidate not in seen and is_probable_prime(candidate):
             seen.add(candidate)
             yield candidate
 
 
-def seeded_primes(count: int, seed: int, bits: int = 51) -> list[int]:
-    """The first count primes of prime_stream(seed, bits)."""
-    return list(itertools.islice(prime_stream(seed, bits), count))
+def seeded_primes(count: int, seed: int) -> list[int]:
+    """The first count primes of prime_stream(seed)."""
+    return list(itertools.islice(prime_stream(seed), count))

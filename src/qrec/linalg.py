@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals (or any exact field)."""
+"""Exact linear algebra over the rationals."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -23,43 +23,37 @@ def invert_matrix(rows):
     return [row[n:] for row in aug]
 
 
-def solve_overdetermined(rows, rhs, field=None):
-    """Solve an (over)determined linear system exactly.
+def solve_overdetermined(rows, rhs):
+    """Solve an (over)determined linear system exactly, over Fractions.
 
     Returns (status, solution) where status is one of "unique",
     "underdetermined" (solution is None), "inconsistent" (solution is None).
-    With a `field` argument the entries are taken to be field elements;
-    otherwise plain Fractions.
     """
-    if field is None:
-        from .fields import RATIONALS
-        field = RATIONALS
     m, n = len(rows), (len(rows[0]) if rows else 0)
-    aug = [[field.of(x) for x in row] + [field.of(b)] for row, b in zip(rows, rhs)]
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     pivots = []
     row_at = 0
     for col in range(n):
-        pivot = next((r for r in range(row_at, m) if aug[r][col] != field.zero), None)
+        pivot = next((r for r in range(row_at, m) if aug[r][col] != 0), None)
         if pivot is None:
             continue
         aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
-        inv, = field.inverses([aug[row_at][col]])
-        aug[row_at] = [field.reduce(x * inv) for x in aug[row_at]]
+        inv = 1 / aug[row_at][col]
+        aug[row_at] = [x * inv for x in aug[row_at]]
         for r in range(m):
-            if r != row_at and aug[r][col] != field.zero:
+            if r != row_at and aug[r][col] != 0:
                 factor = aug[r][col]
-                aug[r] = [field.reduce(x - factor * y)
-                          for x, y in zip(aug[r], aug[row_at])]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row_at])]
         pivots.append(col)
         row_at += 1
         if row_at == m:
             break
     for r in range(row_at, m):
-        if aug[r][n] != field.zero:
+        if aug[r][n] != 0:
             return "inconsistent", None
     if len(pivots) < n:
         return "underdetermined", None
-    sol = [field.zero] * n
+    sol = [Fraction(0)] * n
     for r, col in enumerate(pivots):
         sol[col] = aug[r][n]
     return "unique", sol

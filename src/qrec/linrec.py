@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
@@ -49,8 +50,11 @@ class RecurrencePoly:
     order: int
     coeffs: tuple  # C_0..C_order, C_0 == 1
     start: int  # first index from which the recurrence holds on the window
-    confidence: str = "exact"
-    primes: tuple[int, ...] | None = None
+    primes: tuple[int, ...] | None = None  # set by modular detection
+
+    @property
+    def confidence(self) -> str:
+        return "exact" if self.primes is None else "modular"
 
     def alternating(self) -> list:
         """Coefficients of A(D) = sum (-1)^k C_k D^k."""
@@ -249,50 +253,49 @@ def annihilates(seq: Sequence, rec: RecurrencePoly, field=RATIONALS) -> bool:
     return all(_holds(seq, taps, n, field) for n in range(rec.start, len(seq)))
 
 
-def poly_mul(a: Sequence, b: Sequence, field=RATIONALS) -> list:
-    out = [field.zero] * (len(a) + len(b) - 1)
+def poly_mul(a: Sequence, b: Sequence) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai != field.zero:
+        if ai:
             out[i:i + len(b)] = [o + ai * bj for o, bj in zip(out[i:i + len(b)], b)]
-    return [field.reduce(o) for o in out]
-
-
-def expand_linear_product(values, stride: int = 1, field=RATIONALS) -> list:
-    """prod_i (1 - v_i D^stride) as a dense coefficient list."""
-    poly = [field.one]
-    for v in values:
-        factor = [field.one] + [field.zero] * (stride - 1) + [field.reduce(-field.of(v))]
-        poly = poly_mul(poly, factor, field)
-    return poly
-
-
-def series_divide(num: Sequence, den: Sequence, order: int, field=RATIONALS) -> list:
-    """First order+1 coefficients of num(D)/den(D); den must be a unit."""
-    if not den or den[0] == field.zero:
-        raise ValueError("series division requires a nonzero constant term")
-    inv0, = field.inverses([den[0]])
-    out = []
-    for n in range(order + 1):
-        k = min(n, len(den) - 1)
-        acc = (num[n] if n < len(num) else field.zero) - sum(
-            map(mul, den[1:k + 1], reversed(out[n - k:n])))
-        out.append(field.reduce(acc * inv0))
     return out
 
 
-def numerator(seq: Sequence, rec: RecurrencePoly, field=RATIONALS) -> list:
+def expand_linear_product(values, stride: int = 1) -> list:
+    """prod_i (1 - v_i D^stride) as a dense coefficient list."""
+    poly = [Fraction(1)]
+    for v in values:
+        poly = poly_mul(poly, [1] + [0] * (stride - 1) + [-Fraction(v)])
+    return poly
+
+
+def series_divide(num: Sequence, den: Sequence, order: int) -> list:
+    """First order+1 coefficients of num(D)/den(D); den must be a unit."""
+    if not den or den[0] == 0:
+        raise ValueError("series division requires a nonzero constant term")
+    inv0 = 1 / Fraction(den[0])
+    out = []
+    for n in range(order + 1):
+        k = min(n, len(den) - 1)
+        acc = (num[n] if n < len(num) else 0) - sum(
+            map(mul, den[1:k + 1], reversed(out[n - k:n])))
+        out.append(acc * inv0)
+    return out
+
+
+def numerator(seq: Sequence, rec: RecurrencePoly) -> list:
     """The polynomial A(D) * S(D), which must terminate below max(order, start)."""
     a = rec.alternating()
     tail_from = max(rec.order, rec.start)
     coeffs = []
     for n in range(len(seq)):
         k = min(n, rec.order)
-        acc = field.reduce(sum(map(mul, a[:k + 1], reversed(seq[n - k:n + 1]))))
-        if n >= tail_from and acc != field.zero:
+        acc = sum(map(mul, a[:k + 1], reversed(seq[n - k:n + 1])), Fraction(0))
+        if n >= tail_from and acc != 0:
             raise NonVanishingTail(f"product coefficient at degree {n} is {acc}")
         coeffs.append(acc)
     coeffs = coeffs[:tail_from]
-    while len(coeffs) > 1 and coeffs[-1] == field.zero:
+    while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
 
@@ -329,4 +332,4 @@ def multi_prime_detect(seq_factory: Callable[[int], Sequence[int]], primes,
             )
         lifted.append(c)
     return RecurrencePoly(order=rec.order, coeffs=tuple(lifted), start=rec.start,
-                          confidence="modular", primes=tuple(primes))
+                          primes=tuple(primes))

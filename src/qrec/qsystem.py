@@ -14,7 +14,7 @@ from typing import Mapping, Sequence, Union
 
 from .cartan import LieType, cartan_data
 from .fields import RATIONALS
-from .weights import Weight, dimension, evaluate, is_dominant, weight_system, zero
+from .weights import Weight, dimension, evaluate, is_dominant, omega, weight_system
 
 
 class SingularSpecialization(ArithmeticError):
@@ -69,42 +69,36 @@ def default_branching(lt: LieType) -> dict[int, tuple[Weight, ...]]:
 
     Only the nodes forced by the catalogued C_1 identities are present;
     E6 nodes 2,3,4,6, E7 nodes != 6, E8 nodes != 7 and F4 nodes 2,3 stay
-    user-configurable.
+    user-configurable.  omega(r, 0), the zero weight, is the trivial summand.
     """
     r = lt.rank
     table: dict[int, tuple[Weight, ...]] = {}
-
-    def omega(a):  # 1-based; omega(0) is the trivial summand
-        if a == 0:
-            return zero(r)
-        return tuple(int(i == a - 1) for i in range(r))
-
     fam = lt.family
     if fam in ("A", "C"):
         for a in range(1, r + 1):
-            table[a] = (omega(a),)
+            table[a] = (omega(r, a),)
     elif fam == "B":
         for a in range(1, r):
-            table[a] = tuple(omega(a - 2 * j) for j in range((a // 2) + 1))
-        table[r] = (omega(r),)
+            table[a] = tuple(omega(r, a - 2 * j) for j in range((a // 2) + 1))
+        table[r] = (omega(r, r),)
     elif fam == "D":
         for a in range(1, r - 1):
-            table[a] = tuple(omega(a - 2 * j) for j in range((a // 2) + 1))
-        table[r - 1] = (omega(r - 1),)
-        table[r] = (omega(r),)
+            table[a] = tuple(omega(r, a - 2 * j) for j in range((a // 2) + 1))
+        table[r - 1] = (omega(r, r - 1),)
+        table[r] = (omega(r, r),)
     elif fam == "G":
-        table[1] = (omega(1), omega(0))
-        table[2] = (omega(2),)
+        table[1] = (omega(r, 1), omega(r, 0))
+        table[2] = (omega(r, 2),)
     elif fam == "F":
-        table[1] = (omega(1), omega(0))
-        table[4] = (omega(4),)
+        table[1] = (omega(r, 1), omega(r, 0))
+        table[4] = (omega(r, 4),)
     elif fam == "E" and r == 6:
-        table[1] = (omega(1),)
-        table[5] = (omega(5),)
+        table[1] = (omega(r, 1),)
+        table[5] = (omega(r, 5),)
     elif fam == "E" and r == 7:
-        table[6] = (omega(6),)
+        table[6] = (omega(r, 6),)
     elif fam == "E" and r == 8:
-        table[7] = (omega(7), omega(0))
+        table[7] = (omega(r, 7), omega(r, 0))
     return table
 
 
@@ -292,12 +286,12 @@ def levels(lt: LieType, spec: Specialization, node: int, field=RATIONALS):
     return lambda n: extend(required_depths(lt, node, n - 1))[node - 1][:n]
 
 
-def check_relation(table: QTable, a: int, m: int, field=RATIONALS) -> bool:
+def check_relation(table: QTable, a: int, m: int) -> bool:
     """Re-verify the defining relation at (a, m) from the stored values."""
     C = cartan_data(table.lie_type).cartan
     vals = [list(seq) for seq in table.values]
-    prod = _product_term(C, vals, field, a - 1, m)
+    prod = _product_term(C, vals, RATIONALS, a - 1, m)
     if prod is None:
         raise ValueError(f"stored table too shallow to check node {a} level {m}")
     seq = vals[a - 1]
-    return field.reduce(seq[m] * seq[m] - seq[m + 1] * seq[m - 1] - prod) == field.zero
+    return seq[m] * seq[m] - seq[m + 1] * seq[m - 1] - prod == 0

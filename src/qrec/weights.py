@@ -37,6 +37,11 @@ def zero(rank: int) -> Weight:
     return (0,) * rank
 
 
+def omega(rank: int, a: int) -> Weight:
+    """The fundamental weight omega_a (1-based); omega(rank, 0) is zero."""
+    return tuple(int(i == a - 1) for i in range(rank))
+
+
 def wsum(u: Weight, v: Weight) -> Weight:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -212,16 +217,17 @@ def _dominant_multiplicities(lt: LieType, highest: Weight) -> tuple:
     return tuple(sorted(mult.items()))
 
 
-def weight_system(lt: LieType, highest: Weight, cap: int | None = None) -> dict[Weight, int]:
+def weight_system(lt: LieType, highest: Weight) -> dict[Weight, int]:
     """Full weight multiset of L(highest): map weight -> multiplicity.
 
     The result is Weyl-stable, sums (with multiplicity) to zero, and its
-    total size equals the Weyl dimension formula value.
+    total size equals the Weyl dimension formula value.  Raises
+    DimensionCapExceeded above dimension_cap().
     """
     _require_dominant(highest)
     highest = tuple(highest)
     dim = dimension(lt, highest)
-    budget = cap if cap is not None else dimension_cap()
+    budget = dimension_cap()
     if dim > budget:
         raise DimensionCapExceeded(lt, highest, dim, budget)
     cd = cartan_data(lt)

@@ -222,6 +222,32 @@ def test_interpolate_a2(capsys):
     assert payload["polynomial"] == "q_1"
 
 
+def test_experiments_that_do_not_pin_down_the_candidates_exit_2(capsys, monkeypatch):
+    import qrec.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "_random_q", lambda lt, rng: (2, 3))
+    assert main(["interpolate", "--type", "A2", "--k", "1", "--runs", "8",
+                 "--degree", "1"]) == 2
+    assert "8 experiments do not pin down 3 candidates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "interpolate --type E6 --node 1 --k 1 --degree 3 --runs 40 --modular 3",
+    "interpolate --type E6 --node 1 --k 1 --degree 50",
+    "interpolate --type A2 --k 1 --runs=-1",
+])
+def test_too_few_runs_for_the_candidates_is_a_usage_error_before_any_detection(
+        argv, capsys, monkeypatch):
+    import qrec.cli as cli_mod
+
+    def never(*args):
+        raise AssertionError("detected or listed candidates")
+
+    monkeypatch.setattr(cli_mod, "_detect", never)
+    monkeypatch.setattr(cli_mod.conjectures, "degree_monomials", never)
+    assert main(argv.split()) == 3
+    assert "--runs" in capsys.readouterr().err
+
+
 def test_branching_file_roundtrip(capsys, tmp_path):
     # overriding with the true decomposition must keep everything green
     good = tmp_path / "branching.json"
@@ -326,7 +352,7 @@ def test_interpolate_k_out_of_range_is_a_config_error(capsys):
     ["detect", "--type", "A2", "--depth", "100000"],
     ["verify", "--type", "A2", "--depth", "100000"],
     ["detect", "--type", "A2", "--depth", "9000", "--modular", "3"],
-    ["interpolate", "--type", "A2", "--k", "1", "--runs", "3", "--guard", "100000"],
+    ["interpolate", "--type", "A2", "--k", "1", "--runs", "11", "--guard", "100000"],
 ])
 def test_depth_past_the_doubling_ceiling_is_a_resource_cap(argv, capsys, monkeypatch):
     import qrec.cli as cli_mod

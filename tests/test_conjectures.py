@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from qrec import conjectures
 from qrec.cartan import LieType
 from qrec.conjectures import (CapExceeded, NonIntegerSolution, NotInCatalogue,
                               NotInvariant, QPoly, SkippedNeedsCharacterPoint,
@@ -179,7 +180,7 @@ def _expand(ltx, poly):
     from qrec.conjectures import _product_expansion
     acc = {}
     for e, c in poly.terms.items():
-        for w, m in _product_expansion(ltx, e, 10**7).items():
+        for w, m in _product_expansion(ltx, e).items():
             acc[w] = acc.get(w, 0) + c * m
     return {w: m for w, m in acc.items() if m}
 
@@ -202,12 +203,13 @@ def test_decompose_invariant_round_trip():
         assert _expand(ltx, poly_out) == invariant
 
 
-def test_decompose_invariant_rejects_non_invariant():
+def test_decompose_invariant_rejects_non_invariant(monkeypatch):
     with pytest.raises(NotInvariant):
         decompose_invariant(lt("A1"), {(2,): 1, (0,): 1})
+    invariant = _expand(lt("A2"), QPoly(2, {(3, 3): 1}))
+    monkeypatch.setattr(conjectures, "EXPANSION_CAP", 10)
     with pytest.raises(CapExceeded):
-        decompose_invariant(lt("A2"), _expand(lt("A2"), QPoly(2, {(3, 3): 1})),
-                            cap=10)
+        decompose_invariant(lt("A2"), invariant)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import qrec.linrec as linrec
+from qrec.linalg import solve_overdetermined
 from qrec.fields import RATIONALS, PrimeField, prime_stream, seeded_primes
 from qrec.linrec import (PRIME_SEED, InsufficientData, LiftOverflow,
                          NonVanishingTail, NoStableRecurrence, PrimeDisagreement,
@@ -120,6 +121,18 @@ def test_poly_ops():
     assert poly_mul([F(1), F(1)], [F(1), F(-1)]) == [F(1), F(0), F(-1)]
     with pytest.raises(ValueError):
         series_divide([F(1)], [F(0), F(1)], 3)
+
+
+def test_the_helpers_over_q_return_fractions():
+    # 1.0 == Fraction(1), so the equality checks above would let a float
+    # through; integer inputs must still give Fractions
+    rec = linrec.RecurrencePoly(order=1, coeffs=(1, 3), start=1)
+    status, sol = solve_overdetermined([[1, 0], [0, 2], [1, 2]], [1, 1, 2])
+    assert status == "unique" and sol == [1, F(1, 2)]
+    for out in (poly_mul([1, 1], [1, -1]), expand_linear_product([2, 3], stride=2),
+                series_divide([1], [2, -1], 5), numerator([3**n for n in range(8)], rec),
+                sol):
+        assert out and all(type(c) is Fraction for c in out), out
 
 
 def test_numerator_geometric_and_roundtrip():
@@ -306,10 +319,6 @@ def test_seeded_primes_properties():
     assert primes == seeded_primes(4, 9)  # reproducible
     assert len(set(primes)) == 4
     assert all(p > 2**50 for p in primes)
-    with pytest.raises(ValueError):
-        seeded_primes(2, 0, bits=40)
-    with pytest.raises(ValueError):
-        prime_stream(0, bits=40)
     stream = prime_stream(9)
     assert [next(stream) for _ in range(6)] == seeded_primes(6, 9)
 

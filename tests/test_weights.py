@@ -78,9 +78,10 @@ def test_dimension_rejects_non_dominant():
         weight_system(LieType.parse("A2"), (-1, 0))
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
+    monkeypatch.setenv("QREC_CAP_DIM", "1000")
     with pytest.raises(DimensionCapExceeded) as err:
-        weight_system(LieType.parse("A2"), (40, 40), cap=1000)
+        weight_system(LieType.parse("A2"), (40, 40))
     assert "68921" in str(err.value)  # the offending dimension is named
 
 
