@@ -22,7 +22,7 @@ from .cartan import LieType, order_tables, cartan_data, growth_degree, predicted
 from .fields import RATIONALS, PrimeField, seeded_primes
 from .linrec import (CertificateFailure, InsufficientData, LiftOverflow,
                      NoStableRecurrence, PrimeDisagreement, find_min_recurrence,
-                     multi_prime_detect)
+                     guard_terms, multi_prime_detect)
 from .qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode, RawQ,
                       SingularSpecialization, generate, initial_values, levels)
 from .weights import DimensionCapExceeded, weight_system
@@ -139,8 +139,7 @@ def _resolve_depth(lt, node, args) -> int | None:
     pred = predicted_order(lt, node)
     if pred is None:
         return None
-    g = args.guard if args.guard is not None else max(8, pred // 4)
-    return 2 * pred + g + 4
+    return 2 * pred + guard_terms(pred, args.guard) + 4
 
 
 def _prologue(args, tag):
@@ -197,13 +196,14 @@ def _detect(lt, node, spec, depth, guard, modular_primes):
     """Detects the recurrence of node on levels 0..depth or, when depth is
     None, on the levels read online until detection is stable.  The source
     refuses a request past the depth ceiling, with CapExceeded, before it
-    generates a level.  Returns (rec, the exact sequence or None, the depth
-    read)."""
+    generates a level.  Returns (the level-1 values q, rec, the exact
+    sequence or None, the depth read)."""
     ceiling = MODULAR_DEPTH_CEILING if modular_primes else RATIONAL_DEPTH_CEILING
+    q = initial_values(lt, spec)
     read = []
 
     def source(field):
-        table = levels(lt, spec, node, field)
+        table = levels(lt, q, node, field)
 
         def terms(n):
             if n - 1 > ceiling:
@@ -214,8 +214,8 @@ def _detect(lt, node, spec, depth, guard, modular_primes):
 
     if modular_primes:
         rec = multi_prime_detect(lambda m: source(PrimeField(m)), modular_primes, guard=guard)
-        return rec, None, len(read) - 1
-    return find_min_recurrence(source(RATIONALS), guard=guard), read, len(read) - 1
+        return q, rec, None, len(read) - 1
+    return q, find_min_recurrence(source(RATIONALS), guard=guard), read, len(read) - 1
 
 
 def _digest(payload: dict) -> str:
@@ -251,12 +251,12 @@ def run_gen(args):
         raise ConfigError("--depth auto needs a tabulated order; give an explicit depth")
     target = (node, depth) if args.node is not None else depth
     started = time.perf_counter()
-    table, spec, retries = _retrying(lambda spec: generate(lt, spec, target), specs)
+    table, _spec, retries = _retrying(lambda spec: generate(lt, spec, target), specs)
     generate_s = time.perf_counter() - started
     payload = {
         "job": "gen",
         "config": _config_echo(lt, node, mode, args),
-        "q": [str(v) for v in initial_values(lt, spec)],
+        "q": [str(seq[1]) for seq in table.values],  # Q_1^(a) = q_a
         "table": table.to_json_dict(),
         "retries": retries,
         "timings": {"generate_s": round(generate_s, 6)},
@@ -285,13 +285,13 @@ def _config_echo(lt, node, mode, args):
 def run_detect(args):
     lt, node, mode, primes, depth, specs = _prologue(args, "detect")
     started = time.perf_counter()
-    (rec, _seq, depth_used), spec, retries = _retrying(
+    (qvals, rec, _seq, depth_used), _spec, retries = _retrying(
         lambda spec: _detect(lt, node, spec, depth, args.guard, primes), specs)
     detect_s = time.perf_counter() - started
     payload = {
         "job": "detect",
         "config": _config_echo(lt, node, mode, args),
-        "q": [str(v) for v in initial_values(lt, spec)],
+        "q": [str(v) for v in qvals],
         "depth": depth_used,
         "recurrence": rec.to_json_dict(),
         "ell_predicted": predicted_order(lt, node),
@@ -314,7 +314,7 @@ def _skip(name, reason):
     return {"name": name, "status": "skipped", "witness": reason}
 
 
-def _verify_checks(lt, node, mode, rec, seq, qvals, y):
+def _verify_checks(lt, node, rec, seq, qvals, y):
     checks = []
     pred = predicted_order(lt, node)
     if pred is None:
@@ -364,7 +364,7 @@ def _verify_checks(lt, node, mode, rec, seq, qvals, y):
         checks.append(_check("elldim", rec.order == want,
                              f"detected {rec.order} != dim + delta = {want}"))
 
-    if mode == "character-point" and y is not None:
+    if y is not None:
         if lam is not None:
             ok, wit = conjectures.check_factorization(rec, lam, y)
             checks.append(_check("factorization", ok, wit))
@@ -372,15 +372,13 @@ def _verify_checks(lt, node, mode, rec, seq, qvals, y):
             checks.append(_check("clamb", rec.coeffs[1] == c1,
                                  f"C_1 = {rec.coeffs[1]} != sum e^lam = {c1}"))
         try:
-            values = conjectures.level1_weight_values(lt, node, y)
-            bad = []
-            for k in range(rec.order + 1):
-                want = conjectures.coefficient_formula(lt, node, k).evaluate(values)
-                if rec.coeffs[k] != want:
-                    bad.append(f"k={k}: {rec.coeffs[k]} != {want}")
-            checks.append(_check("coefficient_formula", not bad, "; ".join(bad[:4])))
+            wants = conjectures.coefficient_formula(lt, node, y, rec.order)
         except conjectures.NotInCatalogue as exc:
             checks.append(_skip("coefficient_formula", str(exc)))
+        else:
+            bad = [f"k={k}: {got} != {want}"
+                   for k, (got, want) in enumerate(zip(rec.coeffs, wants)) if got != want]
+            checks.append(_check("coefficient_formula", not bad, "; ".join(bad[:4])))
 
     if seq is not None:
         try:
@@ -398,14 +396,13 @@ def _verify_checks(lt, node, mode, rec, seq, qvals, y):
 def run_verify(args):
     lt, node, mode, primes, depth, specs = _prologue(args, "verify")
     started = time.perf_counter()
-    (rec, seq, _depth_used), spec, retries = _retrying(
+    (qvals, rec, seq, _depth_used), spec, retries = _retrying(
         lambda spec: _detect(lt, node, spec, depth, args.guard, primes), specs)
     detect_s = time.perf_counter() - started
 
-    qvals = initial_values(lt, spec)
     y = spec.y if isinstance(spec, CharacterPoint) else None
     started = time.perf_counter()
-    checks = _verify_checks(lt, node, mode, rec, seq, qvals, y)
+    checks = _verify_checks(lt, node, rec, seq, qvals, y)
     payload = {
         "job": "verify",
         "config": _config_echo(lt, node, mode, args),
@@ -471,12 +468,12 @@ def run_interpolate(args):
         if attempts > args.runs + MAX_SINGULAR_RETRIES * 4:
             raise NoStableRecurrence("too many singular draws during interpolation")
         try:
-            rec, _, _ = _detect(lt, node, spec, depth, args.guard, primes)
+            qvals, rec, _, _ = _detect(lt, node, spec, depth, args.guard, primes)
         except (SingularSpecialization, NoStableRecurrence, PrimeDisagreement):
             continue
         if rec.order < k:
             continue
-        experiments.append(([int(v) for v in spec.values], int(rec.coeffs[k])))
+        experiments.append(([int(v) for v in qvals], int(rec.coeffs[k])))
     detect_s = time.perf_counter() - started
     candidates = conjectures.degree_monomials(lt.rank, args.degree)
     poly = conjectures.interpolate_coefficients(lt, node, k, candidates, experiments)

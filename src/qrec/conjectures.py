@@ -19,8 +19,8 @@ from .cartan import LieType, cartan_data, growth_degree
 from .linalg import solve_overdetermined
 from .linrec import RecurrencePoly
 from .qsystem import QTable, default_branching
-from .weights import (Weight, dimension, dominance_leq, elementary_symmetric,
-                      evaluate, is_dominant, omega, reflect, weight_system, zero)
+from .weights import (Weight, dimension, dominance_leq, evaluate, is_dominant, omega,
+                      reflect, weight_system, zero)
 
 MARGIN = 5  # experiments past the candidate count, to verify the fit
 EXPANSION_CAP = 2_000_000  # terms of a character product decompose_invariant expands
@@ -223,58 +223,46 @@ def build_lambda(lt: LieType, a: int) -> LambdaSpec:
 
 
 # ---------------------------------------------------------------------------
-# coefficient formulas as exterior-power combinations
+# coefficient formulas as exterior-power products
+
+# num(D), den(D) of each family's catalogued nodes (every node of A, node 1 else)
+_FORMULA_FACTORS = {"A": ([1], [1]), "B": ([1], [1, -1]), "C": ([1, 0, -1], [1]),
+                    "D": ([1], [1])}
 
 
-@dataclass(frozen=True)
-class ExteriorCombo:
-    """A signed combination sum_i sign_i * e_{n_i} of elementary symmetric
-    polynomials in the level-1 weight values."""
-
-    terms: tuple[tuple[int, int], ...]
-
-    def evaluate(self, values) -> Fraction:
-        total = Fraction(0)
-        size = len(values)
-        for sign, n in self.terms:
-            if 0 <= n <= size:
-                total += sign * elementary_symmetric(values, n)
-        return total
+def coefficient_formula(lt: LieType, a: int, y, order: int) -> list[Fraction]:
+    """C_0..C_order of A(D) = num(D)/den(D) * prod (1 - e^w(y) D) over the
+    weights w of res W_1^(a): with e_n the elementary symmetric polynomials
+    in the weight values, C_k is e_k for A and D, e_k - e_{k-2} for C and
+    sum_n (-1)^(k-n) e_n for B."""
+    values = level1_weight_values(lt, a, y)
+    if lt.family not in _FORMULA_FACTORS or (lt.family != "A" and a != 1):
+        raise NotInCatalogue(f"no coefficient formula for {lt} node {a}")
+    num, den = _FORMULA_FACTORS[lt.family]
+    series = linrec.series_divide(
+        linrec.poly_mul(num, linrec.expand_linear_product(values)), den, order)
+    return [c if k % 2 == 0 else -c for k, c in enumerate(series)]
 
 
-def coefficient_formula(lt: LieType, a: int, k: int) -> ExteriorCombo:
-    fam, r = lt.family, lt.rank
-    if fam == "A":
-        top = dimension(lt, omega(r, a))
-        if not 0 <= k <= top:
-            raise ValueError(f"k={k} out of range 0..{top}")
-        return ExteriorCombo(((1, k),))
-    if fam == "B" and a == 1:
-        if not 0 <= k <= 2 * r:
-            raise ValueError(f"k={k} out of range 0..{2 * r}")
-        return ExteriorCombo(tuple(((-1) ** (k - n), n) for n in range(k + 1)))
-    if fam == "C" and a == 1:
-        if not 0 <= k <= 2 * r + 2:
-            raise ValueError(f"k={k} out of range 0..{2 * r + 2}")
-        terms = [(1, k)] + ([(-1, k - 2)] if k >= 2 else [])
-        return ExteriorCombo(tuple(terms))
-    if fam == "D" and a == 1:
-        if not 0 <= k <= 2 * r:
-            raise ValueError(f"k={k} out of range 0..{2 * r}")
-        return ExteriorCombo(((1, k),))
-    raise NotInCatalogue(f"no coefficient formula for {lt} node {a}")
+def _level1_decomposition(lt: LieType, a: int) -> tuple[Weight, ...]:
+    """The shipped summands mu of res W_1^(a) = (+) L(mu)."""
+    table = default_branching(lt)
+    if a not in table:
+        raise NotInCatalogue(f"level-1 decomposition of {lt} node {a} unknown")
+    return table[a]
 
 
 def level1_weight_values(lt: LieType, a: int, y) -> list[Fraction]:
     """Weight values of res W_1^(a) at the torus point, with multiplicity."""
-    table = default_branching(lt)
-    if a not in table:
-        raise NotInCatalogue(f"level-1 decomposition of {lt} node {a} unknown")
     values = []
-    for mu in table[a]:
+    for mu in _level1_decomposition(lt, a):
         for w, m in weight_system(lt, mu).items():
             values.extend([evaluate(w, y)] * m)
     return values
+
+
+def level1_dimension(lt: LieType, a: int) -> int:
+    return sum(dimension(lt, mu) for mu in _level1_decomposition(lt, a))
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +622,3 @@ def elldim_entries(lt: LieType) -> list[tuple[int, int]]:
                 entries.append((a, rest.get(const, 0)))
     return entries
 
-
-def level1_dimension(lt: LieType, a: int) -> int:
-    table = default_branching(lt)
-    if a not in table:
-        raise NotInCatalogue(f"level-1 decomposition of {lt} node {a} unknown")
-    return sum(dimension(lt, mu) for mu in table[a])

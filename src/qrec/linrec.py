@@ -113,6 +113,11 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS, state: list | None = None):
     return L, conn
 
 
+def guard_terms(L: int, guard: int | None = None) -> int:
+    """Terms past 2L that validate an LFSR of length L (default max(8, L // 4))."""
+    return guard if guard is not None else max(8, L // 4)
+
+
 def _cleared(values) -> list[int]:
     """The values times the lcm of their denominators."""
     scale = math.lcm(*(v.denominator for v in values))
@@ -178,7 +183,7 @@ def _read(terms, guard, field, moduli):
                 raise
             bm_field, state, seq = PrimeField(next(moduli)), [], []
             continue
-        want = 2 * run[0] + (guard if guard is not None else max(8, run[0] // 4))
+        want = 2 * run[0] + guard_terms(run[0], guard)
     return seq, bm_field.modulus, run
 
 
@@ -189,12 +194,12 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
     validate.
 
     The minimal LFSR of the whole window is accepted once the window holds
-    at least 2*L + guard terms (guard defaults to max(8, L // 4)) and
-    direct substitution confirms every window term.  A transient at the
-    start is absorbed into the LFSR's initial fill and shows as a later
-    start index.
+    at least 2*L + guard_terms(L, guard) terms and, over Q, direct
+    substitution confirms every window term.  A transient at the start is
+    absorbed into the LFSR's initial fill and shows as a later start index.
 
-    Over Z/m the one candidate is the LFSR that BM finds over Z/m.  Over Q
+    Over Z/m the one candidate is BM's LFSR over Z/m, not substituted again:
+    BM ran on these residues, so its invariant already holds.  Over Q
     the candidates are BM's LFSRs modulo growing products M of seeded
     primes, lifted by rational reconstruction, and exact substitution over
     Q certifies the first that holds: an LFSR of length L on N >= 2L terms
@@ -214,14 +219,15 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
         seq, modulus, run = _read(seq, guard, field, moduli)
         moduli = itertools.chain([modulus], moduli)
     n_total = len(seq)
-    if n_total < 2 + (guard if guard is not None else 8):
+    if n_total < 2 + guard_terms(0, guard):
         raise InsufficientData(
-            f"{n_total} terms are too few for guard {guard if guard is not None else 8}")
+            f"{n_total} terms are too few for guard {guard_terms(0, guard)}")
     window = _cleared(seq)
-    candidates = ([run or berlekamp_massey(window, field)] if isinstance(field, PrimeField)
+    modular = isinstance(field, PrimeField)
+    candidates = ([run or berlekamp_massey(window, field)] if modular
                   else _lifted_candidates(seq, window, moduli, run))
     for L, conn in candidates:
-        g = guard if guard is not None else max(8, L // 4)
+        g = guard_terms(L, guard)
         if 2 * L + g > n_total:
             raise NoStableRecurrence(
                 f"the minimal LFSR of {n_total} terms has length {L}, which "
@@ -229,7 +235,7 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
         if conn is None:
             continue
         taps = _cleared(conn)[::-1]
-        if all(_holds(window, taps, n, field) for n in range(L, n_total)):
+        if modular or all(_holds(window, taps, n, field) for n in range(L, n_total)):
             break
     else:
         raise CertificateFailure(

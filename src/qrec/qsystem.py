@@ -218,9 +218,10 @@ def _product_term(C, vals, field, a, m):
     return field.one if prod is None else field.reduce(prod)
 
 
-def _table(lt, spec, field):
-    """A function that extends one table, a list of levels per node, in
-    place to the per-node depths it is given, and returns the table.
+def _table(lt, q, field):
+    """A function that extends one table, a list of levels per node, from
+    the level-1 values q, in place to the per-node depths it is given, and
+    returns the table.
 
     Nodes are interleaved: each sweep advances every node whose inputs are
     available, so cross-node index excursions resolve without recursion.
@@ -229,7 +230,6 @@ def _table(lt, spec, field):
     or over Z/m by a non-unit, at the first node that divides by it.
     """
     C = cartan_data(lt).cartan
-    q = initial_values(lt, spec)
     check_integrality = field is RATIONALS and all(v.denominator == 1 for v in q)
     vals = [[field.one, field.of(v)] for v in q]
 
@@ -274,15 +274,16 @@ def generate(lt: LieType, spec: Specialization, target,
     node, depth = (None, target) if isinstance(target, int) else target
     if depth < 1:
         raise ValueError("target depth must be at least 1")
-    vals = _table(lt, spec, field)(required_depths(lt, node, depth))
+    vals = _table(lt, initial_values(lt, spec), field)(required_depths(lt, node, depth))
     return QTable(lie_type=lt, field_name=field.name,
                   values=tuple(tuple(v) for v in vals), spec_kind=type(spec).__name__)
 
 
-def levels(lt: LieType, spec: Specialization, node: int, field=RATIONALS):
-    """A function n -> [Q^(node)_0, ..., Q^(node)_{n-1}]; each call extends
-    one table to generate's at depth n - 1, so each level is made once."""
-    extend = _table(lt, spec, field)
+def levels(lt: LieType, q: Sequence[Fraction], node: int, field=RATIONALS):
+    """A function n -> [Q^(node)_0, ..., Q^(node)_{n-1}] from the level-1
+    values q; each call extends one table to generate's at depth n - 1, so
+    each level is made once."""
+    extend = _table(lt, q, field)
     return lambda n: extend(required_depths(lt, node, n - 1))[node - 1][:n]
 
 

@@ -497,3 +497,42 @@ def test_a_stream_past_the_ceiling_is_a_resource_cap(argv, ceiling, capsys, monk
     # levels 0..32, the first request; the next asks past level 40 and is
     # refused before any level past the ceiling is generated
     assert len(read) == 33
+
+
+@pytest.mark.parametrize("argv", [
+    "detect --type B2 --mode character-point --seed 22",
+    "verify --type B2 --mode character-point --seed 1",
+    "gen --type B2 --mode character-point --depth 20 --seed 7",
+])
+def test_each_attempt_computes_its_level1_values_once(argv, capsys, monkeypatch):
+    import qrec.cli as cli_mod
+    import qrec.qsystem as qsystem
+    specs = []
+    original = qsystem.initial_values
+
+    def counted(lt, spec):
+        specs.append(spec)
+        return original(lt, spec)
+
+    monkeypatch.setattr(qsystem, "initial_values", counted)
+    monkeypatch.setattr(cli_mod, "initial_values", counted)
+    code, payload = run_json(capsys, *argv.split())
+    # one singular draw, then the draw reported: one call for each
+    assert code == 0 and payload["retries"] == 1
+    assert len(specs) == 2 and specs[0] != specs[1]
+
+
+def test_a_character_point_verify_expands_no_elementary_symmetric(capsys, monkeypatch):
+    import qrec.conjectures as conjectures_mod
+    import qrec.weights as weights_mod
+
+    def refuse(*args):
+        raise AssertionError("elementary_symmetric was called")
+
+    monkeypatch.setattr(weights_mod, "elementary_symmetric", refuse)
+    monkeypatch.setattr(conjectures_mod, "elementary_symmetric", refuse, raising=False)
+    for argv in ("verify --type B3 --node 1 --mode character-point --seed 7",
+                 "verify --type A3 --node 2 --mode character-point --seed 2"):
+        code, payload = run_json(capsys, *argv.split())
+        checks = {c["name"]: c["status"] for c in payload["checks"]}
+        assert code == 0 and checks["coefficient_formula"] == "pass", argv

@@ -17,7 +17,7 @@ from qrec.conjectures import (CapExceeded, NonIntegerSolution, NotInCatalogue,
                               level1_dimension, level1_weight_values)
 from qrec.linrec import find_min_recurrence
 from qrec.qsystem import CharacterPoint, DimensionMode, RawQ, generate
-from qrec.weights import evaluate, weight_system
+from qrec.weights import elementary_symmetric, evaluate, weight_system
 
 from helpers_oracles import g2_dimension_p2
 
@@ -79,26 +79,51 @@ def test_c_type_middle_coefficient_vanishes():
     for r in (2, 3, 4):
         ltc = lt(f"C{r}")
         y = tuple(F(k + 2, k + 3) for k in range(r))
-        values = level1_weight_values(ltc, 1, y)
-        combo = coefficient_formula(ltc, 1, r + 1)
-        assert combo.evaluate(values) == 0
+        assert coefficient_formula(ltc, 1, y, r + 1)[r + 1] == 0
 
 
 def test_b2_formula_matches_remark_polynomial():
     ltb = lt("B2")
     y = (F(3, 2), F(5, 7))
-    values = level1_weight_values(ltb, 1, y)
-    combo = coefficient_formula(ltb, 1, 2)  # k = r for r = 2
+    c2 = coefficient_formula(ltb, 1, y, 2)[2]  # k = r for r = 2
     q1 = evaluate(weight_system(ltb, (1, 0)), y)
     q2 = evaluate(weight_system(ltb, (0, 1)), y)
-    assert combo.evaluate(values) == q2 * q2 - 2 * q1
+    assert c2 == q2 * q2 - 2 * q1
 
 
 def test_formula_range_checks():
-    with pytest.raises(ValueError):
-        coefficient_formula(lt("A2"), 1, 4)
     with pytest.raises(NotInCatalogue):
-        coefficient_formula(lt("F4"), 1, 1)
+        coefficient_formula(lt("F4"), 1, (F(1),) * 4, 1)
+
+
+@pytest.mark.parametrize("name, a", [(f"A{r}", a) for r in range(1, 5) for a in range(1, r + 1)]
+                         + [(f"{fam}{r}", 1) for fam, lo in (("B", 2), ("C", 2), ("D", 3))
+                            for r in range(lo, lo + 3)])
+def test_coefficient_formula_is_the_per_k_exterior_power_combination(name, a):
+    ltx = lt(name)
+    rng = random.Random(f"formula-{name}-{a}")
+    for _ in range(3):
+        y = tuple(F(rng.choice([n for n in range(-9, 10) if n]), rng.randint(1, 9))
+                  for _ in range(ltx.rank))
+        values = level1_weight_values(ltx, a, y)
+        e = lambda n: elementary_symmetric(values, n) if 0 <= n <= len(values) else 0
+        order = len(values) + 2  # past the product's degree, where C_k = 0
+        want = {"A": e, "D": e,
+                "B": lambda k: sum((-1) ** (k - n) * e(n) for n in range(k + 1)),
+                "C": lambda k: e(k) - e(k - 2)}[ltx.family]
+        assert coefficient_formula(ltx, a, y, order) == [want(k) for k in range(order + 1)]
+
+
+def test_the_coefficient_formula_skip_reasons_keep_their_order():
+    # a node without a shipped decomposition reports that before the formula
+    for name, a, reason in (
+            ("F4", 2, "level-1 decomposition of F4 node 2 unknown"),
+            ("B3", 2, "no coefficient formula for B3 node 2"),
+            ("D4", 3, "no coefficient formula for D4 node 3")):
+        y = tuple(F(k + 2, k + 3) for k in range(lt(name).rank))
+        with pytest.raises(NotInCatalogue) as err:
+            coefficient_formula(lt(name), a, y, 8)
+        assert str(err.value) == reason
 
 
 # ---------------------------------------------------------------------------

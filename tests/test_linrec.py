@@ -544,3 +544,48 @@ def test_a_short_stream_fails_like_its_window():
     for seq in (FIB[:9], [F(2) ** n + F(n) ** 5 for n in range(15)]):
         assert detection(lambda n: seq[:n]) == detection(seq) in (InsufficientData,
                                                                   NoStableRecurrence)
+
+
+def test_berlekamp_massey_mod_a_product_annihilates_its_window():
+    # the invariant find_min_recurrence relies on over Z/M instead of
+    # substituting the LFSR into the window again
+    field = PrimeField(math.prod(seeded_primes(3, 4)))
+    rng = random.Random(23)
+    for trial in range(60):
+        order = rng.randint(1, 12)
+        taps = [rng.randint(-9, 9) for _ in range(order - 1)] + [rng.choice([-2, -1, 1, 2])]
+        seq = [rng.randint(-30, 30) for _ in range(order)]
+        length = rng.randint(order, 3 * order + 12)
+        while len(seq) < length:
+            seq.append(sum(c * seq[-1 - i] for i, c in enumerate(taps)))
+        window = [s % field.modulus for s in seq]
+        L, conn = berlekamp_massey(window, field)
+        assert all(field.reduce(sum(c * window[n - i] for i, c in enumerate(conn))) == 0
+                   for n in range(L, len(window))), trial
+
+
+def test_only_exact_detection_substitutes_its_candidate(monkeypatch):
+    from qrec.cartan import LieType
+    from qrec.qsystem import levels
+    substituted = []
+    holds = linrec._holds
+
+    def counted(seq, taps, n, field):
+        substituted.append(n)
+        return holds(seq, taps, n, field)
+
+    monkeypatch.setattr(linrec, "_holds", counted)
+    # F4/2 at the draw of `detect --type F4 --node 2 --modular 8 --seed 1`,
+    # read as a stream of 326 terms: BM's invariant covers terms 145..325
+    field = PrimeField(math.prod(seeded_primes(8, 1)))
+    q = [F(v) for v in (-27, -13, 18, 17)]
+    rec = find_min_recurrence(levels(LieType.parse("F4"), q, 2, field), field=field)
+    assert (rec.order, rec.start) == (145, 145) and substituted == []
+    # the start walk-back still substitutes, in both arithmetics
+    seq = frac([99, -7, 5] + [3**n for n in range(20)])
+    modular = find_min_recurrence([int(s) % field.modulus for s in seq], field=field)
+    assert (modular.order, modular.start) == (1, 4) and substituted == [3]
+    substituted.clear()
+    exact = find_min_recurrence(seq)
+    assert (exact.order, exact.start) == (1, 4)
+    assert substituted == [*range(4, len(seq)), 3]  # the certificate over Q, then the walk-back

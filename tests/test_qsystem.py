@@ -225,7 +225,7 @@ def test_levels_read_the_table_generating_each_level_once(name, node, monkeypatc
         table = generate(lt, spec, (node, 30), field=field)
         made = sum(products)
         products.clear()
-        read = levels(lt, spec, node, field)
+        read = levels(lt, spec.values, node, field)
         assert [tuple(read(n)) for n in range(1, 32)] == [table.node(node)[:n]
                                                           for n in range(1, 32)]
         assert sum(products) == made  # the levels of the one-shot table, once each
@@ -234,7 +234,7 @@ def test_levels_read_the_table_generating_each_level_once(name, node, monkeypatc
 
 def test_levels_raise_a_singular_specialization():
     with pytest.raises(SingularSpecialization) as err:
-        levels(LieType.parse("A1"), RawQ((1,)), 1)(7)
+        levels(LieType.parse("A1"), RawQ((1,)).values, 1)(7)
     assert (err.value.node, err.value.level) == (1, 2)
 
 
@@ -245,7 +245,7 @@ def test_a_stream_read_in_the_readers_chunks_costs_what_its_window_costs(monkeyp
     lt = LieType.parse("F4")
     spec = RawQ((-27, -13, 18, 17))
     field = PrimeField(math.prod(seeded_primes(8, 1)))
-    table, requests = levels(lt, spec, 2, field), []
+    table, requests = levels(lt, spec.values, 2, field), []
     rec = find_min_recurrence(lambda n: requests.append(n) or table(n), field=field)
     assert rec.order == 145 and len(requests) > 2 and requests[-1] == 326
 
@@ -263,7 +263,7 @@ def test_a_stream_read_in_the_readers_chunks_costs_what_its_window_costs(monkeyp
 
     monkeypatch.setattr(qsystem, "_product_term", counted_product)
     monkeypatch.setattr(PrimeField, "inverses", counted_inverses)
-    read = levels(lt, spec, 2, field)
+    read = levels(lt, spec.values, 2, field)
     for n in requests:
         read(n)
     streamed = dict(counts)
