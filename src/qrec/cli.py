@@ -225,6 +225,7 @@ def _digest(payload: dict) -> str:
 
 
 def _emit(payload, args, csv_rows=None) -> None:
+    payload["digest"] = _digest(payload)
     if getattr(args, "format", "json") == "csv" and csv_rows is not None:
         text = "\n".join(",".join(row) for row in csv_rows) + "\n"
     else:
@@ -261,7 +262,6 @@ def run_gen(args):
         "retries": retries,
         "timings": {"generate_s": round(generate_s, 6)},
     }
-    payload["digest"] = _digest(payload)
     _emit(payload, args, csv_rows=table.to_csv_rows())
     return EXIT_OK
 
@@ -298,7 +298,6 @@ def run_detect(args):
         "retries": retries,
         "timings": {"detect_s": round(detect_s, 6)},
     }
-    payload["digest"] = _digest(payload)
     _emit(payload, args)
     return EXIT_OK
 
@@ -418,7 +417,6 @@ def run_verify(args):
         payload["y"] = [str(v) for v in y]
     payload["timings"] = {"detect_s": round(detect_s, 6),
                           "checks_s": round(time.perf_counter() - started, 6)}
-    payload["digest"] = _digest(payload)
     _emit(payload, args)
     failed = any(c["status"] == "fail" for c in checks)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
@@ -432,7 +430,6 @@ def run_tables(args):
         if not rows:
             raise ConfigError(f"no tabulated row for {lt}")
     payload = {"job": "tables", "rows": rows}
-    payload["digest"] = _digest(payload)
     csv_rows = [("type", "rank", "ell", "deg")]
     for r in rows:
         csv_rows.append((r["type"], str(r["rank"]),
@@ -486,7 +483,6 @@ def run_interpolate(args):
             [{"exponents": list(e), "coeff": str(c)} for e, c in sorted(poly.terms.items())],
         "timings": {"detect_s": round(detect_s, 6)},
     }
-    payload["digest"] = _digest(payload)
     _emit(payload, args)
     return EXIT_OK if poly is not None else EXIT_CHECK_FAILED
 
@@ -506,7 +502,6 @@ def run_weights(args):
         "dimension": sum(system.values()),
         "weights": [{"coords": list(w), "multiplicity": m} for w, m in entries],
     }
-    payload["digest"] = _digest(payload)
     csv_rows = [tuple(f"c{i + 1}" for i in range(lt.rank)) + ("multiplicity",)]
     csv_rows += [tuple(str(c) for c in w) + (str(m),) for w, m in entries]
     _emit(payload, args, csv_rows=csv_rows)
@@ -531,7 +526,6 @@ def run_dims(args):
                     "predicted": res.predicted,
                     "status": "pass" if res.ok else "fail"} for res in results],
     }
-    payload["digest"] = _digest(payload)
     _emit(payload, args, csv_rows=table.to_csv_rows())
     return EXIT_OK if all(res.ok for res in results) else EXIT_CHECK_FAILED
 

@@ -130,121 +130,113 @@ def _holds(seq, taps, n, field) -> bool:
     return field.reduce(sum(map(mul, taps, seq[n + 1 - len(taps):n + 1]))) == 0
 
 
-def _residues(seq, modulus):
-    """seq modulo the modulus, its denominators inverted in one inverses
-    call; raises ZeroDivisionError when one is a non-unit."""
-    inverses = PrimeField(modulus).inverses([x.denominator for x in seq])
-    return [x.numerator * inv % modulus for x, inv in zip(seq, inverses)]
+def _residues(seq, modulus, start=0):
+    """seq[start:] modulo the modulus: each numerator % modulus when every
+    denominator is 1, otherwise with the denominators inverted in one
+    inverses call; raises ZeroDivisionError when one is a non-unit."""
+    chunk = seq[start:] if start else seq
+    if all(x.denominator == 1 for x in chunk):
+        return [x.numerator % modulus for x in chunk]
+    inverses = PrimeField(modulus).inverses([x.denominator for x in chunk])
+    return [x.numerator * inv % modulus for x, inv in zip(chunk, inverses)]
 
 
-def _lifted_candidates(seq, window, moduli, run=None):
-    """(L, conn) of BM on seq modulo each product of primes in moduli, each
-    coefficient lifted to Q by rational reconstruction; conn is None when one
-    has no lift.  run is BM's (L, conn) modulo the first, if it has run.
-
-    A set is skipped when one of its primes divides a denominator of seq or
-    a discrepancy BM must invert.  An LFSR of length L <= N/2 has
-    coefficients that are ratios of L x L minors of the integer window, each
-    at most (sqrt(L) * max|window|)^L by Hadamard, and reconstruction needs
-    a modulus above twice their square; the candidates stop after two sets
-    past that bound.
-    """
-    n_total = len(window)
-    need = n_total * (max(map(abs, window)).bit_length() + n_total.bit_length()) + 1
-    past_bound = 0
-    for modulus in moduli:
-        if past_bound == 2:
-            return
-        past_bound += modulus.bit_length() > need
-        try:
-            L, conn = run or berlekamp_massey(_residues(seq, modulus), PrimeField(modulus))
-        except ZeroDivisionError:
-            continue
-        run = None
-        lifted = [rational_reconstruction(c, modulus) for c in conn]
-        yield L, None if None in lifted else lifted
+def _symmetric(c: int, modulus: int) -> int:
+    """The residue c lifted into (-modulus/2, modulus/2]."""
+    return c - modulus if c > modulus // 2 else c
 
 
-def _read(terms, guard, field, moduli):
-    """(the terms read, the streamed modulus, BM's (L, conn) on the terms
-    over Z/m or modulo that modulus) of a stream read online: terms(33),
-    then terms(2L + g) for BM's current L, until 2L + g terms are read or
-    the stream gives no more.  BM resumes on each new chunk once it is read.
-    Over Q a non-unit denominator or discrepancy restarts BM on the terms
-    read so far modulo the next of the moduli."""
-    seq, run, want, state = [], None, 33, []
-    bm_field = field if isinstance(field, PrimeField) else PrimeField(next(moduli))
-    while want > len(seq) and (chunk := terms(want)[len(seq):]):
-        seq += chunk
-        try:
-            run = berlekamp_massey(_residues(chunk, bm_field.modulus), bm_field, state)
-        except ZeroDivisionError:
-            if bm_field is field:
-                raise
-            bm_field, state, seq = PrimeField(next(moduli)), [], []
-            continue
-        want = 2 * run[0] + guard_terms(run[0], guard)
-    return seq, bm_field.modulus, run
+def _certified(conn, modulus, window, integral):
+    """The first lift of BM's conn from Z/modulus to Q that annihilates the
+    integer window from len(conn) - 1 on, or None: into (-modulus/2,
+    modulus/2] first when the window's terms were integers, then by
+    rational reconstruction."""
+    for lift in (_symmetric, rational_reconstruction)[not integral:]:
+        lifted = [lift(c, modulus) for c in conn]
+        if None not in lifted:
+            taps = _cleared(lifted)[::-1]
+            if all(_holds(window, taps, n, RATIONALS) for n in range(len(conn) - 1, len(window))):
+                return lifted
+    return None
+
+
+def _read(seq, guard, field):
+    """(the terms read, their residues, BM's (L, conn) on them over the
+    field) of a window, read as one chunk, or a stream, read online:
+    terms(33), then terms(2L + g) for BM's current L, until that many are
+    read or no more come.  BM is fed each chunk once; a non-unit raises."""
+    terms = seq if callable(seq) else lambda n: seq
+    fed, want, state = 0, 33, []
+    while want > fed and len(read := terms(want)) > fed:
+        run = berlekamp_massey(_residues(read, field.modulus, fed), field, state)
+        fed, want = len(read), 2 * run[0] + guard_terms(run[0], guard)
+    if fed < 2 + guard_terms(0, guard):
+        raise InsufficientData(f"{fed} terms are too few for guard {guard_terms(0, guard)}")
+    return read, state[0], run
 
 
 def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
                         guard: int | None = None, field=RATIONALS) -> RecurrencePoly:
     """Stable minimal recurrence of seq, a window, or a stream: a function
-    n -> the first n terms, read online (see _read) into the window to
-    validate.
+    n -> the first n terms, read online (see _read).
 
-    The minimal LFSR of the whole window is accepted once the window holds
-    at least 2*L + guard_terms(L, guard) terms and, over Q, direct
-    substitution confirms every window term.  A transient at the start is
-    absorbed into the LFSR's initial fill and shows as a later start index.
+    The minimal LFSR of the terms read is accepted once they number at
+    least 2*L + guard_terms(L, guard); a transient at the start is absorbed
+    into the LFSR's initial fill and shows as a later start index.
 
-    Over Z/m the one candidate is BM's LFSR over Z/m, not substituted again:
-    BM ran on these residues, so its invariant already holds.  Over Q
-    the candidates are BM's LFSRs modulo growing products M of seeded
-    primes, lifted by rational reconstruction, and exact substitution over
-    Q certifies the first that holds: an LFSR of length L on N >= 2L terms
-    is the unique minimal one.  A prime that divides no window denominator
-    or coefficient denominator of the minimal LFSR over Q cannot lengthen
+    One loop reads seq modulo each modulus in turn.  Over Z/m the one
+    modulus is m, and BM's LFSR is not substituted again: BM ran on these
+    residues, so its invariant already holds.  Over Q the moduli are the
+    products M of 4, 8, 16, ... seeded primes, and exact substitution over
+    Q certifies the first lift (see _certified) that holds: an LFSR of length
+    L on N >= 2L terms is the unique minimal one.  A prime that divides no
+    denominator of the window or of the minimal LFSR over Q cannot lengthen
     the LFSR (Fatou's lemma over Z_(p)), and one that lengthens it unlike
-    the other primes of its set hits a non-unit, so a candidate too long
-    for the window raises NoStableRecurrence at once.
+    the other primes of its set hits a non-unit and skips the set, so an
+    LFSR too long for the window raises NoStableRecurrence at once.  Its
+    coefficients are ratios of L x L minors of the integer window, each at
+    most (sqrt(L) * max|window|)^L by Hadamard, and reconstruction needs M
+    above twice their square; the moduli stop two sets past that bound,
+    sets that raised included.
     """
     if guard is not None and guard < 4:
         raise ValueError("guard must be at least 4")
-    # products of 4, 8, 16, ... fresh seeded primes, drawn from one stream
+    exact = not isinstance(field, PrimeField)
     primes = prime_stream(PRIME_SEED)
-    moduli = (math.prod(itertools.islice(primes, 4 << k)) for k in itertools.count())
-    run = None
-    if callable(seq):
-        seq, modulus, run = _read(seq, guard, field, moduli)
-        moduli = itertools.chain([modulus], moduli)
-    n_total = len(seq)
-    if n_total < 2 + guard_terms(0, guard):
-        raise InsufficientData(
-            f"{n_total} terms are too few for guard {guard_terms(0, guard)}")
-    window = _cleared(seq)
-    modular = isinstance(field, PrimeField)
-    candidates = ([run or berlekamp_massey(window, field)] if modular
-                  else _lifted_candidates(seq, window, moduli, run))
-    for L, conn in candidates:
+    fields = ((PrimeField(math.prod(itertools.islice(primes, 4 << k))) for k in itertools.count())
+              if exact else [field])
+    window, need, tried = [], math.inf, []
+    for bm_field in fields:
+        if sum(bits > need for bits in tried) == 2:
+            raise CertificateFailure(
+                f"no candidate LFSR of {len(window)} terms passed substitution")
+        tried.append(bm_field.modulus.bit_length())
+        try:
+            read, residues, (L, conn) = _read(seq, guard, bm_field)
+        except ZeroDivisionError:
+            if exact:
+                continue
+            raise
+        n_total = len(read)
         g = guard_terms(L, guard)
         if 2 * L + g > n_total:
             raise NoStableRecurrence(
                 f"the minimal LFSR of {n_total} terms has length {L}, which "
                 f"{g} guard terms do not validate")
-        if conn is None:
-            continue
-        taps = _cleared(conn)[::-1]
-        if modular or all(_holds(window, taps, n, field) for n in range(L, n_total)):
+        if not exact:
+            window = residues
             break
-    else:
-        raise CertificateFailure(
-            f"no candidate LFSR of {n_total} terms passed substitution")
+        if len(window) != n_total:
+            window = _cleared(read)
+            integral = all(x.denominator == 1 for x in read)
+            need = n_total * (max(map(abs, window)).bit_length() + n_total.bit_length()) + 1
+        if (conn := _certified(conn, bm_field.modulus, window, integral)) is not None:
+            break
     # an LFSR can absorb a transient into its initial fill, leaving
     # trailing zero taps; the recurrence order is the actual degree
     while len(conn) > 1 and conn[-1] == 0:
         conn.pop()
-    taps = taps[len(taps) - len(conn):]
+    taps = _cleared(conn)[::-1]
     order = len(conn) - 1
     start = L
     while start > order and _holds(window, taps, start - 1, field):
@@ -327,15 +319,10 @@ def multi_prime_detect(seq_factory: Callable[[int], Sequence[int]], primes,
         rec = find_min_recurrence(seq_factory(modulus), guard=guard, field=PrimeField(modulus))
     except ZeroDivisionError as exc:
         raise PrimeDisagreement(f"detections modulo the primes disagree: {exc}") from None
-    lifted = []
-    for k, c in enumerate(rec.coeffs):
-        if c > modulus // 2:
-            c -= modulus
+    lifted = [_symmetric(c, modulus) for c in rec.coeffs]
+    for k, c in enumerate(lifted):
         if modulus // 2 - abs(c) < 2**16:
-            raise LiftOverflow(
-                f"coefficient C_{k} lifted to {c}, within 2^16 of modulus/2; "
-                "rerun with more primes"
-            )
-        lifted.append(c)
+            raise LiftOverflow(f"coefficient C_{k} lifted to {c}, within 2^16 of "
+                               "modulus/2; rerun with more primes")
     return RecurrencePoly(order=rec.order, coeffs=tuple(lifted), start=rec.start,
                           primes=tuple(primes))

@@ -16,7 +16,7 @@ from qrec.conjectures import (build_lambda, check_factorization,
                               coefficient_formula, identity_catalogue,
                               level1_weight_values)
 from qrec.fields import PrimeField, seeded_primes
-from qrec.linrec import find_min_recurrence, multi_prime_detect, numerator
+from qrec.linrec import annihilates, find_min_recurrence, multi_prime_detect, numerator
 from qrec.qsystem import (CharacterPoint, DimensionMode, RawQ,
                           SingularSpecialization, generate, initial_values)
 from qrec.weights import elementary_symmetric, evaluate
@@ -257,6 +257,11 @@ def test_criterion_8_modular_equals_rational():
 def test_criterion_9_stretch_e7_e8():
     started = time.perf_counter()
     primes = seeded_primes(3, 53)
+    check = PrimeField(2**61 - 1)  # a prime independent of the detection's
+
+    def annihilates_at_check(lt, q, node, rec):
+        seq = generate(lt, RawQ(q), (node, detect_depth(rec.order)), field=check).node(node)
+        return annihilates(seq, rec, check)
     e7 = LieType.parse("E7")
     rng = random.Random("acc9-e7")
     while True:
@@ -268,6 +273,7 @@ def test_criterion_9_stretch_e7_e8():
         break
     assert rec.order == 56
     assert rec.coeffs[1] == q[5]  # C_1 lifts to q_6
+    assert annihilates_at_check(e7, q, 6, rec)
     e8 = LieType.parse("E8")
     rng = random.Random("acc9-e8")
     while True:
@@ -279,6 +285,7 @@ def test_criterion_9_stretch_e7_e8():
         break
     assert rec8.order == 241
     assert rec8.coeffs[1] == q[6] - 8  # C_1 lifts to q_7 - 8
+    assert annihilates_at_check(e8, q, 7, rec8)
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE 9 PASS (stretch): E7 node 6 order 56 with C_1 = q_6, "
           f"E8 node 7 order 241 with C_1 = q_7 - 8 ({elapsed:.2f}s modular)")

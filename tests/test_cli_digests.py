@@ -96,6 +96,12 @@ PINS = {
         (0, "bc10a357223931e841068a0d771c63a73517b143e09b9864dddd4c97377855bb"),
     "detect --type E6 --node 2 --modular 8 --seed 1":  # order 243
         (0, "67e9b379d80560865c97dfd3f52e0110af61f66d29b08492a18bc6a41747e765"),
+    "detect --type B5 --node 4 --seed 1":  # an exact window
+        (0, "fee494aba92fe85b76d36fc4b7a7e00394db53c09f9f29f46208f5f80156b52b"),
+    "detect --type F4 --node 2 --seed 1":  # an exact stream
+        (0, "abca062de50005b0b11217d2e3c9a9f58cc84e259cb817915b0ee48bc0380475"),
+    "detect --type F4 --node 2 --q=1/2,3,5/7,2":  # a stream at rational q
+        (0, "388790b925d37aea625ae043f6f6f6d7a2f6dded0700b8360fe511768811aca4"),
 }
 
 
