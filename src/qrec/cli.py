@@ -35,6 +35,7 @@ EXIT_RESOURCE = 4
 RATIONAL_DEPTH_CEILING = 1024
 MODULAR_DEPTH_CEILING = 8192
 MAX_SINGULAR_RETRIES = 5
+Q_BOUND = 50  # raw-random q are drawn from [-Q_BOUND, Q_BOUND]^rank
 
 
 class ConfigError(ValueError):
@@ -86,7 +87,7 @@ def _rng(seed: int, tag: str) -> random.Random:
 
 
 def _random_q(lt: LieType, rng: random.Random) -> tuple[int, ...]:
-    return tuple(rng.randint(-50, 50) for _ in range(lt.rank))
+    return tuple(rng.randint(-Q_BOUND, Q_BOUND) for _ in range(lt.rank))
 
 
 def _random_torus_point(lt: LieType, rng: random.Random) -> tuple[Fraction, ...]:
@@ -447,23 +448,32 @@ def run_interpolate(args):
         raise ConfigError(f"--k {k} is negative")
     if args.degree < 0:
         raise ConfigError(f"--degree {args.degree} is negative")
-    need = math.comb(_parse_type(args).rank + args.degree, args.degree) + conjectures.MARGIN
+    rank = _parse_type(args).rank
+    need = math.comb(rank + args.degree, args.degree) + conjectures.MARGIN
     if args.runs < need:
         raise ConfigError(f"--runs {args.runs} is below {need}, the candidate monomials "
                           f"of degree at most {args.degree} plus {conjectures.MARGIN}")
+    space = (2 * Q_BOUND + 1) ** rank
+    if args.runs > space:
+        raise ConfigError(f"--runs {args.runs} exceeds the {space} distinct q "
+                          f"in [-{Q_BOUND}, {Q_BOUND}]^{rank}")
     lt, node, mode, primes, depth, specs = _prologue(args, "interpolate")
     if depth is None:
         raise ConfigError("interpolation needs a tabulated order or explicit --depth")
     order = predicted_order(lt, node)
     if order is not None and k > order:
         raise ConfigError(f"--k {k} exceeds the order {order} of node {node} of {lt}")
-    experiments = []
+    experiments, seen = [], set()
+    limit = min(args.runs + MAX_SINGULAR_RETRIES * 4, space)
     started = time.perf_counter()
-    for attempts, spec in enumerate(specs, 1):
+    for spec in specs:
         if len(experiments) >= args.runs:
             break
-        if attempts > args.runs + MAX_SINGULAR_RETRIES * 4:
+        if len(seen) == limit:
             raise NoStableRecurrence("too many singular draws during interpolation")
+        if spec.values in seen:  # a repeated q would add an identical row
+            continue
+        seen.add(spec.values)
         try:
             qvals, rec, _, _ = _detect(lt, node, spec, depth, args.guard, primes)
         except (SingularSpecialization, NoStableRecurrence, PrimeDisagreement):
@@ -473,7 +483,9 @@ def run_interpolate(args):
         experiments.append(([int(v) for v in qvals], int(rec.coeffs[k])))
     detect_s = time.perf_counter() - started
     candidates = conjectures.degree_monomials(lt.rank, args.degree)
+    started = time.perf_counter()
     poly = conjectures.interpolate_coefficients(lt, node, k, candidates, experiments)
+    solve_s = time.perf_counter() - started
     payload = {
         "job": "interpolate",
         "config": _config_echo(lt, node, mode, args),
@@ -481,7 +493,7 @@ def run_interpolate(args):
         "polynomial": None if poly is None else str(poly),
         "terms": None if poly is None else
             [{"exponents": list(e), "coeff": str(c)} for e, c in sorted(poly.terms.items())],
-        "timings": {"detect_s": round(detect_s, 6)},
+        "timings": {"detect_s": round(detect_s, 6), "solve_s": round(solve_s, 6)},
     }
     _emit(payload, args)
     return EXIT_OK if poly is not None else EXIT_CHECK_FAILED

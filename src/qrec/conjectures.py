@@ -9,6 +9,7 @@ E8 node 7, F4 nodes 1 and 4, and both G2 nodes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -532,36 +533,23 @@ def degree_monomials(rank: int, max_degree: int = 2) -> list[tuple]:
 def interpolate_coefficients(lt: LieType, a: int, k: int, candidates, experiments):
     """Fit an integer polynomial in q to observed coefficient values.
 
-    experiments: list of (qvals, value of C_k).  Solves exactly on a prefix,
-    verifies the remainder, and never rounds: a non-integer solution is an
-    error, a failed verification returns None (no fit).
+    experiments: list of (qvals, value of C_k).  Solves exactly on every
+    experiment at once and never rounds: a non-integer solution is an error,
+    an inconsistent system returns None (no fit).
     """
     candidates = [tuple(c) for c in candidates]
     if len(experiments) < len(candidates) + MARGIN:
         raise ValueError(
             f"need at least {len(candidates) + MARGIN} experiments "
             f"for {len(candidates)} candidates, got {len(experiments)}")
-    rows = []
-    rhs = []
-    for qvals, value in experiments:
-        rows.append([evaluate(e, qvals) for e in candidates])
-        rhs.append(Fraction(value))
-    n = len(candidates)
-    status, sol = solve_overdetermined(rows[:n], rhs[:n])
-    used = n
-    while status != "unique" and used < len(rows):
-        used += 1
-        status, sol = solve_overdetermined(rows[:used], rhs[:used])
-        if status == "inconsistent":
-            return None
+    rows = [[math.prod(v ** e for v, e in zip(qvals, exps)) for exps in candidates]
+            for qvals, _ in experiments]
+    status, sol = solve_overdetermined(rows, [value for _, value in experiments])
     if status == "underdetermined":
         raise UnderdeterminedSystem(
-            f"{used} experiments do not pin down {n} candidates")
+            f"{len(rows)} experiments do not pin down {len(candidates)} candidates")
     if status == "inconsistent":
         return None
-    for row, b in zip(rows[used:], rhs[used:]):
-        if sum(c * x for c, x in zip(sol, row)) != b:
-            return None
     if any(c.denominator != 1 for c in sol):
         raise NonIntegerSolution([str(c) for c in sol])
     return QPoly(lt.rank, {e: int(c) for e, c in zip(candidates, sol)})

@@ -1,59 +1,75 @@
-"""Exact linear algebra over the rationals."""
+"""Exact linear algebra.
+
+`solve_overdetermined` solves a system of integers modulo the 61-bit
+Mersenne prime P and certifies the lifted solution exactly: when the rank
+modulo P is full, the rank over Q is full, so an integer vector that
+satisfies every row over Z is the one solution.  A system the certificate
+does not cover is solved by elimination over the rationals.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .fields import RATIONALS, PrimeField
+
+P = (1 << 61) - 1  # a Mersenne prime, the modulus of the integer solve
+
+
+def _eliminate(aug, n, field):
+    """Gauss-Jordan elimination over field of the rows aug, whose first n
+    columns hold the coefficients.
+
+    Returns (the reduced rows, the pivot columns); the r-th pivot column has
+    its 1 in row r.
+    """
+    aug = [[field.of(x) for x in row] for row in aug]
+    reduce, pivots = field.reduce, []
+    for col in range(n):
+        at = len(pivots)
+        pivot = next((r for r in range(at, len(aug)) if aug[r][col]), None)
+        if pivot is None:
+            continue
+        aug[at], aug[pivot] = aug[pivot], aug[at]
+        (inv,) = field.inverses([aug[at][col]])
+        lead = aug[at] = [reduce(x * inv) for x in aug[at]]
+        for r, row in enumerate(aug):
+            factor = row[col]
+            if r != at and factor:
+                aug[r] = [reduce(x - factor * y) for x, y in zip(row, lead)]
+        pivots.append(col)
+    return aug, pivots
 
 
 def invert_matrix(rows):
     """Invert a square matrix of rationals by Gauss-Jordan elimination."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    aug, pivots = _eliminate([[*row, *(int(i == j) for j in range(n))]
+                              for i, row in enumerate(rows)], n, RATIONALS)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
     return [row[n:] for row in aug]
 
 
 def solve_overdetermined(rows, rhs):
-    """Solve an (over)determined linear system exactly, over Fractions.
+    """Solve an (over)determined linear system exactly.
 
-    Returns (status, solution) where status is one of "unique",
-    "underdetermined" (solution is None), "inconsistent" (solution is None).
+    Returns (status, solution) where status is one of "unique" (solution is a
+    list of Fractions), "underdetermined" (solution is None), "inconsistent"
+    (solution is None).  An all-int system is first solved modulo P and
+    lifted into (-P/2, P/2]; the lift is returned only if it satisfies every
+    row over Z.  Everything else goes through the elimination over Q.
     """
-    m, n = len(rows), (len(rows[0]) if rows else 0)
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    row_at = 0
-    for col in range(n):
-        pivot = next((r for r in range(row_at, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
-        inv = 1 / aug[row_at][col]
-        aug[row_at] = [x * inv for x in aug[row_at]]
-        for r in range(m):
-            if r != row_at and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row_at])]
-        pivots.append(col)
-        row_at += 1
-        if row_at == m:
-            break
-    for r in range(row_at, m):
-        if aug[r][n] != 0:
-            return "inconsistent", None
+    n = len(rows[0]) if rows else 0
+    system = [[*row, b] for row, b in zip(rows, rhs)]
+    if all(isinstance(x, int) for row in system for x in row):
+        aug, pivots = _eliminate(system, n, PrimeField(P))
+        if len(pivots) == n:
+            sol = [x if x <= P // 2 else x - P for x in (row[n] for row in aug[:n])]
+            if all(sum(a * x for a, x in zip(row, sol)) == row[n] for row in system):
+                return "unique", [Fraction(x) for x in sol]
+    aug, pivots = _eliminate(system, n, RATIONALS)
+    if any(row[n] for row in aug[len(pivots):]):
+        return "inconsistent", None
     if len(pivots) < n:
         return "underdetermined", None
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][n]
-    return "unique", sol
+    return "unique", [row[n] for row in aug[:n]]

@@ -224,10 +224,42 @@ def test_interpolate_a2(capsys):
 
 def test_experiments_that_do_not_pin_down_the_candidates_exit_2(capsys, monkeypatch):
     import qrec.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "_random_q", lambda lt, rng: (2, 3))
+    # distinct q on the line q_2 = q_1 + 1, where the columns 1, q_1, q_2 are dependent
+    monkeypatch.setattr(cli_mod, "_random_q",
+                        lambda lt, rng: (lambda x: (x, x + 1))(rng.randint(-50, 49)))
     assert main(["interpolate", "--type", "A2", "--k", "1", "--runs", "8",
                  "--degree", "1"]) == 2
     assert "8 experiments do not pin down 3 candidates" in capsys.readouterr().err
+
+
+def test_interpolate_skips_a_repeated_q(capsys, monkeypatch):
+    import qrec.cli as cli_mod
+    draws = iter([(2, 3), (2, 3), (5, 7), (2, 3), (-4, 9), (5, 7), (1, -6), (8, 8), (-3, 2),
+                  (6, -1), (-9, -5), (4, 11), (7, 3), (-2, -8)])
+    monkeypatch.setattr(cli_mod, "_random_q", lambda lt, rng: next(draws))
+    detected, real = [], cli_mod._detect
+
+    def detect(lt, node, spec, *rest):
+        detected.append(spec.values)
+        return real(lt, node, spec, *rest)
+
+    monkeypatch.setattr(cli_mod, "_detect", detect)
+    code, payload = run_json(capsys, "interpolate", "--type", "A2", "--k", "1",
+                             "--runs", "8", "--degree", "1")
+    assert code == 0 and payload["polynomial"] == "q_1"
+    assert len(detected) == len(set(detected)) == 8
+
+
+def test_more_runs_than_distinct_q_is_a_usage_error_before_any_detection(capsys,
+                                                                          monkeypatch):
+    import qrec.cli as cli_mod
+
+    def never(*args):
+        raise AssertionError("detected")
+
+    monkeypatch.setattr(cli_mod, "_detect", never)
+    assert main("interpolate --type A1 --k 1 --degree 97 --runs 103 --seed 1".split()) == 3
+    assert "--runs 103 exceeds the 101 distinct q" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -390,6 +422,7 @@ def test_detect_and_interpolate_report_detection_time(capsys):
     code, payload = run_json(capsys, "interpolate", "--type", "A2", "--k", "1",
                              "--runs", "12", "--degree", "1", "--seed", "2")
     assert code == 0 and payload["timings"]["detect_s"] >= 0
+    assert payload["timings"]["solve_s"] >= 0
 
 
 def test_gen_and_verify_report_their_timings_outside_the_digest(capsys):

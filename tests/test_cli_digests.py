@@ -66,6 +66,8 @@ PINS = {
         (0, "4f17f0c5439c66b2a02fd9858435c720c48b19f6640e7099fbdb6ad872469175"),
     "interpolate --type G2 --node 1 --k 2 --runs 10 --degree 1 --modular 3 --seed 1":
         (2, "d59411f7c492232349b4c09111d32938f907a53b28689fa92e5065d67c481c44"),
+    "interpolate --type E6 --node 1 --k 2 --runs 40 --modular 3 --seed 1":  # 28 candidates
+        (0, "84ef4c7035a663cf9636f2cbe2fdbab921eb39c0ad2c5c186bc89b28e3bbd261"),
     "dims --type G2":
         (0, "27ceafc8bad3e7df4afbcf87110d72ddeca6f79b04c75b1037ed43c21ffbe7e5"),
     "dims --type B3 --format csv":

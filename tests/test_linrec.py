@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import qrec.linalg as linalg
 import qrec.linrec as linrec
-from qrec.linalg import solve_overdetermined
+from qrec.linalg import P, solve_overdetermined
 from qrec.fields import RATIONALS, PrimeField, prime_stream, seeded_primes
 from qrec.linrec import (PRIME_SEED, InsufficientData, LiftOverflow,
                          NonVanishingTail, NoStableRecurrence, PrimeDisagreement,
@@ -133,6 +134,56 @@ def test_the_helpers_over_q_return_fractions():
                 series_divide([1], [2, -1], 5), numerator([3**n for n in range(8)], rec),
                 sol):
         assert out and all(type(c) is Fraction for c in out), out
+
+
+def _rows(seed, m, n):
+    rng = random.Random(seed)
+    return [[rng.randint(-40, 40) for _ in range(n)] for _ in range(m)]
+
+
+def _rhs(rows, sol):
+    return [sum(a * x for a, x in zip(row, sol)) for row in rows]
+
+
+def _solve_cases():
+    """(id, rows, rhs, expected status, whether the modular solve returns)."""
+    half = P // 2
+    for seed in range(6):
+        rows = _rows(seed, 9, 6)
+        sol = [random.Random(seed).randint(-half, half) for _ in range(6)]
+        yield f"full-rank-{seed}", rows, _rhs(rows, sol), "unique", True
+    rows = [[P * (i + 1), *row] for i, row in enumerate(_rows(10, 6, 2))]
+    yield "column-of-multiples-of-P", rows, _rhs(rows, [3, -1, 4]), "unique", False
+    rows = _rows(11, 5, 2)
+    yield "entry-above-half-P", rows, _rhs(rows, [half + 1, 7]), "unique", False
+    yield "inconsistent", _rows(12, 6, 3), [1, 2, 3, 4, 5, 6], "inconsistent", False
+    rows = [[a, b, a + b] for a, b in _rows(13, 6, 2)]
+    yield "underdetermined", rows, _rhs(rows, [1, 2, 0]), "underdetermined", False
+    rows = [[3 * a, b] for a, b in _rows(14, 5, 2)]
+    rhs = [int(b) for b in _rhs(rows, [F(1, 3), -5])]
+    yield "non-integer", rows, rhs, "unique", False
+
+
+@pytest.mark.parametrize("rows, rhs, status, modular",
+                         [pytest.param(*case[1:], id=case[0]) for case in _solve_cases()])
+def test_the_modular_solve_agrees_with_the_solve_over_q(rows, rhs, status, modular,
+                                                         monkeypatch):
+    fields, real = [], linalg._eliminate
+
+    def eliminate(aug, n, field):
+        fields.append(type(field).__name__)
+        return real(aug, n, field)
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    result = solve_overdetermined(rows, rhs)
+    assert fields == (["PrimeField"] if modular else ["PrimeField", "Rationals"])
+    # Fraction entries force the elimination over Q
+    assert result == solve_overdetermined([[F(x) for x in row] for row in rows],
+                                          [F(b) for b in rhs])
+    assert result[0] == status
+    if modular:
+        assert all(type(x) is Fraction and x.denominator == 1 for x in result[1])
+        assert _rhs(rows, [int(x) for x in result[1]]) == rhs
 
 
 def test_numerator_geometric_and_roundtrip():
