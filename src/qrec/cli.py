@@ -32,8 +32,7 @@ EXIT_CHECK_FAILED = 2
 EXIT_CONFIG = 3
 EXIT_RESOURCE = 4
 
-RATIONAL_DEPTH_CEILING = 1024
-MODULAR_DEPTH_CEILING = 8192
+DEPTH_CEILING = 8192
 MAX_SINGULAR_RETRIES = 5
 Q_BOUND = 50  # raw-random q are drawn from [-Q_BOUND, Q_BOUND]^rank
 
@@ -193,13 +192,15 @@ def _retrying(step, specs):
             spec, retries = fresh, retries + 1
 
 
+def _within_ceiling(depth):
+    if depth > DEPTH_CEILING:  # refused before any level of it is generated
+        raise conjectures.CapExceeded(f"depth {depth} exceeds the depth ceiling {DEPTH_CEILING}")
+
+
 def _detect(lt, node, spec, depth, guard, modular_primes):
     """Detects the recurrence of node on levels 0..depth or, when depth is
-    None, on the levels read online until detection is stable.  The source
-    refuses a request past the depth ceiling, with CapExceeded, before it
-    generates a level.  Returns (the level-1 values q, rec, the exact
-    sequence or None, the depth read)."""
-    ceiling = MODULAR_DEPTH_CEILING if modular_primes else RATIONAL_DEPTH_CEILING
+    None, on the levels read online until detection is stable.  Returns (the
+    level-1 values q, rec, the exact sequence or None, the depth read)."""
     q = initial_values(lt, spec)
     read = []
 
@@ -207,8 +208,7 @@ def _detect(lt, node, spec, depth, guard, modular_primes):
         table = levels(lt, q, node, field)
 
         def terms(n):
-            if n - 1 > ceiling:
-                raise conjectures.CapExceeded(f"depth {n - 1} exceeds the depth ceiling {ceiling}")
+            _within_ceiling(n - 1)
             read[:] = table(n)
             return read
         return terms if depth is None else terms(depth + 1)
@@ -251,6 +251,7 @@ def run_gen(args):
     lt, node, mode, _primes, depth, specs = _prologue(args, "gen")
     if depth is None:
         raise ConfigError("--depth auto needs a tabulated order; give an explicit depth")
+    _within_ceiling(depth)
     target = (node, depth) if args.node is not None else depth
     started = time.perf_counter()
     table, _spec, retries = _retrying(lambda spec: generate(lt, spec, target), specs)
@@ -528,6 +529,7 @@ def run_dims(args):
     needed = [t[a] * (degs[a] + 3) for a in range(lt.rank)]
     deepest = max(range(lt.rank), key=needed.__getitem__)
     depth = needed[deepest] if args.depth in (None, "auto") else int(args.depth)
+    _within_ceiling(depth)
     table = generate(lt, DimensionMode(branching), (deepest + 1, depth))
     results = conjectures.check_growth_degree(lt, table)
     payload = {

@@ -12,7 +12,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from . import linrec
@@ -20,18 +19,12 @@ from .cartan import LieType, cartan_data, growth_degree
 from .linalg import solve_overdetermined
 from .linrec import RecurrencePoly
 from .qsystem import QTable, default_branching
-from .weights import (Weight, dimension, dominance_leq, evaluate, is_dominant, omega,
-                      reflect, weight_system, zero)
+from .weights import Weight, dimension, evaluate, omega, weight_system, zero
 
 MARGIN = 5  # experiments past the candidate count, to verify the fit
-EXPANSION_CAP = 2_000_000  # terms of a character product decompose_invariant expands
 
 
 class NotInCatalogue(LookupError):
-    pass
-
-
-class NotInvariant(ValueError):
     pass
 
 
@@ -459,63 +452,6 @@ def check_factorization(rec: RecurrencePoly, spec: LambdaSpec, y):
         if u != v:
             return False, f"first mismatch at degree {d}: {u} != {v}"
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# invariant decomposition into polynomials in the fundamental characters
-
-
-@lru_cache(maxsize=None)
-def _fundamental_system(lt: LieType, a: int):
-    return weight_system(lt, omega(lt.rank, a))
-
-
-def _product_expansion(lt: LieType, exps):
-    size = 1
-    for a, e in enumerate(exps, start=1):
-        if e:
-            size *= dimension(lt, omega(lt.rank, a)) ** e
-    if size > EXPANSION_CAP:
-        raise CapExceeded(f"character product has {size} terms, cap {EXPANSION_CAP}")
-    acc = {zero(lt.rank): 1}
-    for a, e in enumerate(exps, start=1):
-        for _ in range(e):
-            fund = _fundamental_system(lt, a)
-            nxt: dict[Weight, int] = {}
-            for w1, m1 in acc.items():
-                for w2, m2 in fund.items():
-                    w = tuple(x + y for x, y in zip(w1, w2))
-                    nxt[w] = nxt.get(w, 0) + m1 * m2
-            acc = nxt
-    return acc
-
-
-def decompose_invariant(lt: LieType, invariant: Mapping[Weight, int]) -> QPoly:
-    """Write a Weyl-invariant signed weight multiset as an integer polynomial
-    in q_1..q_r by greedy elimination of the dominance-maximal dominant term."""
-    cd = cartan_data(lt)
-    work = {tuple(w): int(c) for w, c in invariant.items() if c}
-    for a in range(lt.rank):
-        for w, c in work.items():
-            if work.get(reflect(cd, w, a), 0) != c:
-                raise NotInvariant(f"not stable under reflection {a + 1} at {w}")
-    terms: dict[tuple, int] = {}
-    while work:
-        doms = [w for w in work if is_dominant(w)]
-        if not doms:
-            raise NotInvariant("no dominant term left in a nonzero invariant")
-        maximal = [w for w in doms
-                   if not any(v != w and dominance_leq(cd, w, v) for v in doms)]
-        mu = max(maximal)  # lexicographic tie-break
-        c = work[mu]
-        for w, m in _product_expansion(lt, mu).items():
-            nv = work.get(w, 0) - c * m
-            if nv:
-                work[w] = nv
-            else:
-                work.pop(w, None)
-        terms[mu] = terms.get(mu, 0) + c
-    return QPoly(lt.rank, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -286,13 +286,3 @@ def levels(lt: LieType, q: Sequence[Fraction], node: int, field=RATIONALS):
     extend = _table(lt, q, field)
     return lambda n: extend(required_depths(lt, node, n - 1))[node - 1][:n]
 
-
-def check_relation(table: QTable, a: int, m: int) -> bool:
-    """Re-verify the defining relation at (a, m) from the stored values."""
-    C = cartan_data(table.lie_type).cartan
-    vals = [list(seq) for seq in table.values]
-    prod = _product_term(C, vals, RATIONALS, a - 1, m)
-    if prod is None:
-        raise ValueError(f"stored table too shallow to check node {a} level {m}")
-    seq = vals[a - 1]
-    return seq[m] * seq[m] - seq[m + 1] * seq[m - 1] - prod == 0

@@ -99,17 +99,6 @@ def weyl_orbit(cd: CartanData, w: Weight) -> list[Weight]:
     return sorted(seen)
 
 
-def dominance_leq(cd: CartanData, mu: Weight, nu: Weight) -> bool:
-    """mu <= nu iff nu - mu is a nonnegative integer combination of simple roots."""
-    diff = tuple(b - a for a, b in zip(mu, nu))
-    inv = cd.cartan_inverse
-    for a in range(cd.rank):
-        coeff = sum(inv[a][b] * diff[b] for b in range(cd.rank))
-        if coeff.denominator != 1 or coeff < 0:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def positive_roots(lt: LieType) -> tuple[Weight, ...]:
     """All positive roots, generated by closing root strings upward from the simples."""
@@ -252,16 +241,3 @@ def evaluate(obj, point) -> Fraction:
             value *= Fraction(y) ** e
     return value
 
-
-def elementary_symmetric(values, k: int) -> Fraction:
-    """e_k of a multiset of rationals via the expansion of prod (1 + v_i X)."""
-    values = list(values)
-    if not 0 <= k <= len(values):
-        raise ValueError(f"k={k} out of range for {len(values)} values")
-    coeffs = [Fraction(1)] + [Fraction(0)] * k
-    filled = 0
-    for v in values:
-        filled = min(filled + 1, k)
-        for j in range(filled, 0, -1):
-            coeffs[j] += v * coeffs[j - 1]
-    return coeffs[k]

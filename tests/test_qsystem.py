@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from qrec.cartan import LieType
+from qrec.cartan import LieType, cartan_data
 from qrec.fields import RATIONALS, PrimeField, seeded_primes
 from qrec.qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode,
-                          RawQ, SingularSpecialization, check_relation,
-                          default_branching, generate, initial_values, levels,
-                          required_depths, resolve_branching)
+                          RawQ, SingularSpecialization, default_branching,
+                          generate, initial_values, levels, required_depths,
+                          resolve_branching)
 from qrec.weights import evaluate, weight_system
+
+from helpers_oracles import check_relation
 
 F = Fraction
 
@@ -46,7 +48,17 @@ def test_a1_closed_form():
     table = generate(lt, RawQ((2,)), target=(1, 9))
     assert [int(v) for v in table.node(1)] == list(range(1, 11))
     # closed form m+1 satisfies the relation: (m+1)^2 = (m+2)m + 1
-    assert all(check_relation(table, 1, m) for m in range(1, 9))
+    assert all(check_relation([[2]], table.values, 1, m) for m in range(1, 9))
+
+
+@pytest.mark.parametrize("name, q", [("G2", (3, -5)), ("B3", (4, -2, 7)),
+                                     ("C3", (-3, 5, 2)), ("F4", (2, -3, 5, 7))])
+def test_every_stored_level_satisfies_the_q_system_relation(name, q):
+    lt = LieType.parse(name)
+    table = generate(lt, RawQ(q), target=8)
+    cartan = cartan_data(lt).cartan
+    for a, seq in enumerate(table.values, start=1):
+        assert all(check_relation(cartan, table.values, a, m) for m in range(1, len(seq) - 1))
 
 
 def test_e6_example_table():

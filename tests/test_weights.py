@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qrec.cartan import LieType, cartan_data
-from qrec.weights import (DimensionCapExceeded, dimension, dominance_leq,
-                          elementary_symmetric, evaluate, positive_roots,
+from qrec.weights import (DimensionCapExceeded, dimension, evaluate, positive_roots,
                           reflect, weight_system, wsum)
 
 from helpers_oracles import brute_elementary_symmetric
@@ -144,38 +143,15 @@ def test_evaluate_is_multiplicative():
         assert evaluate(wsum(w1, w2), y) == evaluate(w1, y) * evaluate(w2, y)
 
 
-def test_elementary_symmetric_against_brute_force():
-    rng = random.Random(11)
-    for size in (0, 1, 5, 12):
-        values = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(size)]
-        for k in range(size + 1):
-            assert elementary_symmetric(values, k) == \
-                brute_elementary_symmetric(values, k)
-    assert elementary_symmetric([Fraction(2), Fraction(3, 2), Fraction(1, 3)], 2) \
-        == Fraction(25, 6)
-    assert elementary_symmetric([], 0) == 1
-    with pytest.raises(ValueError):
-        elementary_symmetric([Fraction(1)], 2)
-
-
 def test_exterior_power_link():
     # e_2 of the A2 vector-representation values equals the L(omega_2) character
     lt = LieType.parse("A2")
     y = (Fraction(2), Fraction(3))
     values = [evaluate(w, y) for w in weight_system(lt, (1, 0))]
-    assert elementary_symmetric(values, 2) == evaluate(weight_system(lt, (0, 1)), y)
+    assert brute_elementary_symmetric(values, 2) == evaluate(weight_system(lt, (0, 1)), y)
     # e_n of the full weight multiset of L(omega_1) in A_{n-1} is 1
     for r in (2, 3, 4):
         ltr = LieType.parse(f"A{r}")
         yr = tuple(Fraction(k + 2, 3) for k in range(r))
         vals = [evaluate(w, yr) for w in weight_system(ltr, omega(ltr, 1))]
-        assert elementary_symmetric(vals, r + 1) == 1
-
-
-def test_dominance_order():
-    lt = LieType.parse("A2")
-    cd = cartan_data(lt)
-    theta = (1, 1)  # highest root
-    assert dominance_leq(cd, (0, 0), theta)
-    assert not dominance_leq(cd, theta, (0, 0))
-    assert not dominance_leq(cd, (1, 0), (0, 1))  # different coset
+        assert brute_elementary_symmetric(vals, r + 1) == 1
