@@ -44,15 +44,7 @@ class ConfigError(ValueError):
 def _parse_type(args) -> LieType:
     if args.type is None:
         raise ConfigError("--type is required")
-    text = args.type
-    if text.isalpha():
-        if args.rank is None:
-            raise ConfigError("--rank is required when --type is a bare family letter")
-        return LieType(text.upper(), args.rank)
-    lt = LieType.parse(text)
-    if args.rank is not None and args.rank != lt.rank:
-        raise ConfigError(f"--rank {args.rank} contradicts --type {text}")
-    return lt
+    return LieType.parse(args.type)
 
 
 def _parse_fractions(text: str) -> tuple[Fraction, ...]:
@@ -328,8 +320,8 @@ def _verify_checks(lt, node, rec, seq, qvals, y):
     checks.append(_check("unit_coeffs", unit,
                          f"C_0={rec.coeffs[0]}, C_l={rec.coeffs[-1]}"))
 
-    idents, pals = conjectures.identity_catalogue(lt, node)
-    if idents or pals:
+    idents = conjectures.identity_catalogue(lt, node)
+    if idents:
         bad = []
         for ident in idents:
             if ident.k > rec.order:
@@ -339,12 +331,6 @@ def _verify_checks(lt, node, rec, seq, qvals, y):
             got = rec.coeffs[ident.k]
             if want != got:
                 bad.append(f"{ident.label}: detected {got} != {want}")
-        for pal in pals:
-            for k in range(pal.lo, pal.hi + 1):
-                if pal.total - k < 0 or k > rec.order:
-                    continue
-                if rec.coeffs[k] != pal.sign * rec.coeffs[pal.total - k]:
-                    bad.append(f"{pal.label} fails at k={k}")
         checks.append(_check("identity_catalogue", not bad, "; ".join(bad)))
     else:
         checks.append(_skip("identity_catalogue", "no catalogued identities"))
@@ -560,8 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Q-system tables, recurrence detection, and structural checks.")
     sub = parser.add_subparsers(dest="command", required=True)
     options = {
-        "type": dict(help="Lie type, e.g. B3 or E6 (or a family letter with --rank)"),
-        "rank": dict(type=int),
+        "type": dict(help="Lie type, e.g. B3 or E6"),
         "node": dict(type=int, help="node index, 1-based (default 1)"),
         "seed": dict(type=int, default=os.environ.get("QREC_SEED", "0")),
         "depth": dict(help="recursion depth, or 'auto'"),
@@ -581,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         "out": dict(metavar="FILE"),
         "format": dict(choices=("json", "csv"), default="json"),
     }
-    # each subcommand takes --type, --rank, --out and only the options its runner reads
+    # each subcommand takes --type, --out and only the options its runner reads
     run = "node seed depth guard"
     spec = "mode q y branching"
     for name, runner, text, names in (
@@ -599,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         command = sub.add_parser(name, help=text)
         command.set_defaults(run=runner)
-        for option in ("type", "rank", *names.split(), "out"):
+        for option in ("type", *names.split(), "out"):
             command.add_argument(f"--{option}", **options[option])
     return parser
 

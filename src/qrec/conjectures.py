@@ -15,11 +15,12 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linrec
-from .cartan import LieType, cartan_data, growth_degree
+from .cartan import LieType, cartan_data, growth_degree, predicted_order
 from .linalg import solve_overdetermined
 from .linrec import RecurrencePoly
 from .qsystem import QTable, default_branching
-from .weights import Weight, dimension, evaluate, omega, weight_system, zero
+from .weights import (Weight, dimension, dominant_conjugate, evaluate, omega,
+                      weight_system, zero)
 
 MARGIN = 5  # experiments past the candidate count, to verify the fit
 
@@ -270,27 +271,32 @@ class CoefficientIdentity:
     label: str
 
 
-@dataclass(frozen=True)
-class PalindromeRelation:
-    total: int  # compares C_k with sign * C_{total - k}
-    sign: int
-    lo: int
-    hi: int
-    label: str
+def _dual_nodes(lt: LieType) -> tuple[int, ...]:
+    """a* for each node a (at index a - 1): -w0(omega_a) = omega_{a*}, and
+    -w0(omega_a) is the dominant conjugate of -omega_a."""
+    cd = cartan_data(lt)
+    return tuple(dominant_conjugate(cd, tuple(-c for c in omega(lt.rank, a))).index(1) + 1
+                 for a in range(1, lt.rank + 1))
+
+
+def _at_dual(vector: tuple, dual: tuple[int, ...]) -> tuple:
+    """The vector with entry c replaced by entry c*."""
+    return tuple(vector[s - 1] for s in dual)
 
 
 def identity_catalogue(lt: LieType, a: int):
-    """Catalogued identities (k, polynomial in q) plus symmetry relations."""
+    """Catalogued identities (k, polynomial in q).  When C_ell is catalogued,
+    each C_k with 0 < k < ell - k also gives C_{ell-k}(q) = C_ell * C_k(q*),
+    where q*_b = q_{b*}."""
     fam, r = lt.family, lt.rank
     q = lambda i: QPoly.var(r, i)
     one = QPoly.const(r, 1)
     idents: list[CoefficientIdentity] = []
-    pals: list[PalindromeRelation] = []
 
     if fam == "A":
         idents.append(CoefficientIdentity(1, q(a), f"C_1 = q_{a}"))
         if a == 1:
-            for k in range(2, r + 1):
+            for k in range(2, (r + 1) // 2 + 1):
                 idents.append(CoefficientIdentity(k, q(k), f"C_{k} = q_{k}"))
             idents.append(CoefficientIdentity(r + 1, one, f"C_{r + 1} = 1"))
     elif fam == "B" and a == 1:
@@ -299,13 +305,12 @@ def identity_catalogue(lt: LieType, a: int):
             idents.append(CoefficientIdentity(k, poly, f"C_{k} = q_{k} - q_{k - 1}"))
         idents.append(CoefficientIdentity(
             r, q(r) * q(r) - 2 * q(r - 1), f"C_{r} = q_{r}^2 - 2q_{r - 1}"))
-        pals.append(PalindromeRelation(2 * r, 1, r + 1, 2 * r, "C_k = C_{2r-k}"))
+        idents.append(CoefficientIdentity(2 * r, one, f"C_{2 * r} = 1"))
     elif fam == "C" and a == 1:
         for k in range(1, r + 1):
             idents.append(CoefficientIdentity(k, q(k), f"C_{k} = q_{k}"))
         idents.append(CoefficientIdentity(r + 1, QPoly(r), f"C_{r + 1} = 0"))
-        pals.append(PalindromeRelation(2 * r + 2, -1, r + 2, 2 * r + 2,
-                                       "C_k = -C_{2r+2-k}"))
+        idents.append(CoefficientIdentity(2 * r + 2, -one, f"C_{2 * r + 2} = -1"))
     elif fam == "D" and a == 1:
         idents.append(CoefficientIdentity(1, q(1), "C_1 = q_1"))
         for k in range(2, r - 1):
@@ -317,7 +322,7 @@ def identity_catalogue(lt: LieType, a: int):
         idents.append(CoefficientIdentity(
             r, q(r - 1) * q(r - 1) + q(r) * q(r) - 2 * q(r - 2),
             f"C_{r} = q_{r - 1}^2 + q_{r}^2 - 2q_{r - 2}"))
-        pals.append(PalindromeRelation(2 * r, 1, r + 1, 2 * r, "C_k = C_{2r-k}"))
+        idents.append(CoefficientIdentity(2 * r, one, f"C_{2 * r} = 1"))
     elif fam == "D" and a in (r - 1, r):
         idents.append(CoefficientIdentity(1, q(a), f"C_1 = q_{a}"))
     elif (fam, r, a) == ("E", 6, 1):
@@ -326,10 +331,6 @@ def identity_catalogue(lt: LieType, a: int):
             2: q(2) - q(5),
             3: q(3) - q(1) * q(5) - q(6) + one,
             4: q(1) - q(1) * q(6) - q(2) * q(5) + q(4) * q(6),
-            23: q(5) - q(1) * q(4) + q(2) * q(6) - q(5) * q(6),
-            24: q(3) - q(1) * q(5) - q(6) + one,
-            25: q(4) - q(1),
-            26: q(5),
             27: one,
         }
         idents.extend(CoefficientIdentity(k, poly, f"C_{k}") for k, poly in rows.items())
@@ -347,37 +348,33 @@ def identity_catalogue(lt: LieType, a: int):
     elif (fam, a) == ("G", 2):
         idents.append(CoefficientIdentity(1, q(2) - one, "C_1 = q_2 - 1"))
 
-    return idents, pals
+    ell = predicted_order(lt, a)
+    top = next((i.poly for i in idents if i.k == ell), None)
+    if top is not None:
+        dual = _dual_nodes(lt)
+        idents += [CoefficientIdentity(
+            ell - i.k, top * QPoly(r, {_at_dual(e, dual): c for e, c in i.poly.terms.items()}),
+            f"C_{ell - i.k} = C_{ell} * C_{i.k}(q*)") for i in idents if 0 < i.k < ell - i.k]
+    return idents
 
 
 # ---------------------------------------------------------------------------
 # generating-function numerators
 
-# E6 node 1: numerator coefficients as (integer, signed characters) pairs.
-_E6_NUMERATOR = {
-    0: (1, ()), 1: (0, ()), 4: (0, ()), 11: (0, ()), 14: (0, ()), 15: (1, ()),
-    2: (0, ((-1, 5),)), 13: (0, ((-1, 1),)),
-    3: (0, ((1, 6),)), 12: (0, ((1, 6),)),
-    5: (0, ((-1, 2),)), 10: (0, ((-1, 4),)),
-}
+# E6 node 1: numerator entries 0..7 as (integer, signed highest weights) pairs
+_E6_NUMERATOR = ((1, ()), (0, ()), (0, ((-1, omega(6, 5)),)), (0, ((1, omega(6, 6)),)),
+                 (0, ()), (0, ((-1, omega(6, 2)),)), (0, ((1, (1, 0, 0, 0, 1, 0)),)),
+                 (0, ((-1, (0, 0, 0, 0, 2, 0)),)))
 
 
 def e6_numerator_terms():
     """The sixteen E6 numerator coefficients as (constant, signed highest
-    weights) pairs; each evaluates to const + sum sign * chi(L(mu))."""
-    table = dict(_E6_NUMERATOR)
-    w15 = (1, 0, 0, 0, 1, 0)  # omega_1 + omega_5
-    table[6] = (0, ((1, w15),))
-    table[9] = (0, ((1, w15),))
-    table[7] = (0, ((-1, (0, 0, 0, 0, 2, 0)),))  # 2*omega_5
-    table[8] = (0, ((-1, (2, 0, 0, 0, 0, 0)),))  # 2*omega_1
-    out = []
-    for n in range(16):
-        const, terms = table[n]
-        resolved = tuple((s, omega(6, m) if isinstance(m, int) else m)
-                         for s, m in terms)
-        out.append((const, resolved))
-    return out
+    weights) pairs; each evaluates to const + sum sign * chi(L(mu)), and
+    entry 15 - n is entry n at the dual highest weights mu*."""
+    dual = _dual_nodes(LieType("E", 6))
+    return list(_E6_NUMERATOR) + [
+        (const, tuple((sign, _at_dual(mu, dual)) for sign, mu in terms))
+        for const, terms in reversed(_E6_NUMERATOR)]
 
 
 def expected_numerator(lt: LieType, a: int):
@@ -540,7 +537,7 @@ def elldim_entries(lt: LieType) -> list[tuple[int, int]]:
     t, const = cartan_data(lt).t, (0,) * lt.rank
     entries = []
     for a in range(1, lt.rank + 1):
-        for ident in identity_catalogue(lt, a)[0]:
+        for ident in identity_catalogue(lt, a):
             rest = (ident.poly - QPoly.var(lt.rank, a)).terms
             if ident.k == 1 and t[a - 1] == 1 and set(rest) <= {const}:
                 entries.append((a, rest.get(const, 0)))

@@ -107,3 +107,26 @@ def g2_dimension_p2(m):
     value /= 94478400
     assert value.denominator == 1
     return int(value)
+
+
+# The sixteen E6 node-1 numerator entries as (constant, ((sign, highest
+# weight), ...)), recorded as literal data from the table the package shipped
+# before its upper half was derived from the -w0 duality.
+E6_NUMERATOR_TERMS = [
+    (1, ()),
+    (0, ()),
+    (0, ((-1, (0, 0, 0, 0, 1, 0)),)),
+    (0, ((1, (0, 0, 0, 0, 0, 1)),)),
+    (0, ()),
+    (0, ((-1, (0, 1, 0, 0, 0, 0)),)),
+    (0, ((1, (1, 0, 0, 0, 1, 0)),)),
+    (0, ((-1, (0, 0, 0, 0, 2, 0)),)),
+    (0, ((-1, (2, 0, 0, 0, 0, 0)),)),
+    (0, ((1, (1, 0, 0, 0, 1, 0)),)),
+    (0, ((-1, (0, 0, 0, 1, 0, 0)),)),
+    (0, ()),
+    (0, ((1, (0, 0, 0, 0, 0, 1)),)),
+    (0, ((-1, (1, 0, 0, 0, 0, 0)),)),
+    (0, ()),
+    (1, ()),
+]

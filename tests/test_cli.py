@@ -1,8 +1,14 @@
+import dataclasses
 import json
+import random
 
 import pytest
 
-from qrec.cli import main
+from qrec.cartan import LieType, predicted_order
+from qrec.cli import _verify_checks, main
+from qrec.conjectures import identity_catalogue
+from qrec.linrec import find_min_recurrence
+from qrec.qsystem import RawQ, SingularSpecialization, generate
 
 
 def run(capsys, *argv):
@@ -321,6 +327,48 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(command, capsys):
             main([command, "--type", "A2", flag, value])
         assert exc.value.code == 3, (command, flag)
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_the_rank_is_read_off_the_type(capsys):
+    assert main("detect --type B3 --seed 1".split()) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main("detect --type B --rank 3 --seed 1".split())
+    assert exc.value.code == 3
+    assert main("detect --type B --seed 1".split()) == 3
+    assert "cannot parse Lie type 'B'" in capsys.readouterr().err
+
+
+def _catalogue_status(lt, rec, q):
+    checks = _verify_checks(lt, 1, rec, None, q, None)
+    return next(c["status"] for c in checks if c["name"] == "identity_catalogue")
+
+
+@pytest.mark.parametrize("name, q, first", [("B3", None, 4), ("C3", None, 5), ("D5", None, 6),
+                                            ("E6", (17, 22, 38, 40, 14, 31), 23)])
+def test_a_changed_mirrored_coefficient_fails_the_catalogue(name, q, first):
+    """The rows above ell/2 are derived from the lower half at q*; at the E6
+    point q_5 != q_1, so a build that read q in place of q* fails unchanged."""
+    lt = LieType.parse(name)
+    ell = predicted_order(lt, 1)
+    rng = random.Random(f"mirror-{name}-1")
+    while True:
+        qvals = q or tuple(rng.randint(-50, 50) for _ in range(lt.rank))
+        try:
+            seq = generate(lt, RawQ(qvals), (1, 2 * ell + 12)).node(1)
+        except SingularSpecialization:
+            continue
+        break
+    rec = find_min_recurrence(seq)
+    assert rec.order == ell
+    assert _catalogue_status(lt, rec, qvals) == "pass"
+    upper = sorted(i.k for i in identity_catalogue(lt, 1) if 2 * i.k > ell)
+    assert upper == list(range(first, ell + 1))
+    for k in upper:
+        coeffs = list(rec.coeffs)
+        coeffs[k] += 1
+        mutated = dataclasses.replace(rec, coeffs=tuple(coeffs))
+        assert _catalogue_status(lt, mutated, qvals) == "fail", k
 
 
 def test_usage_errors_exit_3_and_help_exits_0(capsys):

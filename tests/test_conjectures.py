@@ -15,7 +15,7 @@ from qrec.linrec import find_min_recurrence
 from qrec.qsystem import CharacterPoint, DimensionMode, RawQ, generate
 from qrec.weights import evaluate, weight_system
 
-from helpers_oracles import brute_elementary_symmetric, g2_dimension_p2
+from helpers_oracles import E6_NUMERATOR_TERMS, brute_elementary_symmetric, g2_dimension_p2
 
 F = Fraction
 
@@ -128,7 +128,7 @@ def test_the_coefficient_formula_skip_reasons_keep_their_order():
 
 def test_e6_identity_values():
     q = (17, 22, 38, 40, 14, 31)
-    idents, _ = identity_catalogue(lt("E6"), 1)
+    idents = identity_catalogue(lt("E6"), 1)
     values = {i.k: i.poly.evaluate(q) for i in idents}
     assert values[1] == 17
     assert values[2] == 8
@@ -142,17 +142,48 @@ def test_e6_identity_values():
 
 
 def test_identity_catalogue_shapes():
-    idents, pals = identity_catalogue(lt("B3"), 1)
-    assert [i.k for i in idents] == [1, 2, 3]
-    assert pals[0].total == 6 and pals[0].sign == 1
-    idents, pals = identity_catalogue(lt("C3"), 1)
-    assert [i.k for i in idents] == [1, 2, 3, 4]
-    assert pals[0].sign == -1
-    idents, pals = identity_catalogue(lt("D4"), 1)
-    assert {i.k for i in idents} == {1, 2, 3, 4}
-    assert identity_catalogue(lt("G2"), 1)[0][0].poly.evaluate((9, 5)) == 3
-    assert identity_catalogue(lt("F4"), 1)[0][0].poly.evaluate((9, 0, 0, 5)) == 2
-    assert identity_catalogue(lt("E8"), 7)[0][0].poly.evaluate((0,) * 6 + (50, 0)) == 42
+    rows = {i.k: i.poly for i in identity_catalogue(lt("B3"), 1)}
+    assert set(rows) == set(range(1, 7))
+    assert rows[6] == QPoly.const(3, 1)
+    rows = {i.k: i.poly for i in identity_catalogue(lt("C3"), 1)}
+    assert set(rows) == set(range(1, 9))
+    assert rows[8] == QPoly.const(3, -1)
+    idents = identity_catalogue(lt("D4"), 1)
+    assert {i.k for i in idents} == set(range(1, 9))
+    assert identity_catalogue(lt("G2"), 1)[0].poly.evaluate((9, 5)) == 3
+    assert identity_catalogue(lt("F4"), 1)[0].poly.evaluate((9, 0, 0, 5)) == 2
+    assert identity_catalogue(lt("E8"), 7)[0].poly.evaluate((0,) * 6 + (50, 0)) == 42
+
+
+def _textbook_dual(family, r):
+    """a -> a* under -w0, as tabulated for each Dynkin diagram."""
+    if family == "A":
+        return tuple(range(r, 0, -1))
+    if family == "D" and r % 2:
+        return (*range(1, r - 1), r, r - 1)
+    if (family, r) == ("E", 6):
+        return (5, 4, 3, 2, 1, 6)
+    return tuple(range(1, r + 1))
+
+
+def test_dual_nodes_are_the_textbook_involutions():
+    from qrec.cartan import order_tables
+    from qrec.conjectures import _dual_nodes
+    for row in order_tables():
+        family, r = row["type"], row["rank"]
+        assert _dual_nodes(LieType(family, r)) == _textbook_dual(family, r), (family, r)
+
+
+def test_catalogue_rows_are_distinct_and_within_the_order():
+    from qrec.cartan import order_tables
+    for row in order_tables():
+        ltx = LieType(row["type"], row["rank"])
+        for a, ell in enumerate(row["ell"], start=1):
+            if ell is None:
+                continue
+            ks = [i.k for i in identity_catalogue(ltx, a)]
+            assert len(set(ks)) == len(ks), (ltx, a, ks)
+            assert set(ks) <= set(range(1, ell + 1)), (ltx, a, ks)
 
 
 def test_qpoly_str_and_arith():
@@ -287,6 +318,16 @@ def test_e6_numerator_table_reproduces_dimension_series():
     omega1 = (1, 0, 0, 0, 0, 0)
     assert series == [dimension(e6, tuple(m * c for c in omega1))
                       for m in range(5)]
+
+
+def test_e6_numerator_terms_match_the_recorded_table():
+    """omega_1 and omega_5 both have dimension 27, so the dimension series
+    above cannot tell a swapped pair apart; the recorded table can."""
+    from qrec.conjectures import e6_numerator_terms
+    terms = e6_numerator_terms()
+    assert len(terms) == 16
+    for n, (got, want) in enumerate(zip(terms, E6_NUMERATOR_TERMS)):
+        assert got == want, n
 
 
 def test_e6_interpolation_recovers_table_rows():
