@@ -292,61 +292,51 @@ def identity_catalogue(lt: LieType, a: int):
     q = lambda i: QPoly.var(r, i)
     one = QPoly.const(r, 1)
     idents: list[CoefficientIdentity] = []
+    add = lambda k, poly: idents.append(CoefficientIdentity(k, poly, f"C_{k} = {poly}"))
 
     if fam == "A":
-        idents.append(CoefficientIdentity(1, q(a), f"C_1 = q_{a}"))
+        add(1, q(a))
         if a == 1:
             for k in range(2, (r + 1) // 2 + 1):
-                idents.append(CoefficientIdentity(k, q(k), f"C_{k} = q_{k}"))
-            idents.append(CoefficientIdentity(r + 1, one, f"C_{r + 1} = 1"))
+                add(k, q(k))
+            add(r + 1, one)
     elif fam == "B" and a == 1:
         for k in range(1, r):
-            poly = q(k) - (q(k - 1) if k >= 2 else one)
-            idents.append(CoefficientIdentity(k, poly, f"C_{k} = q_{k} - q_{k - 1}"))
-        idents.append(CoefficientIdentity(
-            r, q(r) * q(r) - 2 * q(r - 1), f"C_{r} = q_{r}^2 - 2q_{r - 1}"))
-        idents.append(CoefficientIdentity(2 * r, one, f"C_{2 * r} = 1"))
+            add(k, q(k) - (q(k - 1) if k >= 2 else one))
+        add(r, q(r) * q(r) - 2 * q(r - 1))
+        add(2 * r, one)
     elif fam == "C" and a == 1:
         for k in range(1, r + 1):
-            idents.append(CoefficientIdentity(k, q(k), f"C_{k} = q_{k}"))
-        idents.append(CoefficientIdentity(r + 1, QPoly(r), f"C_{r + 1} = 0"))
-        idents.append(CoefficientIdentity(2 * r + 2, -one, f"C_{2 * r + 2} = -1"))
+            add(k, q(k))
+        add(r + 1, QPoly(r))
+        add(2 * r + 2, -one)
     elif fam == "D" and a == 1:
-        idents.append(CoefficientIdentity(1, q(1), "C_1 = q_1"))
+        add(1, q(1))
         for k in range(2, r - 1):
-            poly = q(k) - (q(k - 2) if k >= 3 else one)
-            idents.append(CoefficientIdentity(k, poly, f"C_{k} = q_{k} - q_{k - 2}"))
-        low = q(r - 3) if r >= 4 else one
-        idents.append(CoefficientIdentity(
-            r - 1, q(r - 1) * q(r) - low, f"C_{r - 1} = q_{r - 1}q_{r} - q_{r - 3}"))
-        idents.append(CoefficientIdentity(
-            r, q(r - 1) * q(r - 1) + q(r) * q(r) - 2 * q(r - 2),
-            f"C_{r} = q_{r - 1}^2 + q_{r}^2 - 2q_{r - 2}"))
-        idents.append(CoefficientIdentity(2 * r, one, f"C_{2 * r} = 1"))
+            add(k, q(k) - (q(k - 2) if k >= 3 else one))
+        add(r - 1, q(r - 1) * q(r) - (q(r - 3) if r >= 4 else one))
+        add(r, q(r - 1) * q(r - 1) + q(r) * q(r) - 2 * q(r - 2))
+        add(2 * r, one)
     elif fam == "D" and a in (r - 1, r):
-        idents.append(CoefficientIdentity(1, q(a), f"C_1 = q_{a}"))
+        add(1, q(a))
     elif (fam, r, a) == ("E", 6, 1):
-        rows = {
-            1: q(1),
-            2: q(2) - q(5),
-            3: q(3) - q(1) * q(5) - q(6) + one,
-            4: q(1) - q(1) * q(6) - q(2) * q(5) + q(4) * q(6),
-            27: one,
-        }
-        idents.extend(CoefficientIdentity(k, poly, f"C_{k}") for k, poly in rows.items())
+        add(1, q(1))
+        add(2, q(2) - q(5))
+        add(3, q(3) - q(1) * q(5) - q(6) + one)
+        add(4, q(1) - q(1) * q(6) - q(2) * q(5) + q(4) * q(6))
+        add(27, one)
     elif (fam, r, a) == ("E", 7, 6):
-        idents.append(CoefficientIdentity(1, q(6), "C_1 = q_6"))
+        add(1, q(6))
     elif (fam, r, a) == ("E", 8, 7):
-        idents.append(CoefficientIdentity(1, q(7) - 8 * one, "C_1 = q_7 - 8"))
+        add(1, q(7) - 8 * one)
     elif (fam, a) == ("F", 1):
-        idents.append(CoefficientIdentity(1, q(1) - q(4) - 2 * one,
-                                          "C_1 = q_1 - q_4 - 2"))
+        add(1, q(1) - q(4) - 2 * one)
     elif (fam, a) == ("F", 4):
-        idents.append(CoefficientIdentity(1, q(4) - 2 * one, "C_1 = q_4 - 2"))
+        add(1, q(4) - 2 * one)
     elif (fam, a) == ("G", 1):
-        idents.append(CoefficientIdentity(1, q(1) - q(2) - one, "C_1 = q_1 - q_2 - 1"))
+        add(1, q(1) - q(2) - one)
     elif (fam, a) == ("G", 2):
-        idents.append(CoefficientIdentity(1, q(2) - one, "C_1 = q_2 - 1"))
+        add(1, q(2) - one)
 
     ell = predicted_order(lt, a)
     top = next((i.poly for i in idents if i.k == ell), None)

@@ -1,6 +1,6 @@
-"""Exact coefficient rings (the rationals, and Z/m for m a prime or a product
-of distinct primes), rational reconstruction from Z/m, and the seeded prime
-generator used by detection."""
+"""Exact coefficient rings (the rationals, the integers inside them, and Z/m
+for m a prime or a product of distinct primes), rational reconstruction from
+Z/m, and the seeded prime generator used by detection."""
 from __future__ import annotations
 
 import itertools
@@ -8,6 +8,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e24
@@ -15,7 +16,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e
 
 class Rationals:
     """Q, with Fraction elements.  Like PrimeField, it offers of, inverses
-    and reduce; callers compute on plain operators and reduce each result."""
+    and reduce; callers compute on plain operators and reduce each result.
+    Each ring divides by divide(num, d), d prepared in a batch by divisors."""
 
     name = "rational"
     zero = Fraction(0)
@@ -32,6 +34,8 @@ class Rationals:
         return [Fraction(1, v.numerator) if v.denominator == 1 else v ** -1
                 for v in values]
 
+    divisors, divide = inverses, staticmethod(mul)
+
     @staticmethod
     def reduce(x):
         return x
@@ -41,6 +45,23 @@ class Rationals:
 
 
 RATIONALS = Rationals()
+
+
+class Integers:
+    """Z inside Q, with int elements, for quotients known to be exact: a
+    divisor is itself, and a nonzero remainder is a bug."""
+
+    one, of, divisors = 1, int, staticmethod(list)
+
+    @staticmethod
+    def divide(num: int, d: int) -> int:
+        quotient, remainder = divmod(num, d)  # ZeroDivisionError on d == 0
+        if remainder:
+            raise AssertionError("an exact quotient over Z left a remainder (a bug)")
+        return quotient
+
+
+INTEGERS = Integers()
 
 
 @dataclass(frozen=True)
@@ -90,6 +111,11 @@ class PrimeField:
             out[i] = inv * prefix[i] % m
             inv = inv * values[i] % m
         return out
+
+    divisors = inverses
+
+    def divide(self, num: int, d: int) -> int:
+        return num * d % self.modulus
 
     def reduce(self, x: int) -> int:
         return x % self.modulus

@@ -3,8 +3,9 @@
 `solve_overdetermined` solves a system of integers modulo the 61-bit
 Mersenne prime P and certifies the lifted solution exactly: when the rank
 modulo P is full, the rank over Q is full, so an integer vector that
-satisfies every row over Z is the one solution.  A system the certificate
-does not cover is solved by elimination over the rationals.
+satisfies every row over Z is the one solution, and otherwise the rows that
+pivoted modulo P fix it over the rationals.  Other systems are solved by
+elimination over the rationals.
 """
 from __future__ import annotations
 
@@ -19,17 +20,19 @@ def _eliminate(aug, n, field):
     """Gauss-Jordan elimination over field of the rows aug, whose first n
     columns hold the coefficients.
 
-    Returns (the reduced rows, the pivot columns); the r-th pivot column has
-    its 1 in row r.
+    Returns (the reduced rows, the pivot columns, the input index of each
+    reduced row); the r-th pivot column has its 1 in row r, and the first r
+    reduced rows span the input rows at the first r indices.
     """
     aug = [[field.of(x) for x in row] for row in aug]
-    reduce, pivots = field.reduce, []
+    reduce, pivots, order = field.reduce, [], list(range(len(aug)))
     for col in range(n):
         at = len(pivots)
         pivot = next((r for r in range(at, len(aug)) if aug[r][col]), None)
         if pivot is None:
             continue
         aug[at], aug[pivot] = aug[pivot], aug[at]
+        order[at], order[pivot] = order[pivot], order[at]
         (inv,) = field.inverses([aug[at][col]])
         lead = aug[at] = [reduce(x * inv) for x in aug[at]]
         for r, row in enumerate(aug):
@@ -37,17 +40,22 @@ def _eliminate(aug, n, field):
             if r != at and factor:
                 aug[r] = [reduce(x - factor * y) for x, y in zip(row, lead)]
         pivots.append(col)
-    return aug, pivots
+    return aug, pivots, order
 
 
 def invert_matrix(rows):
     """Invert a square matrix of rationals by Gauss-Jordan elimination."""
     n = len(rows)
-    aug, pivots = _eliminate([[*row, *(int(i == j) for j in range(n))]
-                              for i, row in enumerate(rows)], n, RATIONALS)
+    aug, pivots, _ = _eliminate([[*row, *(int(i == j) for j in range(n))]
+                                 for i, row in enumerate(rows)], n, RATIONALS)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     return [row[n:] for row in aug]
+
+
+def _satisfied(system, sol) -> bool:
+    """Whether sol satisfies every row of the augmented system exactly."""
+    return all(sum(a * x for a, x in zip(row, sol)) == row[-1] for row in system)
 
 
 def solve_overdetermined(rows, rhs):
@@ -57,17 +65,21 @@ def solve_overdetermined(rows, rhs):
     list of Fractions), "underdetermined" (solution is None), "inconsistent"
     (solution is None).  An all-int system is first solved modulo P and
     lifted into (-P/2, P/2]; the lift is returned only if it satisfies every
-    row over Z.  Everything else goes through the elimination over Q.
+    row over Z.  Else the rows that pivoted, independent over Q, are solved
+    there and the others check it.  Everything else is eliminated over Q.
     """
     n = len(rows[0]) if rows else 0
     system = [[*row, b] for row, b in zip(rows, rhs)]
     if all(isinstance(x, int) for row in system for x in row):
-        aug, pivots = _eliminate(system, n, PrimeField(P))
+        aug, pivots, order = _eliminate(system, n, PrimeField(P))
         if len(pivots) == n:
             sol = [x if x <= P // 2 else x - P for x in (row[n] for row in aug[:n])]
-            if all(sum(a * x for a, x in zip(row, sol)) == row[n] for row in system):
+            if _satisfied(system, sol):
                 return "unique", [Fraction(x) for x in sol]
-    aug, pivots = _eliminate(system, n, RATIONALS)
+            sol = [row[n] for row in _eliminate([system[i] for i in order[:n]], n, RATIONALS)[0]]
+            rest = [system[i] for i in order[n:]]
+            return ("unique", sol) if _satisfied(rest, sol) else ("inconsistent", None)
+    aug, pivots, _ = _eliminate(system, n, RATIONALS)
     if any(row[n] for row in aug[len(pivots):]):
         return "inconsistent", None
     if len(pivots) < n:

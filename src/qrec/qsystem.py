@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .cartan import LieType, cartan_data
-from .fields import RATIONALS
+from .fields import INTEGERS, RATIONALS
 from .weights import Weight, dimension, evaluate, is_dominant, omega, weight_system
 
 
@@ -204,62 +204,48 @@ class QTable:
                 yield (str(a), str(m), str(v))
 
 
-def _product_term(C, vals, field, a, m):
-    """The coupling product for node a at level m, or None if inputs missing."""
-    prod = None
-    for b in range(len(C)):
-        if b == a or C[a][b] == 0:
-            continue
-        for k in range(-C[a][b]):
-            idx = (C[b][a] * m - k) // C[a][b]
-            if idx >= len(vals[b]):
-                return None
-            prod = vals[b][idx] if prod is None else prod * vals[b][idx]
-    return field.one if prod is None else field.reduce(prod)
-
-
 def _table(lt, q, field):
     """A function that extends one table, a list of levels per node, from
     the level-1 values q, in place to the per-node depths it is given, and
-    returns the table.
+    returns the table; over Q, integral q give an integral table, made in ints.
 
     Nodes are interleaved: each sweep advances every node whose inputs are
     available, so cross-node index excursions resolve without recursion.
-    The divisors of a sweep are inverted together, in one field.inverses
-    call.  Raises SingularSpecialization on division by zero in the field,
-    or over Z/m by a non-unit, at the first node that divides by it.
+    A sweep's divisors are prepared in one field.divisors call, and each
+    quotient is taken as its node's numerator is formed, since a node reads
+    levels appended earlier in the sweep.  Raises SingularSpecialization on
+    division by zero in the field, or over Z/m by a non-unit, at the first
+    node that divides by it.
     """
-    C = cartan_data(lt).cartan
-    check_integrality = field is RATIONALS and all(v.denominator == 1 for v in q)
+    C, r = cartan_data(lt).cartan, lt.rank
+    field = INTEGERS if field is RATIONALS and all(v.denominator == 1 for v in q) else field
+    # node a at level m multiplies Q^(b)_{floor((C_ba m - k) / C_ab)}, 0 <= k < -C_ab
+    couplings = [[(b, C[b][a], k, C[a][b]) for b in range(r) for k in range(-C[a][b])]
+                 for a in range(r)]
     vals = [[field.one, field.of(v)] for v in q]
 
     def extend(depths):
-        while pending := [a for a in range(lt.rank) if len(vals[a]) - 1 < depths[a]]:
+        while pending := [a for a in range(r) if len(vals[a]) - 1 < depths[a]]:
             try:
-                inverses = field.inverses([vals[a][-2] for a in pending])
+                divisors = field.divisors([vals[a][-2] for a in pending])
             except ZeroDivisionError:
-                # a non-unit: invert one by one, so the node that reaches it
-                # first reports it
-                inverses = [None] * len(pending)
+                # a zero or non-unit: prepared per node, so the first to reach it reports it
+                divisors = [None] * len(pending)
             advanced = False
-            for a, inverse in zip(pending, inverses):
-                m = len(vals[a]) - 1
-                prod = _product_term(C, vals, field, a, m)
-                if prod is None:
-                    continue
-                if inverse is None:
+            for a, d in zip(pending, divisors):
+                seq, m, prod = vals[a], len(vals[a]) - 1, None
+                for b, c_ba, k, c_ab in couplings[a]:
+                    if (i := (c_ba * m - k) // c_ab) >= len(vals[b]):
+                        break  # an input made later in this sweep or the next
+                    prod = vals[b][i] if prod is None else prod * vals[b][i]
+                else:
+                    num = seq[m] * seq[m] - (field.one if prod is None else prod)
                     try:
-                        inverse, = field.inverses([vals[a][m - 1]])
+                        d = field.divisors([seq[m - 1]])[0] if d is None else d
+                        seq.append(field.divide(num, d))
                     except ZeroDivisionError:
                         raise SingularSpecialization(a + 1, m - 1) from None
-                nxt = field.reduce((vals[a][m] * vals[a][m] - prod) * inverse)
-                if check_integrality and nxt.denominator != 1:
-                    raise AssertionError(
-                        f"integrality violated at node {a + 1} level {m + 1}: {nxt} "
-                        "(this is a bug, not bad input)"
-                    )
-                vals[a].append(nxt)
-                advanced = True
+                    advanced = True
             if not advanced:
                 raise RuntimeError("recursion scheduling made no progress (bug)")
         return vals

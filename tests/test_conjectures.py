@@ -155,6 +155,21 @@ def test_identity_catalogue_shapes():
     assert identity_catalogue(lt("E8"), 7)[0].poly.evaluate((0,) * 6 + (50, 0)) == 42
 
 
+def test_identity_labels_name_only_the_variables_of_their_type():
+    import re
+    from qrec.cartan import order_tables
+    for row in order_tables():
+        family, r = row["type"], row["rank"]
+        for a in range(1, r + 1):
+            for ident in identity_catalogue(LieType(family, r), a):
+                named = {int(i) for i in re.findall(r"q_(\d+)", ident.label)}
+                assert named <= set(range(1, r + 1)), (family, r, a, ident.label)
+    # the lowest B/1 and D/1 rows use the constant 1, and say so
+    assert identity_catalogue(lt("B3"), 1)[0].label == "C_1 = q_1 - 1"
+    assert identity_catalogue(lt("D3"), 1)[1].label == "C_2 = q_2*q_3 - 1"
+    assert identity_catalogue(lt("D4"), 1)[1].label == "C_2 = q_2 - 1"
+
+
 def _textbook_dual(family, r):
     """a -> a* under -w0, as tabulated for each Dynkin diagram."""
     if family == "A":

@@ -146,37 +146,45 @@ def _rhs(rows, sol):
 
 
 def _solve_cases():
-    """(id, rows, rhs, expected status, whether the modular solve returns)."""
+    """(id, rows, rhs, expected status, the rows eliminated over Q: None when
+    the modular solve returns, the pivot rows at full rank modulo P)."""
     half = P // 2
     for seed in range(6):
         rows = _rows(seed, 9, 6)
         sol = [random.Random(seed).randint(-half, half) for _ in range(6)]
-        yield f"full-rank-{seed}", rows, _rhs(rows, sol), "unique", True
+        yield f"full-rank-{seed}", rows, _rhs(rows, sol), "unique", None
     rows = [[P * (i + 1), *row] for i, row in enumerate(_rows(10, 6, 2))]
-    yield "column-of-multiples-of-P", rows, _rhs(rows, [3, -1, 4]), "unique", False
+    yield "column-of-multiples-of-P", rows, _rhs(rows, [3, -1, 4]), "unique", 6
     rows = _rows(11, 5, 2)
-    yield "entry-above-half-P", rows, _rhs(rows, [half + 1, 7]), "unique", False
-    yield "inconsistent", _rows(12, 6, 3), [1, 2, 3, 4, 5, 6], "inconsistent", False
+    yield "entry-above-half-P", rows, _rhs(rows, [half + 1, 7]), "unique", 2
+    yield "inconsistent", _rows(12, 6, 3), [1, 2, 3, 4, 5, 6], "inconsistent", 3
     rows = [[a, b, a + b] for a, b in _rows(13, 6, 2)]
-    yield "underdetermined", rows, _rhs(rows, [1, 2, 0]), "underdetermined", False
+    yield "underdetermined", rows, _rhs(rows, [1, 2, 0]), "underdetermined", 6
     rows = [[3 * a, b] for a, b in _rows(14, 5, 2)]
     rhs = [int(b) for b in _rhs(rows, [F(1, 3), -5])]
-    yield "non-integer", rows, rhs, "unique", False
+    yield "non-integer", rows, rhs, "unique", 2
+    # the first two rows repeat, so the rows that pivot are not the first n
+    rows = [[3 * a, b] for a, b in _rows(15, 4, 2)]
+    rows.insert(1, rows[0])
+    rhs = [int(b) for b in _rhs(rows, [F(-2, 3), 9])]
+    yield "repeated-row-non-integer", rows, rhs, "unique", 2
+    yield "repeated-row-inconsistent", rows, [*rhs[:-1], rhs[-1] + 1], "inconsistent", 2
 
 
-@pytest.mark.parametrize("rows, rhs, status, modular",
+@pytest.mark.parametrize("rows, rhs, status, rows_over_q",
                          [pytest.param(*case[1:], id=case[0]) for case in _solve_cases()])
-def test_the_modular_solve_agrees_with_the_solve_over_q(rows, rhs, status, modular,
+def test_the_modular_solve_agrees_with_the_solve_over_q(rows, rhs, status, rows_over_q,
                                                          monkeypatch):
     fields, real = [], linalg._eliminate
 
     def eliminate(aug, n, field):
-        fields.append(type(field).__name__)
+        fields.append((type(field).__name__, len(aug)))
         return real(aug, n, field)
 
     monkeypatch.setattr(linalg, "_eliminate", eliminate)
     result = solve_overdetermined(rows, rhs)
-    assert fields == (["PrimeField"] if modular else ["PrimeField", "Rationals"])
+    modular = rows_over_q is None
+    assert fields == [("PrimeField", len(rows))] + ([] if modular else [("Rationals", rows_over_q)])
     # Fraction entries force the elimination over Q
     assert result == solve_overdetermined([[F(x) for x in row] for row in rows],
                                           [F(b) for b in rhs])
@@ -184,6 +192,9 @@ def test_the_modular_solve_agrees_with_the_solve_over_q(rows, rhs, status, modul
     if modular:
         assert all(type(x) is Fraction and x.denominator == 1 for x in result[1])
         assert _rhs(rows, [int(x) for x in result[1]]) == rhs
+    if status == "unique":
+        assert all(type(x) is Fraction for x in result[1])
+        assert _rhs(rows, result[1]) == rhs
 
 
 def test_numerator_geometric_and_roundtrip():

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from qrec.cartan import LieType, cartan_data
-from qrec.fields import RATIONALS, PrimeField, seeded_primes
+from qrec import qsystem
+from qrec.cartan import LieType, cartan_data, order_tables
+from qrec.fields import INTEGERS, RATIONALS, PrimeField, seeded_primes
 from qrec.qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode,
                           RawQ, SingularSpecialization, default_branching,
                           generate, initial_values, levels, required_depths,
@@ -110,6 +111,50 @@ def test_modular_consistency():
                 want = [int(v) % p for v in rational.node(a)]
                 got = list(modular.node(a))
                 assert want == got[:len(want)] or want[:len(got)] == got, (name, p, a)
+
+
+@pytest.mark.parametrize("row", order_tables(), ids=lambda row: f"{row['type']}{row['rank']}")
+def test_integral_tables_are_ints_that_agree_modulo_m(row):
+    lt = LieType(row["type"], row["rank"])
+    cartan = cartan_data(lt).cartan
+    field = PrimeField(math.prod(seeded_primes(3, 0)))
+    rng = random.Random(f"integral-{lt}")
+    for _ in range(3):
+        q = RawQ([rng.randint(-50, 50) for _ in range(lt.rank)])
+        try:
+            table = generate(lt, q, target=40)
+        except SingularSpecialization as err:
+            with pytest.raises(SingularSpecialization) as modular_err:
+                generate(lt, q, target=40, field=field)
+            assert (modular_err.value.node, modular_err.value.level) == (err.node, err.level)
+            continue
+        modular = generate(lt, q, target=40, field=field)
+        for a, seq in enumerate(table.values, start=1):
+            assert all(type(v) is int for v in seq), (lt, q, a)
+            assert [v % field.modulus for v in seq] == list(modular.node(a)), (lt, q, a)
+            assert all(check_relation(cartan, table.values, a, m) for m in range(1, len(seq) - 1))
+
+
+def test_a_zero_level_enters_the_coupling_product():
+    # Q^(1)_1 = 0 makes node 2's product at m = 1 zero, not an empty product
+    A2 = LieType.parse("A2")
+    for field in (RATIONALS, PrimeField(math.prod(seeded_primes(3, 0)))):
+        assert levels(A2, [F(0), F(5)], 2, field)(3) == [1, 5, 25]
+
+
+def test_a_non_integral_q_keeps_fractions_and_an_inexact_quotient_is_a_bug():
+    table = generate(B2, RawQ((F(1, 2), 3)), target=12)
+    assert all(type(v) is Fraction for seq in table.values for v in seq)
+    cartan = cartan_data(B2).cartan
+    assert all(check_relation(cartan, table.values, a, m)
+               for a, seq in enumerate(table.values, start=1) for m in range(1, len(seq) - 1))
+    # over Z every quotient is exact; a corrupted level leaves a remainder
+    extend = qsystem._table(B2, [F(4), F(-3)], RATIONALS)
+    vals = extend(required_depths(B2, None, 3))
+    assert all(type(v) is int for seq in vals for v in seq)
+    vals[0][3] += 1
+    with pytest.raises(AssertionError):
+        extend(required_depths(B2, None, 8))
 
 
 # each (node, level) below was recorded with one division per level, before
@@ -219,29 +264,32 @@ def test_generate_validates_input():
         CharacterPoint((F(0), F(1)))
 
 
+def _count_divisions(monkeypatch, divisions):
+    """Counts each quotient generation takes, over Z and over Z/m: one per
+    level made past level 1."""
+    integers_divide, field_divide = INTEGERS.divide, PrimeField.divide
+    monkeypatch.setattr(INTEGERS, "divide",
+                        lambda num, d: divisions.append(d) or integers_divide(num, d))
+    monkeypatch.setattr(PrimeField, "divide",
+                        lambda self, num, d: divisions.append(d) or field_divide(self, num, d))
+
+
 @pytest.mark.parametrize("name, node", [("G2", 1), ("G2", 2), ("F4", 2), ("B3", 3)])
 def test_levels_read_the_table_generating_each_level_once(name, node, monkeypatch):
-    import qrec.qsystem as qsystem
     lt = LieType.parse(name)
     spec = RawQ([(-1) ** a * (7 + 2 * a) for a in range(lt.rank)])
-    products = []
-    original = qsystem._product_term
-
-    def counting(*args):
-        prod = original(*args)
-        products.append(prod is not None)
-        return prod
-
-    monkeypatch.setattr(qsystem, "_product_term", counting)
+    divisions = []
+    _count_divisions(monkeypatch, divisions)
     for field in (RATIONALS, PrimeField(math.prod(seeded_primes(3, 0)))):
         table = generate(lt, spec, (node, 30), field=field)
-        made = sum(products)
-        products.clear()
+        made = len(divisions)
+        assert made == sum(len(seq) - 2 for seq in table.values)
+        divisions.clear()
         read = levels(lt, spec.values, node, field)
         assert [tuple(read(n)) for n in range(1, 32)] == [table.node(node)[:n]
                                                           for n in range(1, 32)]
-        assert sum(products) == made  # the levels of the one-shot table, once each
-        products.clear()
+        assert len(divisions) == made  # the levels of the one-shot table, once each
+        divisions.clear()
 
 
 def test_levels_raise_a_singular_specialization():
@@ -252,7 +300,6 @@ def test_levels_raise_a_singular_specialization():
 
 def test_a_stream_read_in_the_readers_chunks_costs_what_its_window_costs(monkeypatch):
     # F4/2 at the draw of `detect --type F4 --node 2 --modular 8 --seed 1`
-    import qrec.qsystem as qsystem
     from qrec.linrec import find_min_recurrence
     lt = LieType.parse("F4")
     spec = RawQ((-27, -13, 18, 17))
@@ -261,26 +308,19 @@ def test_a_stream_read_in_the_readers_chunks_costs_what_its_window_costs(monkeyp
     rec = find_min_recurrence(lambda n: requests.append(n) or table(n), field=field)
     assert rec.order == 145 and len(requests) > 2 and requests[-1] == 326
 
-    counts = dict.fromkeys(("products", "inverses"), 0)
-    product_term, inverses = qsystem._product_term, PrimeField.inverses
-
-    def counted_product(*args):
-        prod = product_term(*args)
-        counts["products"] += prod is not None
-        return prod
-
-    def counted_inverses(self, values):
-        counts["inverses"] += 1
-        return inverses(self, values)
-
-    monkeypatch.setattr(qsystem, "_product_term", counted_product)
-    monkeypatch.setattr(PrimeField, "inverses", counted_inverses)
+    divisions, sweeps = [], []
+    _count_divisions(monkeypatch, divisions)
+    divisors = PrimeField.divisors
+    monkeypatch.setattr(PrimeField, "divisors",
+                        lambda self, values: sweeps.append(values) or divisors(self, values))
     read = levels(lt, spec.values, 2, field)
     for n in requests:
         read(n)
-    streamed = dict(counts)
-    counts.update(products=0, inverses=0)
-    generate(lt, spec, (2, requests[-1] - 1), field=field)
+    streamed = {"divisions": len(divisions), "sweeps": len(sweeps)}
+    divisions.clear()
+    sweeps.clear()
+    table = generate(lt, spec, (2, requests[-1] - 1), field=field)
     # the same levels, and about the sweeps of one table
-    assert streamed["products"] == counts["products"]
-    assert streamed["inverses"] <= 1.1 * counts["inverses"]
+    assert len(divisions) == sum(len(seq) - 2 for seq in table.values) > 0
+    assert streamed["divisions"] == len(divisions)
+    assert streamed["sweeps"] <= 1.1 * len(sweeps)
