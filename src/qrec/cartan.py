@@ -1,5 +1,6 @@
 """Static data for the simple Lie types: Cartan matrices, symmetrizers,
-recurrence orders and dimension-growth degrees, and the table built from them.
+positive roots, recurrence orders and dimension-growth degrees, and the table
+built from them.  Everything here is an integer.
 
 Node numbering: the classical families are chains 1..r with the short/long
 asymmetry on the last bond (B: node r short, C: node r long); D attaches
@@ -9,7 +10,6 @@ node 3; F4 is 1-2=>3-4 (nodes 3,4 short); G2 has node 1 long, node 2 short.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 RANK_BOUNDS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
@@ -45,8 +45,6 @@ class CartanData:
     lie_type: LieType
     cartan: tuple[tuple[int, ...], ...]
     t: tuple[int, ...]
-    quadratic_form: tuple[tuple[Fraction, ...], ...]
-    cartan_inverse: tuple[tuple[Fraction, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -91,33 +89,44 @@ def _cartan_matrix_and_t(lt: LieType):
 
 @lru_cache(maxsize=None)
 def cartan_data(lt: LieType) -> CartanData:
-    """Cartan matrix, squared-length labels and the exact form (omega_a, omega_b)."""
-    from .linalg import invert_matrix
-
+    """Cartan matrix C, whose column a holds alpha_a in the fundamental-weight
+    basis, and the squared-length labels t_a = 2 / (alpha_a, alpha_a)."""
     mat, t = _cartan_matrix_and_t(lt)
-    inv = invert_matrix(mat)
-    # (omega_a, omega_b) = (C^-1)_ab / t_a; symmetric because C = diag(t) * S.
-    form = [[inv[a][b] / t[a] for b in range(lt.rank)] for a in range(lt.rank)]
-    return CartanData(
-        lie_type=lt,
-        cartan=tuple(tuple(row) for row in mat),
-        t=tuple(t),
-        quadratic_form=tuple(tuple(row) for row in form),
-        cartan_inverse=tuple(tuple(row) for row in inv),
-    )
+    return CartanData(lie_type=lt, cartan=tuple(tuple(row) for row in mat), t=tuple(t))
+
+
+def _shift(k, a, n):
+    return k[:a] + (k[a] + n,) + k[a + 1:]
+
+
+@lru_cache(maxsize=None)
+def positive_roots(lt: LieType) -> tuple[tuple[int, ...], ...]:
+    """All positive roots in simple-root coordinates k (the root is
+    sum_j k_j alpha_j), closing root strings upward from the simple roots:
+    beta + alpha_a is a root when beta - p alpha_a is the lowest root of its
+    alpha_a-string and p > <beta, alpha_a^vee> = (C k)_a."""
+    cartan, r = cartan_data(lt).cartan, lt.rank
+    frontier = [tuple(int(i == a) for i in range(r)) for a in range(r)]
+    roots = set(frontier)
+    while frontier:
+        nxt = []
+        for k in frontier:
+            for a, row in enumerate(cartan):
+                p = 0
+                while _shift(k, a, -p - 1) in roots:
+                    p += 1
+                up = _shift(k, a, 1)
+                if p > sum(c * x for c, x in zip(row, k)) and up not in roots:
+                    roots.add(up)
+                    nxt.append(up)
+        frontier = nxt
+    return tuple(sorted(roots))
 
 
 def growth_degree(lt: LieType) -> list[int]:
-    """Row sums of 2*C^-1: the polynomial growth degree of each node's
-    dimension sequence. Integral for every simple type."""
-    cd = cartan_data(lt)
-    degs = []
-    for row in cd.cartan_inverse:
-        total = 2 * sum(row)
-        if total.denominator != 1:
-            raise ArithmeticError(f"non-integer growth degree {total} for {lt}")
-        degs.append(int(total))
-    return degs
+    """The simple-root coordinates of 2 rho, the sum of the positive roots:
+    the polynomial growth degree of each node's dimension sequence."""
+    return [sum(column) for column in zip(*positive_roots(lt))]
 
 
 @lru_cache(maxsize=None)

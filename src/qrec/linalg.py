@@ -1,4 +1,4 @@
-"""Exact linear algebra.
+"""Exact linear algebra: one solver, for the interpolation fit.
 
 `solve_overdetermined` solves a system of integers modulo the 61-bit
 Mersenne prime P and certifies the lifted solution exactly: when the rank
@@ -41,16 +41,6 @@ def _eliminate(aug, n, field):
                 aug[r] = [reduce(x - factor * y) for x, y in zip(row, lead)]
         pivots.append(col)
     return aug, pivots, order
-
-
-def invert_matrix(rows):
-    """Invert a square matrix of rationals by Gauss-Jordan elimination."""
-    n = len(rows)
-    aug, pivots, _ = _eliminate([[*row, *(int(i == j) for j in range(n))]
-                                 for i, row in enumerate(rows)], n, RATIONALS)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in aug]
 
 
 def _satisfied(system, sol) -> bool:

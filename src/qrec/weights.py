@@ -1,16 +1,22 @@
 """Weight systems of irreducible highest-weight modules with exact
 multiplicities, Weyl dimensions, and evaluation of formal exponentials.
 
-All weights live in the fundamental-weight basis as integer tuples; inner
-products come from the exact quadratic form in `cartan`.
+All weights live in the fundamental-weight basis as integer tuples, and the
+Weyl dimension formula and Freudenthal's recursion run in integers: a weight
+x pairs with a positive root alpha = sum_j k_j alpha_j as
+(x, alpha) = sum_j x_j k_j / t_j, since (omega_i, alpha_j) = delta_ij / t_j,
+which is an integer once scaled by T = lcm(t).  Each dimension and each
+multiplicity is then one exact quotient.
 """
 from __future__ import annotations
 
 import os
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .cartan import CartanData, LieType, cartan_data
+from .cartan import CartanData, LieType, cartan_data, positive_roots
+from .fields import INTEGERS
 
 Weight = tuple[int, ...]
 
@@ -42,18 +48,8 @@ def omega(rank: int, a: int) -> Weight:
     return tuple(int(i == a - 1) for i in range(rank))
 
 
-def wsum(u: Weight, v: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def is_dominant(w: Weight) -> bool:
     return all(c >= 0 for c in w)
-
-
-def simple_roots(cd: CartanData) -> list[Weight]:
-    """Simple roots in the fundamental-weight basis: column a of the Cartan matrix."""
-    r = cd.rank
-    return [tuple(cd.cartan[b][a] for b in range(r)) for a in range(r)]
 
 
 def reflect(cd: CartanData, w: Weight, a: int) -> Weight:
@@ -62,16 +58,6 @@ def reflect(cd: CartanData, w: Weight, a: int) -> Weight:
         return w
     alpha = tuple(cd.cartan[b][a] for b in range(cd.rank))
     return tuple(x - w[a] * y for x, y in zip(w, alpha))
-
-
-def inner(cd: CartanData, u, v) -> Fraction:
-    form = cd.quadratic_form
-    total = Fraction(0)
-    for a, ua in enumerate(u):
-        if ua:
-            row = form[a]
-            total += ua * sum(vb * row[b] for b, vb in enumerate(v) if vb)
-    return total
 
 
 def dominant_conjugate(cd: CartanData, w: Weight) -> Weight:
@@ -99,31 +85,13 @@ def weyl_orbit(cd: CartanData, w: Weight) -> list[Weight]:
     return sorted(seen)
 
 
-@lru_cache(maxsize=None)
-def positive_roots(lt: LieType) -> tuple[Weight, ...]:
-    """All positive roots, generated by closing root strings upward from the simples."""
+def _roots(lt: LieType) -> list[tuple[Weight, Weight]]:
+    """Each positive root as (its fundamental-weight coordinates C k, its
+    pairing vector v with v_j = k_j T / t_j, so that T (x, alpha) = x . v)."""
     cd = cartan_data(lt)
-    simples = simple_roots(cd)
-    roots = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for a, alpha in enumerate(simples):
-                if beta == alpha:
-                    continue
-                p = 0
-                down = tuple(x - y for x, y in zip(beta, alpha))
-                while down in roots:
-                    p += 1
-                    down = tuple(x - y for x, y in zip(down, alpha))
-                if p - beta[a] >= 1:
-                    up = wsum(beta, alpha)
-                    if up not in roots:
-                        roots.add(up)
-                        nxt.append(up)
-        frontier = nxt
-    return tuple(sorted(roots))
+    scale = [lcm(*cd.t) // t for t in cd.t]
+    return [(tuple(sum(c * x for c, x in zip(row, k)) for row in cd.cartan),
+             tuple(x * s for x, s in zip(k, scale))) for k in positive_roots(lt)]
 
 
 def _require_dominant(highest):
@@ -133,76 +101,54 @@ def _require_dominant(highest):
 
 @lru_cache(maxsize=None)
 def dimension(lt: LieType, highest: Weight) -> int:
-    """Weyl dimension formula, exact."""
+    """Weyl dimension formula: the product over the positive roots of
+    (highest + rho, alpha) / (rho, alpha), with rho = (1, ..., 1)."""
     _require_dominant(highest)
-    cd = cartan_data(lt)
-    rho = (1,) * cd.rank
-    lam_rho = wsum(highest, rho)
-    dim = Fraction(1)
-    for alpha in positive_roots(lt):
-        dim *= inner(cd, lam_rho, alpha) / inner(cd, rho, alpha)
-    assert dim.denominator == 1 and dim > 0
-    return int(dim)
-
-
-def _dominant_weights_below(cd: CartanData, pos_roots, highest: Weight):
-    """All dominant weights <= highest (covers in dominance order differ by
-    one positive root, so closure under root subtraction is complete)."""
-    found = {tuple(highest)}
-    frontier = [tuple(highest)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for beta in pos_roots:
-                v = tuple(a - b for a, b in zip(w, beta))
-                if v not in found and all(c >= 0 for c in v):
-                    found.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return found
+    num = den = 1
+    for _, v in _roots(lt):
+        num *= sum((x + 1) * y for x, y in zip(highest, v))
+        den *= sum(v)
+    return INTEGERS.divide(num, den)
 
 
 @lru_cache(maxsize=None)
 def _dominant_multiplicities(lt: LieType, highest: Weight) -> tuple:
-    """Freudenthal multiplicities on the dominant weights of L(highest)."""
+    """Freudenthal multiplicities on the dominant weights mu of L(highest):
+    m(mu) (highest - mu, highest + mu + 2 rho)
+        = 2 sum over alpha > 0 and n >= 1 of m(mu + n alpha) (mu + n alpha, alpha),
+    both sides scaled by T."""
     cd = cartan_data(lt)
-    pos = positive_roots(lt)
-    rho = (1,) * cd.rank
-    lam_rho = wsum(highest, rho)
-    top_norm = inner(cd, lam_rho, lam_rho)
+    roots = _roots(lt)
+    # The dominant weights below highest, each with the pairing vector of
+    # highest - mu.  Covers in dominance order differ by one positive root,
+    # so closure under root subtraction is complete.
+    gaps = {highest: zero(lt.rank)}
+    frontier = [highest]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for beta, v in roots:
+                mu = tuple(a - b for a, b in zip(w, beta))
+                if mu not in gaps and min(mu) >= 0:
+                    gaps[mu] = tuple(a + b for a, b in zip(gaps[w], v))
+                    nxt.append(mu)
+        frontier = nxt
 
-    doms = _dominant_weights_below(cd, pos, highest)
-    inv = cd.cartan_inverse
-
-    def depth(mu):
-        # height of highest - mu in the simple-root basis
-        diff = tuple(a - b for a, b in zip(highest, mu))
-        total = Fraction(0)
-        for a in range(cd.rank):
-            total += sum(inv[a][b] * diff[b] for b in range(cd.rank))
-        assert total.denominator == 1
-        return int(total)
-
-    mult: dict[Weight, int] = {}
-    for mu in sorted(doms, key=depth):
-        if mu == tuple(highest):
-            mult[mu] = 1
-            continue
-        acc = Fraction(0)
-        for alpha in pos:
-            k = 1
-            while True:
-                nu = tuple(a + k * b for a, b in zip(mu, alpha))
-                m = mult.get(dominant_conjugate(cd, nu), 0)
-                if m == 0:
-                    break
-                acc += m * inner(cd, nu, alpha)
-                k += 1
-        mu_rho = wsum(mu, rho)
-        denom = top_norm - inner(cd, mu_rho, mu_rho)
-        value = 2 * acc / denom
-        assert value.denominator == 1 and value > 0
-        mult[mu] = int(value)
+    # Sorting by T (highest - mu, rho), the sum of the pairing vector, puts
+    # highest first and the dominant conjugate of each mu + n alpha before
+    # mu: it lies above mu in dominance order, and (alpha_j, rho) > 0 for
+    # every simple root.
+    mult = {highest: 1}
+    for mu in sorted(gaps, key=lambda mu: sum(gaps[mu]))[1:]:
+        acc = 0
+        for beta, v in roots:
+            nu = tuple(a + b for a, b in zip(mu, beta))
+            while m := mult.get(dominant_conjugate(cd, nu), 0):
+                acc += m * sum(x * y for x, y in zip(nu, v))
+                nu = tuple(a + b for a, b in zip(nu, beta))
+        gap = sum(g * (x + y + 2) for g, x, y in zip(gaps[mu], highest, mu))
+        mult[mu] = INTEGERS.divide(2 * acc, gap)
+        assert mult[mu] > 0
     return tuple(sorted(mult.items()))
 
 

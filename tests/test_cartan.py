@@ -1,14 +1,20 @@
+import hashlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from qrec.cartan import (LieType, order_tables, cartan_data, growth_degree,
                          lm_coefficient, mm_coefficient, predicted_order)
-from qrec.weights import inner
+
+from helpers_oracles import solve_exact
 
 ALL_TYPES = ([f"A{r}" for r in range(1, 8)] + [f"B{r}" for r in range(2, 8)]
              + [f"C{r}" for r in range(2, 8)] + [f"D{r}" for r in range(3, 8)]
              + ["E6", "E7", "E8", "F4", "G2"])
+
+# every tabulated type in table order, then larger classical ranks
+GROWTH_TYPES = ALL_TYPES + ["A8", "B8", "C8", "D8", "B12", "C12", "D12", "A15"]
 
 # order tables up to rank 7, embedded independently of the shipped data file
 ORDER_TABLE = {
@@ -75,10 +81,14 @@ def test_symmetrizability_and_normalization(name):
                 assert (cd.cartan[a][b] == 0) == (cd.cartan[b][a] == 0)
             # C = diag(t) * S with S symmetric
             assert Fraction(cd.cartan[a][b], cd.t[a]) == Fraction(cd.cartan[b][a], cd.t[b])
-    # t_a = 2 / (alpha_a, alpha_a) under the normalization of the form
+    # t_a = 2 / (alpha_a, alpha_a), in the integer pairing scaled by T = lcm(t):
+    # T (x, alpha) = sum_j x_j k_j T / t_j for x in the fundamental-weight basis
+    # and alpha = sum_j k_j alpha_j
+    T = lcm(*cd.t)
     for a in range(r):
         alpha = tuple(cd.cartan[b][a] for b in range(r))
-        assert inner(cd, alpha, alpha) == Fraction(2, cd.t[a])
+        k = tuple(int(j == a) for j in range(r))
+        assert sum(x * kj * (T // t) for x, kj, t in zip(alpha, k, cd.t)) == 2 * T // cd.t[a]
 
 
 def test_lm_mm_triangles():
@@ -114,13 +124,17 @@ def test_growth_degree_examples():
     assert growth_degree(LieType.parse("A3")) == [3, 4, 3]
 
 
-@pytest.mark.parametrize("name", ALL_TYPES + ["A8", "B8", "C8", "D8"])
+@pytest.mark.parametrize("name", GROWTH_TYPES)
 def test_growth_degree_integral(name):
+    """2 rho = 2 (omega_1 + ... + omega_r) has fundamental-weight coordinates
+    (2, ..., 2), so its simple-root coordinates, the growth degrees, solve
+    C d = 2: a Fraction solve that shares no code with qrec."""
     lt = LieType.parse(name)
     degs = growth_degree(lt)
     assert all(isinstance(d, int) and d > 0 for d in degs)
     if lt.family == "A":
         assert degs == [a * (lt.rank + 1 - a) for a in range(1, lt.rank + 1)]
+    assert degs == solve_exact(cartan_data(lt).cartan, [2] * lt.rank)
 
 
 def test_exceptional_growth_degrees():
@@ -147,3 +161,16 @@ def test_order_table_rows_match_paper_values():
 def test_predicted_order_rejects_bad_node():
     with pytest.raises(ValueError):
         predicted_order(LieType.parse("A3"), 4)
+
+
+# Pinned before growth degrees were read from the positive roots instead of
+# the inverse Cartan matrix: sha256 of repr((type, degrees)) over GROWTH_TYPES.
+GROWTH_DEGREES_SHA256 = "6165e6ce668f0e97b7e5e6e581abf2abfaaae29ccd31f8018e7b4ada8a83eef3"
+
+
+def test_growth_degrees_match_the_pinned_digest():
+    assert ALL_TYPES == [f"{row['type']}{row['rank']}" for row in order_tables()]
+    digest = hashlib.sha256()
+    for name in GROWTH_TYPES:
+        digest.update(repr((name, growth_degree(LieType.parse(name)))).encode())
+    assert digest.hexdigest() == GROWTH_DEGREES_SHA256

@@ -1,11 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from qrec.cartan import LieType, cartan_data
-from qrec.weights import (DimensionCapExceeded, dimension, evaluate, positive_roots,
-                          reflect, weight_system, wsum)
+from qrec.cartan import LieType, cartan_data, order_tables, positive_roots
+from qrec.weights import DimensionCapExceeded, dimension, evaluate, reflect, weight_system
 
 from helpers_oracles import brute_elementary_symmetric
 
@@ -140,7 +140,8 @@ def test_evaluate_is_multiplicative():
     for _ in range(25):
         w1 = tuple(rng.randint(-4, 4) for _ in range(3))
         w2 = tuple(rng.randint(-4, 4) for _ in range(3))
-        assert evaluate(wsum(w1, w2), y) == evaluate(w1, y) * evaluate(w2, y)
+        w12 = tuple(a + b for a, b in zip(w1, w2))
+        assert evaluate(w12, y) == evaluate(w1, y) * evaluate(w2, y)
 
 
 def test_exterior_power_link():
@@ -155,3 +156,36 @@ def test_exterior_power_link():
         yr = tuple(Fraction(k + 2, 3) for k in range(r))
         vals = [evaluate(w, yr) for w in weight_system(ltr, omega(ltr, 1))]
         assert brute_elementary_symmetric(vals, r + 1) == 1
+
+
+# Pinned before the weights layer moved from a Fraction quadratic form to
+# integer pairings: each digest hashes repr((type, a, value)) for every
+# fundamental weight omega_a of the 29 tabulated types, in table order
+# (the weight systems only up to dimension 20000).
+FUNDAMENTAL_SYSTEMS_SHA256 = "9223f890c3f7d3be9e95d949011a124c5d0ff1e454ad9ab7554a7f86f2ed6c34"
+FUNDAMENTAL_DIMENSIONS_SHA256 = "e0726f144e5836e366053995fc0311a61b0702523126d3d897db3c16164ad66a"
+
+
+def fundamental_modules():
+    for row in order_tables():
+        lt = LieType(row["type"], row["rank"])
+        for a in range(1, lt.rank + 1):
+            yield lt, a
+
+
+def test_fundamental_weight_systems_match_the_pinned_digest():
+    digest, count = hashlib.sha256(), 0
+    for lt, a in fundamental_modules():
+        if dimension(lt, omega(lt, a)) <= 20000:
+            entries = sorted(weight_system(lt, omega(lt, a)).items())
+            digest.update(repr((str(lt), a, entries)).encode())
+            count += 1
+    assert count == 126
+    assert digest.hexdigest() == FUNDAMENTAL_SYSTEMS_SHA256
+
+
+def test_fundamental_dimensions_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for lt, a in fundamental_modules():
+        digest.update(repr((str(lt), a, dimension(lt, omega(lt, a)))).encode())
+    assert digest.hexdigest() == FUNDAMENTAL_DIMENSIONS_SHA256
