@@ -9,25 +9,24 @@ node 3; F4 is 1-2=>3-4 (nodes 3,4 short); G2 has node 1 long, node 2 short.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 RANK_BOUNDS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
-@dataclass(frozen=True)
-class LieType:
-    family: str
-    rank: int
+class LieType(namedtuple("LieType", "family rank")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        bounds = RANK_BOUNDS.get(self.family)
+    def __new__(cls, family: str, rank: int):
+        bounds = RANK_BOUNDS.get(family)
         if bounds is None:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {family!r}")
         lo, hi = bounds
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise ValueError(f"rank {self.rank} out of range for family {self.family}")
+        if rank < lo or (hi is not None and rank > hi):
+            raise ValueError(f"rank {rank} out of range for family {family}")
+        return super().__new__(cls, family, rank)
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
@@ -40,11 +39,10 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class CartanData:
-    lie_type: LieType
-    cartan: tuple[tuple[int, ...], ...]
-    t: tuple[int, ...]
+class CartanData(namedtuple("CartanData", "lie_type cartan t")):
+    """The Cartan matrix (a tuple of int rows) and the labels t (ints)."""
+
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

@@ -540,7 +540,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The qrec parser.  When command names a subcommand, only that one gets
+    its options, since a run parses no other; otherwise every one does."""
     parser = _Parser(
         prog="qrec",
         description="Exact Q-system tables, recurrence detection, and structural checks.")
@@ -569,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes --type, --out and only the options its runner reads
     run = "node seed depth guard"
     spec = "mode q y branching"
-    for name, runner, text, names in (
+    commands = (
         ("gen", run_gen, "generate a Q-table", f"{run} {spec} format"),
         ("detect", run_detect, "detect the minimal recurrence of a node",
          f"{run} modular {spec}"),
@@ -581,16 +583,21 @@ def build_parser() -> argparse.ArgumentParser:
         ("dims", run_dims, "dimension-mode table and growth degrees",
          "depth branching format"),
         ("weights", run_weights, "dump a weight system as CSV or JSON", "highest format"),
-    ):
-        command = sub.add_parser(name, help=text)
-        command.set_defaults(run=runner)
-        for option in ("type", *names.split(), "out"):
-            command.add_argument(f"--{option}", **options[option])
+    )
+    if command not in [name for name, *_ in commands]:
+        command = None
+    for name, runner, text, names in commands:
+        subparser = sub.add_parser(name, help=text)
+        subparser.set_defaults(run=runner)
+        if command in (None, name):
+            for option in ("type", *names.split(), "out"):
+                subparser.add_argument(f"--{option}", **options[option])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.run(args)
     except (DimensionCapExceeded, conjectures.CapExceeded,

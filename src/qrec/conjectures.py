@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from . import linrec
 from .cartan import LieType, cartan_data, growth_degree, predicted_order
@@ -145,11 +145,10 @@ class QPoly:
 # catalogued weight sets
 
 
-@dataclass(frozen=True)
-class LambdaSpec:
-    weights: frozenset
-    primed: frozenset
-    stride: int
+class LambdaSpec(namedtuple("LambdaSpec", "weights primed stride")):
+    """Lambda_a and Lambda'_a as frozensets of weights, and the stride t_a."""
+
+    __slots__ = ()
 
     @property
     def predicted_order(self) -> int:
@@ -264,11 +263,7 @@ def level1_dimension(lt: LieType, a: int) -> int:
 # coefficient identities in q
 
 
-@dataclass(frozen=True)
-class CoefficientIdentity:
-    k: int
-    poly: QPoly
-    label: str
+CoefficientIdentity = namedtuple("CoefficientIdentity", "k poly label")
 
 
 def _dual_nodes(lt: LieType) -> tuple[int, ...]:
@@ -482,11 +477,8 @@ def interpolate_coefficients(lt: LieType, a: int, k: int, candidates, experiment
 # growth degrees from dimension tables
 
 
-@dataclass(frozen=True)
-class GrowthResult:
-    node: int
-    detected: int
-    predicted: int
+class GrowthResult(namedtuple("GrowthResult", "node detected predicted")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

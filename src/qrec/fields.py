@@ -6,10 +6,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import mul
-from typing import Iterator
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e24
 
@@ -64,26 +64,18 @@ class Integers:
 INTEGERS = Integers()
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(namedtuple("PrimeField", "modulus")):
     """Z/m for m a prime or a product of distinct primes; elements are plain
     ints in [0, m).  By the CRT, Z/m is the product of the prime fields, so a
     computation over it is one computation per prime factor, provided every
     divisor is a unit: inverting a non-unit raises ZeroDivisionError."""
 
-    modulus: int
+    __slots__ = ()
+    zero, one = 0, 1
 
     @property
     def name(self) -> str:
         return f"mod {self.modulus}"
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def _inverse(self, x: int) -> int:
         try:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Sequence
 
 from .fields import RATIONALS, PrimeField, prime_stream, rational_reconstruction
 
@@ -45,12 +45,12 @@ class CertificateFailure(RuntimeError):
     suffice."""
 
 
-@dataclass(frozen=True)
-class RecurrencePoly:
-    order: int
-    coeffs: tuple  # C_0..C_order, C_0 == 1
-    start: int  # first index from which the recurrence holds on the window
-    primes: tuple[int, ...] | None = None  # set by modular detection
+class RecurrencePoly(namedtuple("RecurrencePoly", "order coeffs start primes",
+                                defaults=(None,))):
+    """coeffs: C_0..C_order, C_0 == 1; start: the first index from which the
+    recurrence holds on the window; primes: set by modular detection."""
+
+    __slots__ = ()
 
     @property
     def confidence(self) -> str:

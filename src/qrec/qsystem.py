@@ -8,9 +8,9 @@ the level-1 data: explicit values, a torus point, or dimensions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
 
 from .cartan import LieType, cartan_data
 from .fields import INTEGERS, RATIONALS
@@ -36,32 +36,27 @@ class BranchingIncomplete(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class RawQ:
-    values: tuple
+# The three specializations of the level-1 data.  branching, when given, maps
+# a node to the dominant weights of its level-1 decomposition.
+class RawQ(namedtuple("RawQ", "values")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+    def __new__(cls, values):
+        return super().__new__(cls, tuple(Fraction(v) for v in values))
 
 
-@dataclass(frozen=True)
-class CharacterPoint:
-    y: tuple
-    branching: Mapping[int, Sequence[Weight]] | None = None
+class CharacterPoint(namedtuple("CharacterPoint", "y branching")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        y = tuple(Fraction(v) for v in self.y)
+    def __new__(cls, y, branching=None):
+        y = tuple(Fraction(v) for v in y)
         if any(v == 0 for v in y):
             raise ValueError("torus point entries must be nonzero")
-        object.__setattr__(self, "y", y)
+        return super().__new__(cls, y, branching)
 
 
-@dataclass(frozen=True)
-class DimensionMode:
-    branching: Mapping[int, Sequence[Weight]] | None = None
-
-
-Specialization = Union[RawQ, CharacterPoint, DimensionMode]
+class DimensionMode(namedtuple("DimensionMode", "branching", defaults=(None,))):
+    __slots__ = ()
 
 
 def default_branching(lt: LieType) -> dict[int, tuple[Weight, ...]]:
@@ -121,7 +116,8 @@ def resolve_branching(lt: LieType, override=None) -> dict[int, tuple[Weight, ...
     return table
 
 
-def initial_values(lt: LieType, spec: Specialization) -> list[Fraction]:
+def initial_values(lt: LieType,
+                   spec: RawQ | CharacterPoint | DimensionMode) -> list[Fraction]:
     """The level-1 values q_a as exact rationals."""
     r = lt.rank
     if isinstance(spec, RawQ):
@@ -175,14 +171,12 @@ def required_depths(lt: LieType, node: int | None, depth: int) -> list[int]:
     return need
 
 
-@dataclass(frozen=True)
-class QTable:
-    """Per-node sequences Q_0..Q_{N_a} of exact field elements."""
+class QTable(namedtuple("QTable", "lie_type field_name values spec_kind",
+                        defaults=("raw",))):
+    """Per-node sequences Q_0..Q_{N_a} of exact field elements: values holds
+    one tuple per node."""
 
-    lie_type: LieType
-    field_name: str
-    values: tuple[tuple, ...]
-    spec_kind: str = "raw"
+    __slots__ = ()
 
     def node(self, a: int) -> tuple:
         return self.values[a - 1]
@@ -253,7 +247,7 @@ def _table(lt, q, field):
     return extend
 
 
-def generate(lt: LieType, spec: Specialization, target,
+def generate(lt: LieType, spec: RawQ | CharacterPoint | DimensionMode, target,
              field=RATIONALS) -> QTable:
     """Advance the recursion until the target is reached: either a
     (node, depth) pair or a bare depth meaning every node (see _table)."""

@@ -178,12 +178,18 @@ def weight_system(lt: LieType, highest: Weight) -> dict[Weight, int]:
 
 def evaluate(obj, point) -> Fraction:
     """e^w at a torus point (a tuple of nonzero rationals), or the
-    multiplicity-weighted sum over a weight multiset (a character value)."""
+    multiplicity-weighted sum over a weight multiset (a character value).
+    e^w is one Fraction of integer powers of the entries' numerators and
+    denominators, so it is normalised once."""
     if isinstance(obj, dict):
         return sum((m * evaluate(w, point) for w, m in obj.items()), Fraction(0))
-    value = Fraction(1)
+    num = den = 1
     for y, e in zip(point, obj):
-        if e:
-            value *= Fraction(y) ** e
-    return value
+        if e > 0:
+            num *= y.numerator ** e
+            den *= y.denominator ** e
+        elif e < 0:
+            num *= y.denominator ** -e
+            den *= y.numerator ** -e
+    return Fraction(num, den)
 

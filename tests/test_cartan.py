@@ -54,6 +54,19 @@ def test_rank_bounds():
     assert str(LieType.parse("e6")) == "E6"
 
 
+def test_lie_type_is_an_immutable_value():
+    b3 = LieType(family="B", rank=3)
+    with pytest.raises(ValueError):
+        LieType(family="B", rank=1)
+    assert b3 == LieType.parse("B3") and hash(b3) == hash(LieType("B", 3))
+    assert b3 != LieType("C", 3)
+    assert repr(b3) == "LieType(family='B', rank=3)"
+    with pytest.raises(AttributeError):
+        b3.rank = 4
+    cd = cartan_data(b3)
+    assert cd is cartan_data(LieType("B", 3)) and cd.rank == 3 and cd.lie_type == b3
+
+
 def test_f4_cartan_matrix():
     cd = cartan_data(LieType.parse("F4"))
     assert cd.cartan == ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))

@@ -1,14 +1,15 @@
-import dataclasses
 import json
 import random
 
 import pytest
 
 from qrec.cartan import LieType, predicted_order
-from qrec.cli import _verify_checks, main
+from qrec.cli import _verify_checks, build_parser, main
 from qrec.conjectures import identity_catalogue
 from qrec.linrec import find_min_recurrence
 from qrec.qsystem import RawQ, SingularSpecialization, generate
+
+from test_cli_digests import PINS
 
 
 def run(capsys, *argv):
@@ -367,7 +368,7 @@ def test_a_changed_mirrored_coefficient_fails_the_catalogue(name, q, first):
     for k in upper:
         coeffs = list(rec.coeffs)
         coeffs[k] += 1
-        mutated = dataclasses.replace(rec, coeffs=tuple(coeffs))
+        mutated = rec._replace(coeffs=tuple(coeffs))
         assert _catalogue_status(lt, mutated, qvals) == "fail", k
 
 
@@ -381,6 +382,33 @@ def test_usage_errors_exit_3_and_help_exits_0(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0, argv
+
+
+COMMANDS = ("gen", "detect", "verify", "tables", "interpolate", "dims", "weights")
+
+
+def parse_outcome(parser, argv, capsys):
+    """(the Namespace, or the exit code, then stdout and stderr) of one parse."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_parser_built_for_one_subcommand_parses_as_the_full_parser(command, capsys):
+    for argv in ([command, "--help"], [command, "--type"], [command, "--bogus"]):
+        want = parse_outcome(build_parser(), argv, capsys)
+        assert want[0] == (0 if argv[1] == "--help" else 3) and want[1] + want[2]
+        assert parse_outcome(build_parser(command), argv, capsys) == want, argv
+    pinned = [text.removeprefix("doubling: ").format(bad="bad.json").split()
+              for text in PINS]
+    for argv in [argv for argv in pinned if argv[0] == command]:
+        want = build_parser().parse_args(argv)
+        assert build_parser(command).parse_args(argv) == want
+        assert build_parser("--help").parse_args(argv) == want  # no subcommand: all options
 
 
 def test_unreadable_branching_file_is_a_config_error(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """qrec has no dependencies: every module imports only the standard library
 and qrec itself.  It also carries no unreached code: every top-level
-definition is named elsewhere in qrec or exported."""
+definition is named elsewhere in qrec or exported, and its CLI imports no
+module that no job runs, since every invocation pays its import."""
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,7 +31,7 @@ def test_every_top_level_definition_is_named_in_qrec_or_exported():
     """A function or class that no other statement of qrec names, and that
     qrec does not export, is code no subcommand reaches.  A name counts when
     it is read, or read as an attribute of a qrec module (`linrec.numerator`);
-    an assigned name or an attribute of anything else (a dataclass field of
+    an assigned name or an attribute of anything else (a namedtuple field of
     the same name) does not."""
     modules = {path.stem for path in MODULES}
     statements = [stmt for path in MODULES
@@ -45,3 +47,15 @@ def test_every_top_level_definition_is_named_in_qrec_or_exported():
                  and stmt.name not in qrec.__all__
                  and not any(stmt.name in other for other in named if other is not own)]
     assert not unreached
+
+
+def test_the_cli_imports_no_module_that_no_job_runs():
+    """dataclasses, typing and inspect (which dataclasses pulls in) cost
+    about half of a fresh import of qrec.cli, and no job uses them."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qrec.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    src = str(Path(qrec.__file__).parent.parent)
+    loaded = subprocess.run([sys.executable, "-I", "-S", "-c", code, src], check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "qrec.cli" in loaded
+    assert not {"dataclasses", "typing", "inspect"} & set(loaded)

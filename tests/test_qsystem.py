@@ -22,6 +22,19 @@ G2 = LieType.parse("G2")
 B2 = LieType.parse("B2")
 
 
+def test_specializations_convert_and_check_their_entries():
+    assert RawQ(values=[1, "2/3"]) == RawQ((F(1), F(2, 3)))
+    assert type(RawQ([1]).values[0]) is F
+    point = CharacterPoint(y=[2, "1/3"])
+    assert point.y == (F(2), F(1, 3)) and point.branching is None
+    with pytest.raises(ValueError, match="nonzero"):
+        CharacterPoint((1, 0))
+    assert DimensionMode().branching is None
+    assert repr(DimensionMode()) == "DimensionMode(branching=None)"
+    with pytest.raises(AttributeError):
+        point.y = (F(1), F(1))
+
+
 def test_floor_semantics_on_negative_operands():
     # the recursion indices divide negative numerators by negative couplings;
     # Python's // is the mathematical floor, which these cases pin down

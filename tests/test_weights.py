@@ -144,6 +144,24 @@ def test_evaluate_is_multiplicative():
         assert evaluate(w12, y) == evaluate(w1, y) * evaluate(w2, y)
 
 
+def test_evaluate_matches_a_product_of_fraction_powers():
+    # the reference: one Fraction power per coordinate, normalised at each product
+    rng = random.Random(11)
+    nonzero = [n for n in range(-9, 10) if n]
+    for rank in (1, 2, 4, 6):
+        for _ in range(40):
+            y = tuple(Fraction(rng.choice(nonzero), rng.randint(1, 9)) for _ in range(rank))
+            w = tuple(rng.randint(-5, 5) for _ in range(rank))
+            want = Fraction(1)
+            for v, e in zip(y, w):
+                want *= Fraction(v) ** e
+            got = evaluate(w, y)
+            assert type(got) is Fraction and got == want, (y, w)
+    assert evaluate((2, -3), (-2, 3)) == Fraction(4, 27)
+    assert evaluate((-1,), (-3,)) == Fraction(-1, 3)
+    assert evaluate((-1, 1), (4, 6)) == Fraction(3, 2)  # integer entries
+
+
 def test_exterior_power_link():
     # e_2 of the A2 vector-representation values equals the L(omega_2) character
     lt = LieType.parse("A2")
