@@ -9,6 +9,7 @@ node 3; F4 is 1-2=>3-4 (nodes 3,4 short); G2 has node 1 long, node 2 short.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import lru_cache
 
@@ -127,28 +128,24 @@ def growth_degree(lt: LieType) -> list[int]:
     return [sum(column) for column in zip(*positive_roots(lt))]
 
 
-@lru_cache(maxsize=None)
 def lm_coefficient(m: int, n: int) -> int:
-    """Triangle L with L(m,0)=1, L(m,m)=(3^m+1)/2, L(m,n)=2L(m-1,n-1)+L(m-1,n)."""
+    """Triangle L: the sum of C(m, j) 2^j over j <= n with j = n (mod 2),
+    the number of vectors in {0, +-1}^m whose support has at most n entries
+    and the parity of n.  L(m,0)=1, L(m,m)=(3^m+1)/2 and
+    L(m,n)=2L(m-1,n-1)+L(m-1,n)."""
     if not 0 <= n <= m:
         raise ValueError(f"L({m},{n}) out of domain 0 <= n <= m")
-    if n == 0:
-        return 1
-    if n == m:
-        return (3**m + 1) // 2
-    return 2 * lm_coefficient(m - 1, n - 1) + lm_coefficient(m - 1, n)
+    return sum(math.comb(m, j) << j for j in range(n % 2, n + 1, 2))
 
 
-@lru_cache(maxsize=None)
 def mm_coefficient(m: int, n: int) -> int:
-    """Triangle M with M(m,0)=1, M(m,m)=2*3^m-2^m, same interior recursion as L."""
+    """Triangle M: C(m, n) 2^n plus twice the sum of C(m, j) 2^j over j < n,
+    the vectors in {0, +-1}^m with support n counted once and those with a
+    smaller support twice.  M(m,0)=1, M(m,m)=2*3^m-2^m, same interior
+    recursion as L."""
     if not 0 <= n <= m:
         raise ValueError(f"M({m},{n}) out of domain 0 <= n <= m")
-    if n == 0:
-        return 1
-    if n == m:
-        return 2 * 3**m - 2**m
-    return 2 * mm_coefficient(m - 1, n - 1) + mm_coefficient(m - 1, n)
+    return (math.comb(m, n) << n) + 2 * sum(math.comb(m, j) << j for j in range(n))
 
 
 # Minimal recurrence orders for the exceptional types; None marks nodes whose
@@ -168,7 +165,6 @@ def predicted_order(lt: LieType, a: int):
         raise ValueError(f"node {a} out of range for {lt}")
     fam, r = lt.family, lt.rank
     if fam == "A":
-        import math
         return math.comb(r + 1, a)
     if fam == "B":
         return lm_coefficient(r, a) if a < r else 3**r - 2**r + 1

@@ -369,11 +369,9 @@ def _verify_checks(lt, node, rec, seq, qvals, y):
 
     if seq is not None:
         try:
-            ok, wit = conjectures.check_numerator(lt, node, seq, rec, qvals=qvals, y=y)
+            ok, wit = conjectures.check_numerator(lt, node, seq, rec, qvals, y)
             checks.append(_check("numerator", ok, wit))
         except conjectures.NotInCatalogue as exc:
-            checks.append(_skip("numerator", str(exc)))
-        except conjectures.SkippedNeedsCharacterPoint as exc:
             checks.append(_skip("numerator", str(exc)))
     else:
         checks.append(_skip("numerator", "modular run keeps no exact sequence"))
@@ -471,7 +469,7 @@ def run_interpolate(args):
     detect_s = time.perf_counter() - started
     candidates = conjectures.degree_monomials(lt.rank, args.degree)
     started = time.perf_counter()
-    poly = conjectures.interpolate_coefficients(lt, node, k, candidates, experiments)
+    poly = conjectures.interpolate_coefficients(lt.rank, candidates, experiments)
     solve_s = time.perf_counter() - started
     payload = {
         "job": "interpolate",

@@ -43,10 +43,6 @@ class NonIntegerSolution(RuntimeError):
         super().__init__(f"interpolated coefficients are not integers: {values}")
 
 
-class SkippedNeedsCharacterPoint(RuntimeError):
-    """The requested check needs character values, not a bare q assignment."""
-
-
 class InsufficientDepth(ValueError):
     pass
 
@@ -108,9 +104,6 @@ class QPoly:
     def __eq__(self, other):
         return isinstance(other, QPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def evaluate(self, qvals) -> Fraction:
         return evaluate(self.terms, qvals)
 
@@ -136,9 +129,6 @@ class QPoly:
             pieces.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(pieces)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-    def __repr__(self):
-        return f"QPoly({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -362,54 +352,39 @@ def e6_numerator_terms():
         for const, terms in reversed(_E6_NUMERATOR)]
 
 
-def expected_numerator(lt: LieType, a: int):
-    """Catalogued numerator of A(D) * sum Q_m D^m, as QPoly coefficients,
-    or the marker "e6-characters" for the character-valued E6 table."""
+def expected_numerator(lt: LieType, a: int) -> list[QPoly]:
+    """Catalogued numerator of A(D) * sum Q_m D^m, as QPoly coefficients;
+    raises NotInCatalogue elsewhere (E6 node 1's entries are characters,
+    see check_numerator)."""
     fam, r = lt.family, lt.rank
     one = QPoly.const(r, 1)
-    if fam == "A" and a == 1:
+    if fam in ("A", "C") and a == 1:
         return [one]
     if fam == "B" and a == 1:
         return [one, one]
-    if fam == "C" and a == 1:
-        return [one]
     if fam == "D" and a == 1:
         return [one, QPoly(r), -one]
     if (fam, a) == ("G", 1):
         c = QPoly.var(r, 2) + one
         return [one, c, c, one]
-    if (fam, r, a) == ("E", 6, 1):
-        return "e6-characters"
-    return None
+    raise NotInCatalogue(f"no catalogued numerator for {lt} node {a}")
 
 
-def check_numerator(lt: LieType, a: int, seq, rec: RecurrencePoly, qvals=None, y=None):
-    """Compare the computed numerator against the catalogue.
-
-    Returns (ok, witness).  Raises SkippedNeedsCharacterPoint when the
-    catalogued entry needs character values that qvals cannot provide, and
-    NotInCatalogue when nothing is catalogued for this node.
+def check_numerator(lt: LieType, a: int, seq, rec: RecurrencePoly, qvals, y):
+    """Compare the computed numerator against the catalogue: polynomials in
+    the level-1 values qvals, or on E6 node 1 characters at the torus point
+    y.  Returns (ok, witness); raises NotInCatalogue when nothing is
+    catalogued for this node, or y is None on E6 node 1.
     """
-    expected = expected_numerator(lt, a)
-    if expected is None:
-        raise NotInCatalogue(f"no catalogued numerator for {lt} node {a}")
-    computed = linrec.numerator(seq, rec)
-    if expected == "e6-characters":
+    if (lt.family, lt.rank, a) == ("E", 6, 1):
         if y is None:
-            raise SkippedNeedsCharacterPoint(
-                "the E6 numerator needs character values at a torus point")
-        want = []
-        for const, terms in e6_numerator_terms():
-            v = Fraction(const)
-            for sign, mu in terms:
-                v += sign * evaluate(weight_system(lt, mu), y)
-            want.append(v)
+            raise NotInCatalogue("the E6 numerator needs character values at a torus point")
+        want = [Fraction(const) + sum(sign * evaluate(weight_system(lt, mu), y)
+                                      for sign, mu in terms)
+                for const, terms in e6_numerator_terms()]
     else:
-        if qvals is None:
-            raise SkippedNeedsCharacterPoint("numerator entries are polynomials in q")
-        want = [p.evaluate(qvals) for p in expected]
-    while len(want) > 1 and want[-1] == 0:
-        want.pop()
+        want = [p.evaluate(qvals) for p in expected_numerator(lt, a)]
+    computed = linrec.numerator(seq, rec)
     if computed == want:
         return True, None
     return False, f"numerator {computed} != catalogued {want}"
@@ -448,7 +423,7 @@ def degree_monomials(rank: int, max_degree: int = 2) -> list[tuple]:
                   for combo in itertools.combinations_with_replacement(range(rank), degree))
 
 
-def interpolate_coefficients(lt: LieType, a: int, k: int, candidates, experiments):
+def interpolate_coefficients(rank: int, candidates, experiments):
     """Fit an integer polynomial in q to observed coefficient values.
 
     experiments: list of (qvals, value of C_k).  Solves exactly on every
@@ -470,7 +445,7 @@ def interpolate_coefficients(lt: LieType, a: int, k: int, candidates, experiment
         return None
     if any(c.denominator != 1 for c in sol):
         raise NonIntegerSolution([str(c) for c in sol])
-    return QPoly(lt.rank, {e: int(c) for e, c in zip(candidates, sol)})
+    return QPoly(rank, {e: int(c) for e, c in zip(candidates, sol)})
 
 
 # ---------------------------------------------------------------------------

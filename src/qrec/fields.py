@@ -15,9 +15,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e
 
 
 class Rationals:
-    """Q, with Fraction elements.  Like PrimeField, it offers of, inverses
-    and reduce; callers compute on plain operators and reduce each result.
-    Each ring divides by divide(num, d), d prepared in a batch by divisors."""
+    """Q, with Fraction elements.  Like PrimeField, it offers of and reduce;
+    callers compute on plain operators and reduce each result.  Each ring
+    divides by divide(num, d), d prepared in a batch by divisors."""
 
     name = "rational"
     zero = Fraction(0)
@@ -28,20 +28,17 @@ class Rationals:
         return Fraction(value)
 
     @staticmethod
-    def inverses(values) -> list:
+    def divisors(values) -> list:
         """1/v for each value; raises ZeroDivisionError on a zero.  Over Q
         one reciprocal each is cheaper than Montgomery's products."""
         return [Fraction(1, v.numerator) if v.denominator == 1 else v ** -1
                 for v in values]
 
-    divisors, divide = inverses, staticmethod(mul)
+    divide = staticmethod(mul)
 
     @staticmethod
     def reduce(x):
         return x
-
-    def __repr__(self):
-        return "Rationals()"
 
 
 RATIONALS = Rationals()
@@ -89,7 +86,7 @@ class PrimeField(namedtuple("PrimeField", "modulus")):
             return value.numerator * self._inverse(value.denominator) % self.modulus
         return int(value) % self.modulus
 
-    def inverses(self, values) -> list[int]:
+    def divisors(self, values) -> list[int]:
         """The inverse of each value, by Montgomery's trick: one inversion
         of the product and 3(r - 1) products.  Raises ZeroDivisionError when
         any value is a non-unit."""
@@ -103,8 +100,6 @@ class PrimeField(namedtuple("PrimeField", "modulus")):
             out[i] = inv * prefix[i] % m
             inv = inv * values[i] % m
         return out
-
-    divisors = inverses
 
     def divide(self, num: int, d: int) -> int:
         return num * d % self.modulus

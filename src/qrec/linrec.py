@@ -105,7 +105,7 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS, state: list | None = None):
             m += 1
         else:
             L = n + 1 - L
-            prev, (b_inv,), m = stash, field.inverses([d]), 1
+            prev, (b_inv,), m = stash, field.divisors([d]), 1
     if state is not None:
         state[:] = terms, cur, prev, L, m, b_inv
     conn = cur[: L + 1]
@@ -133,12 +133,12 @@ def _holds(seq, taps, n, field) -> bool:
 def _residues(seq, modulus, start=0):
     """seq[start:] modulo the modulus: each numerator % modulus when every
     denominator is 1, otherwise with the denominators inverted in one
-    inverses call; raises ZeroDivisionError when one is a non-unit."""
+    divisors call; raises ZeroDivisionError when one is a non-unit."""
     chunk = seq[start:] if start else seq
     if all(x.denominator == 1 for x in chunk):
         return [x.numerator % modulus for x in chunk]
-    inverses = PrimeField(modulus).inverses([x.denominator for x in chunk])
-    return [x.numerator * inv % modulus for x, inv in zip(chunk, inverses)]
+    divisors = PrimeField(modulus).divisors([x.denominator for x in chunk])
+    return [x.numerator * d % modulus for x, d in zip(chunk, divisors)]
 
 
 def _symmetric(c: int, modulus: int) -> int:
@@ -161,10 +161,10 @@ def _certified(conn, modulus, window, integral):
 
 
 def _read(seq, guard, field):
-    """(the terms read, their residues, BM's (L, conn) on them over the
-    field) of a window, read as one chunk, or a stream, read online:
-    terms(33), then terms(2L + g) for BM's current L, until that many are
-    read or no more come.  BM is fed each chunk once; a non-unit raises."""
+    """(the terms read, BM's (L, conn) on them over the field) of a window,
+    read as one chunk, or a stream, read online: terms(33), then
+    terms(2L + g) for BM's current L, until that many are read or no more
+    come.  BM is fed each chunk once; a non-unit raises."""
     terms = seq if callable(seq) else lambda n: seq
     fed, want, state = 0, 33, []
     while want > fed and len(read := terms(want)) > fed:
@@ -172,7 +172,7 @@ def _read(seq, guard, field):
         fed, want = len(read), 2 * run[0] + guard_terms(run[0], guard)
     if fed < 2 + guard_terms(0, guard):
         raise InsufficientData(f"{fed} terms are too few for guard {guard_terms(0, guard)}")
-    return read, state[0], run
+    return read, run
 
 
 def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
@@ -182,7 +182,9 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
 
     The minimal LFSR of the terms read is accepted once they number at
     least 2*L + guard_terms(L, guard); a transient at the start is absorbed
-    into the LFSR's initial fill and shows as a later start index.
+    into the LFSR's initial fill and shows as a later start index.  That
+    index is BM's L: taps that held from L - 1 on would be a shorter LFSR
+    modulo every prime of the modulus, where BM's L is minimal.
 
     One loop reads seq modulo each modulus in turn.  Over Z/m the one
     modulus is m, and BM's LFSR is not substituted again: BM ran on these
@@ -212,7 +214,7 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
                 f"no candidate LFSR of {len(window)} terms passed substitution")
         tried.append(bm_field.modulus.bit_length())
         try:
-            read, residues, (L, conn) = _read(seq, guard, bm_field)
+            read, (L, conn) = _read(seq, guard, bm_field)
         except ZeroDivisionError:
             if exact:
                 continue
@@ -224,7 +226,6 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
                 f"the minimal LFSR of {n_total} terms has length {L}, which "
                 f"{g} guard terms do not validate")
         if not exact:
-            window = residues
             break
         if len(window) != n_total:
             window = _cleared(read)
@@ -236,13 +237,8 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
     # trailing zero taps; the recurrence order is the actual degree
     while len(conn) > 1 and conn[-1] == 0:
         conn.pop()
-    taps = _cleared(conn)[::-1]
-    order = len(conn) - 1
-    start = L
-    while start > order and _holds(window, taps, start - 1, field):
-        start -= 1
     coeffs = tuple(c if k % 2 == 0 else field.reduce(-c) for k, c in enumerate(conn))
-    return RecurrencePoly(order=order, coeffs=coeffs, start=start)
+    return RecurrencePoly(order=len(conn) - 1, coeffs=coeffs, start=L)
 
 
 def annihilates(seq: Sequence, rec: RecurrencePoly, field=RATIONALS) -> bool:

@@ -1,10 +1,11 @@
 """Independent oracles for the test suite.
 
 Deliberately self-contained: the dense recurrence solver, subset-expansion
-e_k, the Q-system relation check, and the G2 dimension closed form share no
-code with the package under test.
+e_k, the Q-system relation check, the G2 dimension closed form and the L
+and M triangles' recursions share no code with the package under test.
 """
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -130,3 +131,25 @@ E6_NUMERATOR_TERMS = [
     (0, ()),
     (1, ()),
 ]
+
+
+@lru_cache(maxsize=None)
+def lm_recursion(m, n):
+    """Triangle L by its recursion: L(m,0)=1, L(m,m)=(3^m+1)/2 and
+    L(m,n)=2L(m-1,n-1)+L(m-1,n)."""
+    if n == 0:
+        return 1
+    if n == m:
+        return (3**m + 1) // 2
+    return 2 * lm_recursion(m - 1, n - 1) + lm_recursion(m - 1, n)
+
+
+@lru_cache(maxsize=None)
+def mm_recursion(m, n):
+    """Triangle M by its recursion: M(m,0)=1, M(m,m)=2*3^m-2^m and the
+    interior recursion of L."""
+    if n == 0:
+        return 1
+    if n == m:
+        return 2 * 3**m - 2**m
+    return 2 * mm_recursion(m - 1, n - 1) + mm_recursion(m - 1, n)

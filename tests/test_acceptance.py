@@ -168,7 +168,7 @@ def test_criterion_5_g2_full_suite():
         break
     assert (rec1.order, rec2.order) == (7, 27)
     qvals = initial_values(lt, CharacterPoint(y))
-    ok, witness = check_numerator(lt, 1, table1.node(1), rec1, qvals=qvals)
+    ok, witness = check_numerator(lt, 1, table1.node(1), rec1, qvals, y)
     assert ok, witness  # 1 + (q_2+1)D + (q_2+1)D^2 + D^3
     lam2 = build_lambda(lt, 2)
     assert lam2.stride == 3 and lam2.primed == build_lambda(lt, 1).weights

@@ -7,7 +7,7 @@ import pytest
 from qrec.cartan import (LieType, order_tables, cartan_data, growth_degree,
                          lm_coefficient, mm_coefficient, predicted_order)
 
-from helpers_oracles import solve_exact
+from helpers_oracles import lm_recursion, mm_recursion, solve_exact
 
 ALL_TYPES = ([f"A{r}" for r in range(1, 8)] + [f"B{r}" for r in range(2, 8)]
              + [f"C{r}" for r in range(2, 8)] + [f"D{r}" for r in range(3, 8)]
@@ -118,6 +118,13 @@ def test_lm_mm_triangles():
         lm_coefficient(3, 4)
     with pytest.raises(ValueError):
         mm_coefficient(3, -1)
+
+
+def test_the_closed_forms_equal_the_triangles_recursions():
+    for m in range(61):
+        for n in range(m + 1):
+            assert lm_coefficient(m, n) == lm_recursion(m, n), (m, n)
+            assert mm_coefficient(m, n) == mm_recursion(m, n), (m, n)
 
 
 def test_predicted_order_against_embedded_tables():

@@ -1,11 +1,13 @@
 import json
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
 from qrec.cartan import LieType, predicted_order
 from qrec.cli import _verify_checks, build_parser, main
-from qrec.conjectures import identity_catalogue
+from qrec.conjectures import check_numerator, identity_catalogue
 from qrec.linrec import find_min_recurrence
 from qrec.qsystem import RawQ, SingularSpecialization, generate
 
@@ -643,3 +645,51 @@ def test_a_character_point_verify_expands_no_elementary_symmetric(capsys):
         code, payload = run_json(capsys, *argv.split())
         checks = {c["name"]: c["status"] for c in payload["checks"]}
         assert code == 0 and checks["coefficient_formula"] == "pass", argv
+
+
+@pytest.mark.parametrize("argv", [
+    "detect --type B500 --node 2",
+    "verify --type B500 --node 2",
+    "interpolate --type B500 --node 2 --k 1 --degree 0 --runs 6",
+    "gen --type C500 --node 2",
+    "detect --type D500 --node 2",
+    "detect --type B495 --node 2",
+])
+def test_a_deep_classical_order_is_a_resource_cap(argv, capsys):
+    # the orders come from the L and M triangles, whose entries at rank 500
+    # must not recurse past the interpreter's limit
+    assert main(argv.split()) == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"resource cap: depth \d+ exceeds the depth ceiling 8192\n", err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("detect", "--type is required"),
+    ("detect --type A2 --q 1,x", "cannot parse number list '1,x'"),
+    ("detect --type A2 --mode raw-explicit", "raw-explicit mode needs --q"),
+    ("gen --type A2 --mode dimension", "dimension mode needs an explicit --depth"),
+    ("gen --type E6 --node 3", "--depth auto needs a tabulated order"),
+    ("interpolate --type A2", "--k is required for interpolate"),
+    ("interpolate --type E6 --node 3 --k 1", "interpolation needs a tabulated order"),
+    ("weights --type A2", "--highest is required"),
+    ("verify --type B3 --mode character-point --seed 7 --branching {node9}",
+     "branching node 9 out of range for B3"),
+])
+def test_each_usage_error_exits_3_with_its_message(argv, message, capsys, tmp_path):
+    node9 = tmp_path / "node9.json"
+    node9.write_text(json.dumps({"type": "B3", "branching": {"9": [[1, 0, 0]]}}))
+    assert main(argv.format(node9=node9).split()) == 3
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, q", [("A3", "3,-4,5"), ("C3", "3,-4,5"), ("D4", "3,-4,5,7")])
+def test_the_catalogued_node_1_numerators_hold_and_a_doubled_sequence_fails(name, q, capsys):
+    code, payload = run_json(capsys, "verify", "--type", name, "--q", q)
+    assert code == 0
+    assert {c["name"]: c["status"] for c in payload["checks"]}["numerator"] == "pass"
+    lt, qvals = LieType.parse(name), [Fraction(v) for v in q.split(",")]
+    seq = generate(lt, RawQ(qvals), (1, 40)).node(1)
+    rec = find_min_recurrence(seq)
+    assert check_numerator(lt, 1, seq, rec, qvals, None) == (True, None)
+    ok, witness = check_numerator(lt, 1, [2 * s for s in seq], rec, qvals, None)
+    assert not ok and re.fullmatch(r"numerator \[.*\] != catalogued \[.*\]", witness)

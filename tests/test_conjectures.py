@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qrec.cartan import LieType
-from qrec.conjectures import (NonIntegerSolution, NotInCatalogue, QPoly,
-                              SkippedNeedsCharacterPoint, UnderdeterminedSystem,
+from qrec.conjectures import (NonIntegerSolution, NotInCatalogue, QPoly, UnderdeterminedSystem,
                               build_lambda, check_factorization, check_growth_degree,
                               check_numerator, coefficient_formula, degree_monomials,
                               elldim_entries, expected_numerator,
@@ -216,7 +215,6 @@ def test_qpoly_str_and_arith():
 
 
 def test_interpolate_recovers_polynomial():
-    a2 = lt("A2")
     rng = random.Random(23)
     truth = QPoly(2, {(1, 0): 1})  # q_1
     experiments = []
@@ -224,26 +222,23 @@ def test_interpolate_recovers_polynomial():
         q = (rng.randint(-40, 40), rng.randint(-40, 40))
         experiments.append((q, truth.evaluate(q)))
     cands = degree_monomials(2, 1)
-    poly = interpolate_coefficients(a2, 1, 1, cands, experiments)
+    poly = interpolate_coefficients(2, cands, experiments)
     assert poly == truth
 
 
 def test_interpolate_no_fit_and_errors():
-    a2 = lt("A2")
     rng = random.Random(31)
     experiments = [((rng.randint(-30, 30), rng.randint(-30, 30)),
                     rng.randint(-500, 500)) for _ in range(12)]
-    assert interpolate_coefficients(a2, 1, 1, degree_monomials(2, 1),
-                                    experiments) is None
+    assert interpolate_coefficients(2, degree_monomials(2, 1), experiments) is None
     with pytest.raises(ValueError):
-        interpolate_coefficients(a2, 1, 1, degree_monomials(2, 1),
-                                 experiments[:4])
+        interpolate_coefficients(2, degree_monomials(2, 1), experiments[:4])
     degenerate = [((1, 1), 7)] * 12  # same point over and over
     with pytest.raises(UnderdeterminedSystem):
-        interpolate_coefficients(a2, 1, 1, degree_monomials(2, 1), degenerate)
+        interpolate_coefficients(2, degree_monomials(2, 1), degenerate)
     halves = [((q1, q2), F(q1, 2)) for (q1, q2), _ in experiments]
     with pytest.raises(NonIntegerSolution):
-        interpolate_coefficients(a2, 1, 1, degree_monomials(2, 1), halves)
+        interpolate_coefficients(2, degree_monomials(2, 1), halves)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +280,7 @@ def test_check_numerator_g2_dimension_mode():
     g2 = lt("G2")
     table = generate(g2, DimensionMode(), target=(1, 22))
     rec = find_min_recurrence(table.node(1))
-    ok, _ = check_numerator(g2, 1, table.node(1), rec, qvals=(15, 7))
+    ok, _ = check_numerator(g2, 1, table.node(1), rec, (15, 7), None)
     assert ok
     assert rec.order == 7
 
@@ -294,10 +289,10 @@ def test_check_numerator_needs_character_values():
     e6 = lt("E6")
     table = generate(e6, RawQ((17, 22, 38, 40, 14, 31)), target=(1, 62))
     rec = find_min_recurrence(table.node(1))
-    with pytest.raises(SkippedNeedsCharacterPoint):
-        check_numerator(e6, 1, table.node(1), rec, qvals=(17, 22, 38, 40, 14, 31))
-    with pytest.raises(NotInCatalogue):
-        check_numerator(lt("B3"), 2, table.node(1), rec, qvals=None)
+    with pytest.raises(NotInCatalogue, match="E6 numerator needs character values"):
+        check_numerator(e6, 1, table.node(1), rec, (17, 22, 38, 40, 14, 31), None)
+    with pytest.raises(NotInCatalogue, match="no catalogued numerator for B3 node 2"):
+        check_numerator(lt("B3"), 2, table.node(1), rec, None, None)
 
 
 def test_check_factorization_a1():
@@ -369,8 +364,8 @@ def test_e6_interpolation_recovers_table_rows():
         experiments[2].append((q, rec.coeffs[2]))
         experiments[25].append((q, rec.coeffs[25]))
     cands = degree_monomials(6, 1)
-    poly2 = interpolate_coefficients(e6, 1, 2, cands, experiments[2])
-    poly25 = interpolate_coefficients(e6, 1, 25, cands, experiments[25])
+    poly2 = interpolate_coefficients(6, cands, experiments[2])
+    poly25 = interpolate_coefficients(6, cands, experiments[25])
     q = lambda i: QPoly.var(6, i)
     assert poly2 == q(2) - q(5)
     assert poly25 == q(4) - q(1)

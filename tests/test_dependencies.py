@@ -1,7 +1,8 @@
 """qrec has no dependencies: every module imports only the standard library
 and qrec itself.  It also carries no unreached code: every top-level
-definition is named elsewhere in qrec or exported, and its CLI imports no
-module that no job runs, since every invocation pays its import."""
+definition is named elsewhere in qrec or exported, every parameter is read,
+and its CLI imports no module that no job runs, since every invocation pays
+its import."""
 import ast
 import subprocess
 import sys
@@ -47,6 +48,24 @@ def test_every_top_level_definition_is_named_in_qrec_or_exported():
                  and stmt.name not in qrec.__all__
                  and not any(stmt.name in other for other in named if other is not own)]
     assert not unreached
+
+
+def test_every_parameter_is_read():
+    """A parameter that its function's body never reads (nested functions
+    included) is an input that changes nothing; self and cls are exempt."""
+    unread = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            unread += [f"{path.stem}.{node.name}({arg.arg})" for arg in params
+                       if arg.arg not in ("self", "cls") and arg.arg not in read]
+    assert not unread
 
 
 def test_the_cli_imports_no_module_that_no_job_runs():

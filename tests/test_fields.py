@@ -62,11 +62,11 @@ def test_inverses_mod_a_product_of_primes():
         v = rng.randrange(1, m)
         if math.gcd(v, m) == 1:
             units.append(v)
-    inverses = field.inverses(units)
+    inverses = field.divisors(units)
     assert all(v * inv % m == 1 for v, inv in zip(units, inverses))
     assert inverses == [pow(v, -1, m) for v in units]
-    assert field.inverses([units[0]]) == [pow(units[0], -1, m)]
-    assert field.inverses([]) == []
+    assert field.divisors([units[0]]) == [pow(units[0], -1, m)]
+    assert field.divisors([]) == []
     assert field.reduce(-1) == m - 1 and field.reduce(m * m + 3) == 3
 
 
@@ -75,15 +75,15 @@ def test_inverses_raise_on_one_non_unit_among_many():
     field = PrimeField(p1 * p2 * p3)
     values = [3, 5, 7 * p2, 11, 13]
     with pytest.raises(ZeroDivisionError):
-        field.inverses(values)
+        field.divisors(values)
     with pytest.raises(ZeroDivisionError):
-        field.inverses([0])
+        field.divisors([0])
 
 
 def test_rational_inverses():
     values = [F(3), F(-2, 7), F(5, 4), F(-1)]
-    assert RATIONALS.inverses(values) == [1 / v for v in values]
-    assert RATIONALS.inverses([]) == []
+    assert RATIONALS.divisors(values) == [1 / v for v in values]
+    assert RATIONALS.divisors([]) == []
     assert RATIONALS.reduce(F(7, 3)) == F(7, 3)
     with pytest.raises(ZeroDivisionError):
-        RATIONALS.inverses([F(2), F(0), F(3)])
+        RATIONALS.divisors([F(2), F(0), F(3)])

@@ -8,7 +8,7 @@ import qrec.linalg as linalg
 import qrec.linrec as linrec
 from qrec.linalg import P, solve_overdetermined
 from qrec.fields import RATIONALS, PrimeField, prime_stream, seeded_primes
-from qrec.linrec import (PRIME_SEED, InsufficientData, LiftOverflow,
+from qrec.linrec import (PRIME_SEED, CertificateFailure, InsufficientData, LiftOverflow,
                          NonVanishingTail, NoStableRecurrence, PrimeDisagreement,
                          annihilates, berlekamp_massey, expand_linear_product,
                          find_min_recurrence, multi_prime_detect, numerator,
@@ -146,34 +146,34 @@ def _rhs(rows, sol):
 
 
 def _solve_cases():
-    """(id, rows, rhs, expected status, the rows eliminated over Q: None when
-    the modular solve returns, the pivot rows at full rank modulo P)."""
+    """(id, rows, rhs, expected status, whether the system is eliminated over
+    Q: every row is when the lift modulo P fails or the rank there is short)."""
     half = P // 2
     for seed in range(6):
         rows = _rows(seed, 9, 6)
         sol = [random.Random(seed).randint(-half, half) for _ in range(6)]
-        yield f"full-rank-{seed}", rows, _rhs(rows, sol), "unique", None
+        yield f"full-rank-{seed}", rows, _rhs(rows, sol), "unique", False
     rows = [[P * (i + 1), *row] for i, row in enumerate(_rows(10, 6, 2))]
-    yield "column-of-multiples-of-P", rows, _rhs(rows, [3, -1, 4]), "unique", 6
+    yield "column-of-multiples-of-P", rows, _rhs(rows, [3, -1, 4]), "unique", True
     rows = _rows(11, 5, 2)
-    yield "entry-above-half-P", rows, _rhs(rows, [half + 1, 7]), "unique", 2
-    yield "inconsistent", _rows(12, 6, 3), [1, 2, 3, 4, 5, 6], "inconsistent", 3
+    yield "entry-above-half-P", rows, _rhs(rows, [half + 1, 7]), "unique", True
+    yield "inconsistent", _rows(12, 6, 3), [1, 2, 3, 4, 5, 6], "inconsistent", True
     rows = [[a, b, a + b] for a, b in _rows(13, 6, 2)]
-    yield "underdetermined", rows, _rhs(rows, [1, 2, 0]), "underdetermined", 6
+    yield "underdetermined", rows, _rhs(rows, [1, 2, 0]), "underdetermined", True
     rows = [[3 * a, b] for a, b in _rows(14, 5, 2)]
     rhs = [int(b) for b in _rhs(rows, [F(1, 3), -5])]
-    yield "non-integer", rows, rhs, "unique", 2
+    yield "non-integer", rows, rhs, "unique", True
     # the first two rows repeat, so the rows that pivot are not the first n
     rows = [[3 * a, b] for a, b in _rows(15, 4, 2)]
     rows.insert(1, rows[0])
     rhs = [int(b) for b in _rhs(rows, [F(-2, 3), 9])]
-    yield "repeated-row-non-integer", rows, rhs, "unique", 2
-    yield "repeated-row-inconsistent", rows, [*rhs[:-1], rhs[-1] + 1], "inconsistent", 2
+    yield "repeated-row-non-integer", rows, rhs, "unique", True
+    yield "repeated-row-inconsistent", rows, [*rhs[:-1], rhs[-1] + 1], "inconsistent", True
 
 
-@pytest.mark.parametrize("rows, rhs, status, rows_over_q",
+@pytest.mark.parametrize("rows, rhs, status, over_q",
                          [pytest.param(*case[1:], id=case[0]) for case in _solve_cases()])
-def test_the_modular_solve_agrees_with_the_solve_over_q(rows, rhs, status, rows_over_q,
+def test_the_modular_solve_agrees_with_the_solve_over_q(rows, rhs, status, over_q,
                                                          monkeypatch):
     fields, real = [], linalg._eliminate
 
@@ -183,8 +183,8 @@ def test_the_modular_solve_agrees_with_the_solve_over_q(rows, rhs, status, rows_
 
     monkeypatch.setattr(linalg, "_eliminate", eliminate)
     result = solve_overdetermined(rows, rhs)
-    modular = rows_over_q is None
-    assert fields == [("PrimeField", len(rows))] + ([] if modular else [("Rationals", rows_over_q)])
+    modular = not over_q
+    assert fields == [("PrimeField", len(rows))] + ([] if modular else [("Rationals", len(rows))])
     # Fraction entries force the elimination over Q
     assert result == solve_overdetermined([[F(x) for x in row] for row in rows],
                                           [F(b) for b in rhs])
@@ -647,14 +647,13 @@ def test_only_exact_detection_substitutes_its_candidate(monkeypatch):
     q = [F(v) for v in (-27, -13, 18, 17)]
     rec = find_min_recurrence(levels(LieType.parse("F4"), q, 2, field), field=field)
     assert (rec.order, rec.start) == (145, 145) and substituted == []
-    # the start walk-back still substitutes, in both arithmetics
+    # a transient's start is BM's L in both arithmetics, with no substitution
     seq = frac([99, -7, 5] + [3**n for n in range(20)])
     modular = find_min_recurrence([int(s) % field.modulus for s in seq], field=field)
-    assert (modular.order, modular.start) == (1, 4) and substituted == [3]
-    substituted.clear()
+    assert (modular.order, modular.start) == (1, 4) and substituted == []
     exact = find_min_recurrence(seq)
     assert (exact.order, exact.start) == (1, 4)
-    assert substituted == [*range(4, len(seq)), 3]  # the certificate over Q, then the walk-back
+    assert substituted == [*range(4, len(seq))]  # the certificate over Q
 
 
 def test_a_later_modulus_rereads_the_stream_without_generating_a_level(monkeypatch):
@@ -693,3 +692,59 @@ def test_an_integral_window_lifts_symmetrically_first(bm_runs):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main("detect --type B5 --node 4 --seed 1".split()) == 0
     assert bm_runs == [(4, "ran"), (8, "ran")]
+
+
+def _lfsr_window(rng, rational):
+    """A window of an LFSR of order 1..6 after 0..4 transient terms, long
+    enough to validate it: integers, or fractions with small denominators."""
+    draw = ((lambda: F(rng.randint(-9, 9), rng.randint(1, 4))) if rational
+            else (lambda: F(rng.randint(-9, 9))))
+    order, transient = rng.randint(1, 6), rng.randint(0, 4)
+    taps = [draw() for _ in range(order - 1)] + [draw() or F(1)]
+    tail = [draw() for _ in range(order)]
+    length = 2 * (order + transient) + 8 + rng.randint(0, 6) - transient
+    while len(tail) < length:
+        tail.append(sum(c * tail[-1 - i] for i, c in enumerate(taps)))
+    return [draw() for _ in range(transient)] + tail
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integral", "rational"])
+@pytest.mark.parametrize("modular", [False, True], ids=["exact", "modular"])
+def test_the_start_is_bms_length_and_the_recurrence_fails_just_before_it(rational, modular):
+    rng = random.Random(f"start-{rational}-{modular}")
+    later = 0
+    for trial in range(260):
+        window = _lfsr_window(rng, rational)
+        if modular:
+            field = PrimeField(math.prod(seeded_primes(3, trial)))
+            window = [field.of(s) for s in window]
+        else:
+            field = RATIONALS
+        rec = find_min_recurrence(window, field=field)
+        L, _ = berlekamp_massey(window, field)
+        assert rec.start == L, trial
+        if rec.start > rec.order:
+            later += 1
+            n = rec.start - 1
+            taps = [field.of(c) for c in rec.alternating()]
+            assert field.reduce(sum(c * window[n - k] for k, c in enumerate(taps))) != 0
+    assert later > 150  # most transients show as later starts
+
+
+def test_no_certified_lift_fails_two_moduli_past_the_hadamard_bound(monkeypatch, capsys):
+    import qrec.cli as cli
+    moduli = []
+
+    def uncertified(conn, modulus, window, integral):
+        moduli.append(modulus)
+        return None
+
+    monkeypatch.setattr(linrec, "_certified", uncertified)
+    # 20 Fibonacci terms need 20 * (13 + 5) + 1 = 361 bits
+    with pytest.raises(CertificateFailure, match="no candidate LFSR of 20 terms"):
+        find_min_recurrence(frac(FIB[:20]))
+    primes = seeded_primes(28, PRIME_SEED)
+    assert [sum(m % p == 0 for p in primes) for m in moduli] == [4, 8, 16]
+    assert [m.bit_length() for m in moduli] == [203, 404, 811]
+    assert cli.main(["detect", "--type", "A2", "--q", "3,5"]) == 2
+    assert "detection failed: no candidate LFSR" in capsys.readouterr().err
