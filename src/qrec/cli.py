@@ -15,6 +15,7 @@ import os
 import random
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 from . import conjectures
@@ -39,6 +40,11 @@ Q_BOUND = 50  # raw-random q are drawn from [-Q_BOUND, Q_BOUND]^rank
 
 class ConfigError(ValueError):
     pass
+
+
+class CapExceeded(RuntimeError):
+    def __init__(self, depth):
+        super().__init__(f"depth {depth} exceeds the depth ceiling {DEPTH_CEILING}")
 
 
 def _parse_type(args) -> LieType:
@@ -122,25 +128,29 @@ def _specializations(lt, mode, args, rng, branching):
         yield DimensionMode(branching)
 
 
-def _resolve_depth(lt, node, args) -> int | None:
-    if args.depth is not None and args.depth != "auto":
+def _depth(args, auto):
+    """--depth, or auto() when it is absent or 'auto'.  One below 1 is a usage
+    error; one past DEPTH_CEILING is refused before any level is computed."""
+    if args.depth in (None, "auto"):
+        depth = auto()
+    else:
         depth = int(args.depth)
         if depth < 1:
             raise ConfigError(f"--depth {depth} is below 1")
-        return depth
-    pred = predicted_order(lt, node)
-    if pred is None:
-        return None
-    return 2 * pred + guard_terms(pred, args.guard) + 4
+    if depth is not None and depth > DEPTH_CEILING:
+        raise CapExceeded(depth)
+    return depth
+
+
+_Setup = namedtuple("_Setup", "lt node mode primes depth specs")
 
 
 def _prologue(args, tag):
-    """The setup that gen, detect, verify and interpolate share.
+    """The setup that gen, detect, verify and interpolate share, as a _Setup.
 
-    Returns (lt, node, mode, primes, depth, specs).  primes is None unless
-    --modular is given; depth is None when it is auto and the order is not
-    tabulated; specs iterates over the specializations to try, drawn from the
-    subcommand's rng, whose tag fixes the draws.
+    primes is None unless --modular is given; depth is None when it is auto
+    and the order is not tabulated; specs iterates over the specializations
+    to try, drawn from the subcommand's rng, whose tag fixes the draws.
     """
     lt = _parse_type(args)
     mode = _resolve_mode(args)
@@ -163,30 +173,34 @@ def _prologue(args, tag):
     if primes and isinstance(first, RawQ) and any(v.denominator != 1 for v in first.values):
         raise ConfigError("modular detection lifts integer coefficients; "
                           "--q must be integers")
-    depth = _resolve_depth(lt, node, args)
-    return lt, node, mode, primes, depth, itertools.chain([first], specs)
+
+    def window():  # 2L + g + 4 for a tabulated order L, else None
+        pred = predicted_order(lt, node)
+        return None if pred is None else 2 * pred + guard_terms(pred, args.guard) + 4
+    return _Setup(lt, node, mode, primes, _depth(args, window), itertools.chain([first], specs))
 
 
-def _retrying(step, specs):
-    """step(spec) for the first specialization; a singular one is replaced by
-    the next draw, up to MAX_SINGULAR_RETRIES times.
-
-    Returns (step's result, the specialization used, retries).
+def _run(args, step, timing):
+    """step(setup, spec) on the first specialization of the _prologue setup;
+    a singular one is replaced by the next draw, up to MAX_SINGULAR_RETRIES
+    times.  Returns (the setup, the specialization used, step's result, the
+    report head: job, config, retries and the step's time under timing).
     """
-    spec, retries = next(specs), 0
+    setup = _prologue(args, args.command)
+    started = time.perf_counter()
+    spec, retries = next(setup.specs), 0
     while True:
         try:
-            return step(spec), spec, retries
+            result = step(setup, spec)
+            break
         except SingularSpecialization:
-            fresh = next(specs, None)
+            fresh = next(setup.specs, None)
             if fresh is None or retries >= MAX_SINGULAR_RETRIES:
                 raise
             spec, retries = fresh, retries + 1
-
-
-def _within_ceiling(depth):
-    if depth > DEPTH_CEILING:  # refused before any level of it is generated
-        raise conjectures.CapExceeded(f"depth {depth} exceeds the depth ceiling {DEPTH_CEILING}")
+    head = {"job": args.command, "config": _config_echo(setup, args), "retries": retries,
+            "timings": {timing: round(time.perf_counter() - started, 6)}}
+    return setup, spec, result, head
 
 
 def _detect(lt, node, spec, depth, guard, modular_primes):
@@ -200,7 +214,8 @@ def _detect(lt, node, spec, depth, guard, modular_primes):
         table = levels(lt, q, node, field)
 
         def terms(n):
-            _within_ceiling(n - 1)
+            if n - 1 > DEPTH_CEILING:  # refused before any level past it is generated
+                raise CapExceeded(n - 1)
             read[:] = table(n)
             return read
         return terms if depth is None else terms(depth + 1)
@@ -240,29 +255,22 @@ def _emit(payload, args, csv_rows=None) -> None:
 def run_gen(args):
     if args.mode == "dimension" and args.depth in (None, "auto"):
         raise ConfigError("dimension mode needs an explicit --depth")
-    lt, node, mode, _primes, depth, specs = _prologue(args, "gen")
-    if depth is None:
-        raise ConfigError("--depth auto needs a tabulated order; give an explicit depth")
-    _within_ceiling(depth)
-    target = (node, depth) if args.node is not None else depth
-    started = time.perf_counter()
-    table, _spec, retries = _retrying(lambda spec: generate(lt, spec, target), specs)
-    generate_s = time.perf_counter() - started
-    payload = {
-        "job": "gen",
-        "config": _config_echo(lt, node, mode, args),
-        "q": [str(seq[1]) for seq in table.values],  # Q_1^(a) = q_a
-        "table": table.to_json_dict(),
-        "retries": retries,
-        "timings": {"generate_s": round(generate_s, 6)},
-    }
-    _emit(payload, args, csv_rows=table.to_csv_rows())
+
+    def step(setup, spec):
+        if setup.depth is None:
+            raise ConfigError("--depth auto needs a tabulated order; give an explicit depth")
+        target = (setup.node, setup.depth) if args.node is not None else setup.depth
+        return generate(setup.lt, spec, target)
+
+    _setup, _spec, table, head = _run(args, step, "generate_s")
+    _emit({**head, "q": [str(seq[1]) for seq in table.values],  # Q_1^(a) = q_a
+           "table": table.to_json_dict()}, args, csv_rows=table.to_csv_rows())
     return EXIT_OK
 
 
-def _config_echo(lt, node, mode, args):
+def _config_echo(setup, args):
     echo = {
-        "type": str(lt), "rank": lt.rank, "node": node, "mode": mode,
+        "type": str(setup.lt), "rank": setup.lt.rank, "node": setup.node, "mode": setup.mode,
         "seed": args.seed, "depth": args.depth if args.depth is not None else "auto",
     }
     if args.guard is not None:
@@ -276,23 +284,16 @@ def _config_echo(lt, node, mode, args):
     return echo
 
 
+def _detect_step(args):
+    return lambda setup, spec: _detect(setup.lt, setup.node, spec, setup.depth,
+                                       args.guard, setup.primes)
+
+
 def run_detect(args):
-    lt, node, mode, primes, depth, specs = _prologue(args, "detect")
-    started = time.perf_counter()
-    (qvals, rec, _seq, depth_used), _spec, retries = _retrying(
-        lambda spec: _detect(lt, node, spec, depth, args.guard, primes), specs)
-    detect_s = time.perf_counter() - started
-    payload = {
-        "job": "detect",
-        "config": _config_echo(lt, node, mode, args),
-        "q": [str(v) for v in qvals],
-        "depth": depth_used,
-        "recurrence": rec.to_json_dict(),
-        "ell_predicted": predicted_order(lt, node),
-        "retries": retries,
-        "timings": {"detect_s": round(detect_s, 6)},
-    }
-    _emit(payload, args)
+    setup, _spec, (qvals, rec, _seq, depth), head = _run(args, _detect_step(args), "detect_s")
+    _emit({**head, "q": [str(v) for v in qvals], "depth": depth,
+           "recurrence": rec.to_json_dict(),
+           "ell_predicted": predicted_order(setup.lt, setup.node)}, args)
     return EXIT_OK
 
 
@@ -379,30 +380,23 @@ def _verify_checks(lt, node, rec, seq, qvals, y):
 
 
 def run_verify(args):
-    lt, node, mode, primes, depth, specs = _prologue(args, "verify")
-    started = time.perf_counter()
-    (qvals, rec, seq, _depth_used), spec, retries = _retrying(
-        lambda spec: _detect(lt, node, spec, depth, args.guard, primes), specs)
-    detect_s = time.perf_counter() - started
-
+    setup, spec, (qvals, rec, seq, _), head = _run(args, _detect_step(args), "detect_s")
+    lt, node = setup.lt, setup.node
     y = spec.y if isinstance(spec, CharacterPoint) else None
     started = time.perf_counter()
     checks = _verify_checks(lt, node, rec, seq, qvals, y)
     payload = {
-        "job": "verify",
-        "config": _config_echo(lt, node, mode, args),
-        "type": str(lt), "rank": lt.rank, "node": node, "mode": mode,
+        **head,
+        "type": str(lt), "rank": lt.rank, "node": node, "mode": setup.mode,
         "q": [str(v) for v in qvals],
         "ell_detected": rec.order,
         "ell_predicted": predicted_order(lt, node),
         "recurrence": rec.to_json_dict(),
         "checks": checks,
-        "retries": retries,
     }
     if y is not None:
         payload["y"] = [str(v) for v in y]
-    payload["timings"] = {"detect_s": round(detect_s, 6),
-                          "checks_s": round(time.perf_counter() - started, 6)}
+    payload["timings"]["checks_s"] = round(time.perf_counter() - started, 6)
     _emit(payload, args)
     failed = any(c["status"] == "fail" for c in checks)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
@@ -442,7 +436,7 @@ def run_interpolate(args):
     if args.runs > space:
         raise ConfigError(f"--runs {args.runs} exceeds the {space} distinct q "
                           f"in [-{Q_BOUND}, {Q_BOUND}]^{rank}")
-    lt, node, mode, primes, depth, specs = _prologue(args, "interpolate")
+    lt, node, _, primes, depth, specs = setup = _prologue(args, "interpolate")
     if depth is None:
         raise ConfigError("interpolation needs a tabulated order or explicit --depth")
     order = predicted_order(lt, node)
@@ -455,7 +449,8 @@ def run_interpolate(args):
         if len(experiments) >= args.runs:
             break
         if len(seen) == limit:
-            raise NoStableRecurrence("too many singular draws during interpolation")
+            raise NoStableRecurrence(f"{len(experiments)} of --runs {args.runs} detections of "
+                                     f"order >= {k} succeeded, out of {limit} distinct draws")
         if spec.values in seen:  # a repeated q would add an identical row
             continue
         seen.add(spec.values)
@@ -463,9 +458,8 @@ def run_interpolate(args):
             qvals, rec, _, _ = _detect(lt, node, spec, depth, args.guard, primes)
         except (SingularSpecialization, NoStableRecurrence, PrimeDisagreement):
             continue
-        if rec.order < k:
-            continue
-        experiments.append(([int(v) for v in qvals], int(rec.coeffs[k])))
+        if rec.order >= k:
+            experiments.append(([int(v) for v in qvals], int(rec.coeffs[k])))
     detect_s = time.perf_counter() - started
     candidates = conjectures.degree_monomials(lt.rank, args.degree)
     started = time.perf_counter()
@@ -473,7 +467,7 @@ def run_interpolate(args):
     solve_s = time.perf_counter() - started
     payload = {
         "job": "interpolate",
-        "config": _config_echo(lt, node, mode, args),
+        "config": _config_echo(setup, args),
         "k": k, "runs": args.runs,
         "polynomial": None if poly is None else str(poly),
         "terms": None if poly is None else
@@ -512,8 +506,7 @@ def run_dims(args):
     degs = growth_degree(lt)
     needed = [t[a] * (degs[a] + 3) for a in range(lt.rank)]
     deepest = max(range(lt.rank), key=needed.__getitem__)
-    depth = needed[deepest] if args.depth in (None, "auto") else int(args.depth)
-    _within_ceiling(depth)
+    depth = _depth(args, lambda: needed[deepest])
     table = generate(lt, DimensionMode(branching), (deepest + 1, depth))
     results = conjectures.check_growth_degree(lt, table)
     payload = {
@@ -598,7 +591,7 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.run(args)
-    except (DimensionCapExceeded, conjectures.CapExceeded,
+    except (DimensionCapExceeded, CapExceeded,
             conjectures.InsufficientDepth, LiftOverflow) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -29,10 +29,6 @@ class NotInCatalogue(LookupError):
     pass
 
 
-class CapExceeded(RuntimeError):
-    pass
-
-
 class UnderdeterminedSystem(RuntimeError):
     pass
 

@@ -279,15 +279,11 @@ def series_divide(num: Sequence, den: Sequence, order: int) -> list:
 
 def numerator(seq: Sequence, rec: RecurrencePoly) -> list:
     """The polynomial A(D) * S(D), which must terminate below max(order, start)."""
-    a = rec.alternating()
+    coeffs = poly_mul(rec.alternating(), seq)[:len(seq)]
     tail_from = max(rec.order, rec.start)
-    coeffs = []
-    for n in range(len(seq)):
-        k = min(n, rec.order)
-        acc = sum(map(mul, a[:k + 1], reversed(seq[n - k:n + 1])), Fraction(0))
-        if n >= tail_from and acc != 0:
-            raise NonVanishingTail(f"product coefficient at degree {n} is {acc}")
-        coeffs.append(acc)
+    for n in range(tail_from, len(coeffs)):
+        if coeffs[n] != 0:
+            raise NonVanishingTail(f"product coefficient at degree {n} is {coeffs[n]}")
     coeffs = coeffs[:tail_from]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()

@@ -466,6 +466,8 @@ def test_interpolate_k_out_of_range_is_a_config_error(capsys):
     ["gen", "--type", "A2", "--depth", "100000000"],
     ["gen", "--type", "G2", "--node", "2", "--depth", "8193"],
     ["dims", "--type", "A2", "--depth", "8193"],
+    # too deep and without the branching its character point needs: the ceiling comes first
+    ["verify", "--type", "F4", "--node", "2", "--mode", "character-point", "--depth", "9000"],
 ])
 def test_depth_past_the_doubling_ceiling_is_a_resource_cap(argv, capsys, monkeypatch):
     import qrec.cli as cli_mod
@@ -554,7 +556,8 @@ def test_guard_and_degree_are_checked_before_any_generation(argv, option, capsys
 
 
 @pytest.mark.parametrize("command", [
-    "detect --type A2", "verify --type A2", "interpolate --type A2 --k 1"])
+    "detect --type A2", "verify --type A2", "interpolate --type A2 --k 1", "gen --type A2",
+    "dims --type A2"])
 @pytest.mark.parametrize("option, depth", [(["--depth", "0"], "0"), (["--depth=-3"], "-3")])
 def test_a_depth_below_1_is_a_usage_error_before_any_generation(command, option, depth,
                                                                capsys, monkeypatch):
@@ -693,3 +696,89 @@ def test_the_catalogued_node_1_numerators_hold_and_a_doubled_sequence_fails(name
     assert check_numerator(lt, 1, seq, rec, qvals, None) == (True, None)
     ok, witness = check_numerator(lt, 1, [2 * s for s in seq], rec, qvals, None)
     assert not ok and re.fullmatch(r"numerator \[.*\] != catalogued \[.*\]", witness)
+
+
+@pytest.mark.parametrize("argv", [
+    "detect --type A20000",
+    "verify --type A20000",
+    "interpolate --type A20000 --k 1 --degree 0 --runs 6",
+    "gen --type A20000",
+])
+def test_an_auto_depth_past_the_ceiling_is_refused_before_any_cartan_matrix(argv, capsys,
+                                                                           monkeypatch):
+    import qrec.cartan as cartan
+
+    def never(r):
+        raise AssertionError(f"built a {r}x{r} Cartan matrix")
+
+    monkeypatch.setattr(cartan, "_chain_matrix", never)
+    assert main(argv.split()) == 4
+    assert "depth 45006 exceeds the depth ceiling 8192" in capsys.readouterr().err
+
+
+def test_a_singular_explicit_q_is_not_redrawn(capsys):
+    assert main("detect --type A2 --q 1,0".split()) == 2
+    assert "detection failed: Q^(2) vanished at level 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect", "verify"])
+def test_singular_draws_are_redrawn_up_to_the_retry_limit(command, capsys, monkeypatch):
+    import qrec.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "_random_q", lambda lt, rng: (0, 0))
+    detected, real = [], cli_mod._detect
+
+    def detect(lt, node, spec, *rest):
+        detected.append(spec.values)
+        return real(lt, node, spec, *rest)
+
+    monkeypatch.setattr(cli_mod, "_detect", detect)
+    assert main([command, "--type", "A2"]) == 2
+    assert "detection failed" in capsys.readouterr().err
+    assert len(detected) == 1 + cli_mod.MAX_SINGULAR_RETRIES == 6
+
+
+@pytest.mark.parametrize("argv, untabulated", [
+    # every detection at depth 40 is unstable
+    ("interpolate --type E6 --node 3 --k 1 --depth 40 --degree 0 --runs 6", False),
+    # every draw detects order 3, below k
+    ("interpolate --type A2 --k 4 --degree 0 --runs 6 --depth 20", True),
+])
+def test_interpolation_out_of_draws_says_how_many_detections_succeeded(argv, untabulated,
+                                                                       capsys, monkeypatch):
+    import qrec.cli as cli_mod
+    if untabulated:
+        monkeypatch.setattr(cli_mod, "predicted_order", lambda lt, a: None)
+    assert main(argv.split()) == 2
+    k = argv.split()[argv.split().index("--k") + 1]
+    assert (f"detection failed: 0 of --runs 6 detections of order >= {k} succeeded, "
+            "out of 26 distinct draws") in capsys.readouterr().err
+
+
+# E6 in this repo's numbering (chain 1-5, node 6 on node 3): the level-1
+# decompositions of nodes 2, 3, 4 and 6, of dimensions 378, 3732, 378 and 79
+E6_BRANCHING = {"2": [[0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]],
+                "3": [[0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1],
+                      [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0]],
+                "4": [[0, 0, 0, 1, 0, 0], [1, 0, 0, 0, 0, 0]],
+                "6": [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0]]}
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_e6_node_1_character_numerator_end_to_end(seed, capsys, tmp_path):
+    from qrec.weights import dimension
+    e6 = LieType.parse("E6")
+    assert [sum(dimension(e6, tuple(w)) for w in E6_BRANCHING[a]) for a in "2346"] == [
+        378, 3732, 378, 79]
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"type": "E6", "branching": E6_BRANCHING}))
+    short = {**E6_BRANCHING, "3": E6_BRANCHING["3"][:3] + E6_BRANCHING["3"][4:]}
+    bad.write_text(json.dumps({"type": "E6", "branching": short}))
+    argv = ["verify", "--type", "E6", "--node", "1", "--mode", "character-point",
+            "--seed", seed, "--branching"]
+    code, payload = run_json(capsys, *argv, str(good))
+    statuses = {c["name"]: c["status"] for c in payload["checks"]}
+    assert code == 0 and statuses.pop("coefficient_formula") == "skipped"
+    assert statuses["numerator"] == "pass" and set(statuses.values()) == {"pass"}
+    code, payload = run_json(capsys, *argv, str(bad))
+    failed = [c["name"] for c in payload["checks"] if c["status"] == "fail"]
+    assert code == 2 and failed == ["factorization"]

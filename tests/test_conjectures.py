@@ -306,6 +306,13 @@ def test_check_factorization_a1():
     assert ok
 
 
+def test_a_recurrence_of_the_wrong_degree_fails_the_factorization():
+    a1, y = lt("A1"), (F(2),)
+    rec = find_min_recurrence(generate(a1, CharacterPoint(y), target=(1, 16)).node(1))
+    short = rec._replace(order=1, coeffs=rec.coeffs[:2])
+    assert check_factorization(short, build_lambda(a1, 1), y) == (False, "degree 1 != expected 2")
+
+
 def test_e6_numerator_table_reproduces_dimension_series():
     """At the identity point the sixteen catalogued numerator entries over
     (1-D)^27 must reproduce the dimension sequence of the level-m modules;
