@@ -43,8 +43,9 @@ class ConfigError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    def __init__(self, depth):
-        super().__init__(f"depth {depth} exceeds the depth ceiling {DEPTH_CEILING}")
+    def __init__(self, depth, at_least=False):
+        bound = "at least " if at_least else ""
+        super().__init__(f"depth {bound}{depth} exceeds the depth ceiling {DEPTH_CEILING}")
 
 
 def _parse_type(args) -> LieType:
@@ -502,11 +503,21 @@ def run_weights(args):
 def run_dims(args):
     lt = _parse_type(args)
     branching = _load_branching(args.branching, lt)
-    t = cartan_data(lt).t
-    degs = growth_degree(lt)
-    needed = [t[a] * (degs[a] + 3) for a in range(lt.rank)]
+
+    def growth_depths():  # the levels each node needs to show its growth degree
+        t, degs = cartan_data(lt).t, growth_degree(lt)
+        return [t[a] * (degs[a] + 3) for a in range(lt.rank)]
+
+    def auto():
+        # some coordinate of 2 rho is at least the rank, so some node needs
+        # rank + 3 levels: past the ceiling, refused before any root is built
+        if lt.rank + 3 > DEPTH_CEILING:
+            raise CapExceeded(lt.rank + 3, at_least=True)
+        return max(growth_depths())
+
+    depth = _depth(args, auto)
+    needed = growth_depths()
     deepest = max(range(lt.rank), key=needed.__getitem__)
-    depth = _depth(args, lambda: needed[deepest])
     table = generate(lt, DimensionMode(branching), (deepest + 1, depth))
     results = conjectures.check_growth_degree(lt, table)
     payload = {

@@ -1,4 +1,5 @@
-"""Exact coefficient rings (the rationals, the integers inside them, and Z/m
+"""Exact coefficient rings (the rationals, the integers inside them, the
+rationals whose denominators are power products of a coprime basis, and Z/m
 for m a prime or a product of distinct primes), rational reconstruction from
 Z/m, and the seeded prime generator used by detection."""
 from __future__ import annotations
@@ -9,15 +10,16 @@ import random
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from operator import mul
+from operator import add, sub
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e24
 
 
 class Rationals:
     """Q, with Fraction elements.  Like PrimeField, it offers of and reduce;
-    callers compute on plain operators and reduce each result.  Each ring
-    divides by divide(num, d), d prepared in a batch by divisors."""
+    callers compute on plain operators and reduce each result, and take the
+    reciprocals they divide by in a batch from divisors.  Q-tables are made in
+    Integers or a Localization instead (see qsystem)."""
 
     name = "rational"
     zero = Fraction(0)
@@ -33,8 +35,6 @@ class Rationals:
         one reciprocal each is cheaper than Montgomery's products."""
         return [Fraction(1, v.numerator) if v.denominator == 1 else v ** -1
                 for v in values]
-
-    divide = staticmethod(mul)
 
     @staticmethod
     def reduce(x):
@@ -59,6 +59,105 @@ class Integers:
 
 
 INTEGERS = Integers()
+
+
+def coprime_basis(values) -> tuple[int, ...]:
+    """Pairwise coprime integers b_j > 1 of which each positive value is a
+    power product, by gcd refinement: nothing is factored.  Empty when every
+    value is 1."""
+    basis: list[int] = []
+    for value in values:
+        todo = [value]
+        while todo:
+            x = todo.pop()
+            if x == 1:
+                continue
+            for i, b in enumerate(basis):
+                g = math.gcd(x, b)
+                if g != 1:  # x = g x', b = g b': refine into g, x', b'
+                    del basis[i]
+                    todo += [b // g, g, x // g]
+                    break
+            else:
+                basis.append(x)
+    return tuple(sorted(basis))
+
+
+class Scaled:
+    """The element n / prod b_j^e_j of a Localization over the basis b."""
+
+    __slots__ = ("n", "e", "ring")
+
+    def __init__(self, n: int, e: tuple[int, ...], ring):
+        self.n, self.e, self.ring = n, e, ring
+
+    def __mul__(self, other):
+        return Scaled(self.n * other.n, tuple(map(add, self.e, other.e)), self.ring)
+
+    def __sub__(self, other):
+        e, power = tuple(map(max, self.e, other.e)), self.ring.power
+        return Scaled(self.n * power(map(sub, e, self.e))
+                      - other.n * power(map(sub, e, other.e)), e, self.ring)
+
+
+class Localization:
+    """Z[1/b_1, ..., 1/b_s] inside Q for a coprime basis b, with Scaled
+    elements: a product adds exponents and a difference brings both terms to
+    the componentwise maximum, so no operation takes a gcd.  Like Integers it
+    divides by the divisor itself, for quotients known to lie in the ring."""
+
+    def __init__(self, basis):
+        self.basis = tuple(basis)
+        self.one = Scaled(1, (0,) * len(self.basis), self)
+        self._unit = math.prod(self.basis)
+
+    def power(self, exponents) -> int:
+        """prod b_j^k_j for the exponents k."""
+        out = 1
+        for b, k in zip(self.basis, exponents):
+            if k:
+                out *= b ** k
+        return out
+
+    def of(self, value: Fraction) -> Scaled:
+        """value, whose denominator is a power product of the basis."""
+        d, e = value.denominator, []
+        for b in self.basis:
+            k = 0
+            while d % b == 0:
+                d, k = d // b, k + 1
+            e.append(k)
+        return Scaled(value.numerator, tuple(e), self)
+
+    def fraction(self, x: Scaled) -> Fraction:
+        return Fraction(x.n, self.power(x.e))
+
+    divisors = staticmethod(list)
+
+    def divide(self, num: Scaled, d: Scaled) -> Scaled:
+        """num / d, which must lie in the ring; ZeroDivisionError when d == 0.
+
+        The quotient's numerator is num.n / d.n at exponent num.e - d.e.  A
+        remainder means d.n holds a base factor that num.n lacks: one more
+        power of every b_j is taken until the division is exact, at most
+        bit_length(d.n) times, since each b_j >= 2.  Then each b_j that
+        divides the quotient is stripped, so its exponents stay minimal."""
+        e = [k - j for k, j in zip(num.e, d.e)]
+        n = num.n * self.power([-k if k < 0 else 0 for k in e])
+        e = [k if k > 0 else 0 for k in e]
+        quotient, remainder = divmod(n, d.n)  # ZeroDivisionError on d == 0
+        if remainder:
+            for _ in range(d.n.bit_length()):
+                n, e = n * self._unit, [k + 1 for k in e]
+                quotient, remainder = divmod(n, d.n)
+                if not remainder:
+                    break
+            else:
+                raise AssertionError("a quotient left the localization (a bug)")
+        for j, b in enumerate(self.basis):
+            while e[j] and quotient % b == 0:
+                quotient, e[j] = quotient // b, e[j] - 1
+        return Scaled(quotient, tuple(e), self)
 
 
 class PrimeField(namedtuple("PrimeField", "modulus")):

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .cartan import LieType, cartan_data
-from .fields import INTEGERS, RATIONALS
+from .fields import INTEGERS, RATIONALS, Localization, coprime_basis
 from .weights import Weight, dimension, evaluate, is_dominant, omega, weight_system
 
 
@@ -198,30 +198,40 @@ class QTable(namedtuple("QTable", "lie_type field_name values spec_kind",
                 yield (str(a), str(m), str(v))
 
 
-def _table(lt, q, field):
+def _ring(q, field):
+    """The ring a table over field is made in: over Q, the localization of Z
+    at the coprime basis of q's denominators, since with Q_0 = 1 every level
+    is an integer polynomial in q (Di Francesco-Kedem); INTEGERS when q is
+    integral.  Any other field is its own ring."""
+    if field is not RATIONALS:
+        return field
+    basis = coprime_basis([v.denominator for v in q])
+    return Localization(basis) if basis else INTEGERS
+
+
+def _table(lt, q, ring):
     """A function that extends one table, a list of levels per node, from
     the level-1 values q, in place to the per-node depths it is given, and
-    returns the table; over Q, integral q give an integral table, made in ints.
+    returns the table, made in the ring that _ring gives.
 
     Nodes are interleaved: each sweep advances every node whose inputs are
     available, so cross-node index excursions resolve without recursion.
-    A sweep's divisors are prepared in one field.divisors call, and each
+    A sweep's divisors are prepared in one ring.divisors call, and each
     quotient is taken as its node's numerator is formed, since a node reads
     levels appended earlier in the sweep.  Raises SingularSpecialization on
-    division by zero in the field, or over Z/m by a non-unit, at the first
-    node that divides by it.
+    division by zero, or over Z/m by a non-unit, at the first node that
+    divides by it.
     """
     C, r = cartan_data(lt).cartan, lt.rank
-    field = INTEGERS if field is RATIONALS and all(v.denominator == 1 for v in q) else field
     # node a at level m multiplies Q^(b)_{floor((C_ba m - k) / C_ab)}, 0 <= k < -C_ab
     couplings = [[(b, C[b][a], k, C[a][b]) for b in range(r) for k in range(-C[a][b])]
                  for a in range(r)]
-    vals = [[field.one, field.of(v)] for v in q]
+    vals = [[ring.one, ring.of(v)] for v in q]
 
     def extend(depths):
         while pending := [a for a in range(r) if len(vals[a]) - 1 < depths[a]]:
             try:
-                divisors = field.divisors([vals[a][-2] for a in pending])
+                divisors = ring.divisors([vals[a][-2] for a in pending])
             except ZeroDivisionError:
                 # a zero or non-unit: prepared per node, so the first to reach it reports it
                 divisors = [None] * len(pending)
@@ -233,10 +243,10 @@ def _table(lt, q, field):
                         break  # an input made later in this sweep or the next
                     prod = vals[b][i] if prod is None else prod * vals[b][i]
                 else:
-                    num = seq[m] * seq[m] - (field.one if prod is None else prod)
+                    num = seq[m] * seq[m] - (ring.one if prod is None else prod)
                     try:
-                        d = field.divisors([seq[m - 1]])[0] if d is None else d
-                        seq.append(field.divide(num, d))
+                        d = ring.divisors([seq[m - 1]])[0] if d is None else d
+                        seq.append(ring.divide(num, d))
                     except ZeroDivisionError:
                         raise SingularSpecialization(a + 1, m - 1) from None
                     advanced = True
@@ -254,7 +264,11 @@ def generate(lt: LieType, spec: RawQ | CharacterPoint | DimensionMode, target,
     node, depth = (None, target) if isinstance(target, int) else target
     if depth < 1:
         raise ValueError("target depth must be at least 1")
-    vals = _table(lt, initial_values(lt, spec), field)(required_depths(lt, node, depth))
+    q = initial_values(lt, spec)
+    ring = _ring(q, field)
+    vals = _table(lt, q, ring)(required_depths(lt, node, depth))
+    if isinstance(ring, Localization):
+        vals = [map(ring.fraction, seq) for seq in vals]
     return QTable(lie_type=lt, field_name=field.name,
                   values=tuple(tuple(v) for v in vals), spec_kind=type(spec).__name__)
 
@@ -262,7 +276,17 @@ def generate(lt: LieType, spec: RawQ | CharacterPoint | DimensionMode, target,
 def levels(lt: LieType, q: Sequence[Fraction], node: int, field=RATIONALS):
     """A function n -> [Q^(node)_0, ..., Q^(node)_{n-1}] from the level-1
     values q; each call extends one table to generate's at depth n - 1, so
-    each level is made once."""
-    extend = _table(lt, q, field)
-    return lambda n: extend(required_depths(lt, node, n - 1))[node - 1][:n]
+    each level is made once, and at non-integral q over Q converted to a
+    Fraction once."""
+    ring = _ring(q, field)
+    extend = _table(lt, q, ring)
+    if not isinstance(ring, Localization):
+        return lambda n: extend(required_depths(lt, node, n - 1))[node - 1][:n]
+    made = []
+
+    def read(n):
+        seq = extend(required_depths(lt, node, n - 1))[node - 1]
+        made.extend(map(ring.fraction, seq[len(made):n]))
+        return made[:n]
+    return read
 

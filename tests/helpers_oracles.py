@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Deliberately self-contained: the dense recurrence solver, subset-expansion
-e_k, the Q-system relation check, the G2 dimension closed form and the L
-and M triangles' recursions share no code with the package under test.
+e_k, the Q-system relation check, the Q-system recursion over Fraction, the
+G2 dimension closed form and the L and M triangles' recursions share no code
+with the package under test.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -81,6 +82,33 @@ def check_relation(cartan, values, a, m):
             for k in range(c):
                 coupling *= values[b][(d * m + k) // c]
     return seq[m] * seq[m] == seq[m + 1] * seq[m - 1] + coupling
+
+
+def fraction_table(cartan, q, depths):
+    """The Q-system table from the level-1 values q, Q^(a)_0..Q^(a)_{depths[a-1]}
+    per node, in Fraction arithmetic, scheduled as the package schedules it:
+    each sweep advances, in node order, every node below its depth whose
+    coupling inputs are stored, so a node reads levels made earlier in the
+    sweep.  Raises ZeroDivisionError(node, level) at the first node that
+    divides by a zero Q^(node)_level."""
+    r = len(q)
+    values = [[Fraction(1), Fraction(v)] for v in q]
+    while pending := [a for a in range(r) if len(values[a]) - 1 < depths[a]]:
+        advanced = False
+        for a in pending:
+            seq, m, coupling = values[a], len(values[a]) - 1, Fraction(1)
+            inputs = [(b, (-cartan[b][a] * m + k) // -cartan[a][b])
+                      for b in range(r) if b != a for k in range(-cartan[a][b])]
+            if any(i >= len(values[b]) for b, i in inputs):
+                continue
+            for b, i in inputs:
+                coupling *= values[b][i]
+            if seq[m - 1] == 0:
+                raise ZeroDivisionError(a + 1, m - 1)
+            seq.append((seq[m] * seq[m] - coupling) / seq[m - 1])
+            advanced = True
+        assert advanced
+    return values
 
 
 def prod(xs):

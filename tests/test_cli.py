@@ -716,6 +716,24 @@ def test_an_auto_depth_past_the_ceiling_is_refused_before_any_cartan_matrix(argv
     assert "depth 45006 exceeds the depth ceiling 8192" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("dims --type A20000", "depth at least 20003 exceeds the depth ceiling 8192"),
+    ("dims --type A20000 --depth 9000", "depth 9000 exceeds the depth ceiling 8192"),
+])
+def test_dims_past_the_ceiling_is_refused_before_any_root(argv, message, capsys, monkeypatch):
+    import qrec.cartan as cartan
+    import qrec.cli as cli_mod
+
+    def never(*args):
+        raise AssertionError("built the root system")
+
+    monkeypatch.setattr(cartan, "positive_roots", never)
+    monkeypatch.setattr(cartan, "_chain_matrix", never)
+    monkeypatch.setattr(cli_mod, "cartan_data", never)
+    assert main(argv.split()) == 4
+    assert message in capsys.readouterr().err
+
+
 def test_a_singular_explicit_q_is_not_redrawn(capsys):
     assert main("detect --type A2 --q 1,0".split()) == 2
     assert "detection failed: Q^(2) vanished at level 1" in capsys.readouterr().err

@@ -104,6 +104,15 @@ PINS = {
         (0, "abca062de50005b0b11217d2e3c9a9f58cc84e259cb817915b0ee48bc0380475"),
     "detect --type F4 --node 2 --q=1/2,3,5/7,2":  # a stream at rational q
         (0, "388790b925d37aea625ae043f6f6f6d7a2f6dded0700b8360fe511768811aca4"),
+    # rational level-1 values whose denominators share primes
+    "verify --type C3 --node 2 --y 4/9,3/2,-6/5":
+        (0, "ff2ffeda82de25c8680d5d849a4b31b2a68c84a4b5cfea325b99ad4c6e1ea1cd"),
+    "verify --type B3 --node 2 --y 4/9,3/2,-6/5":
+        (0, "0e8b5d5749e610a2e23c6a6e89f2029dbf9e2b561079fecb95d7be4ca2d7ab3e"),
+    "detect --type A3 --node 2 --q 6/35,-10/21,15/14":
+        (0, "7c4fbc2bbfe787365fb45065dfca9ff7f3d1d1c1e4a4b32e2380046cbb3b166a"),
+    "detect --type E6 --node 1 --q 1/2,-3/7,5/4,2/9,7/3,-11/6":
+        (0, "29f6fe4227e8918e78ee064611292d68550ad8c77d9be9790626bd8fe82c7515"),
 }
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qrec.fields import RATIONALS, PrimeField, rational_reconstruction, seeded_primes
+from qrec.fields import (RATIONALS, Localization, PrimeField, coprime_basis,
+                         rational_reconstruction, seeded_primes)
 
 F = Fraction
 
@@ -78,6 +79,36 @@ def test_inverses_raise_on_one_non_unit_among_many():
         field.divisors(values)
     with pytest.raises(ZeroDivisionError):
         field.divisors([0])
+
+
+@pytest.mark.parametrize("values, basis", [
+    ([1, 1], ()), ([12, 18], (2, 3)), ([6, 36], (6,)), ([35, 49, 10, 1], (2, 5, 7)),
+    ([4 * 9, 6, 25 * 7, 2**40 * 3], (2, 3, 175)),  # refined, not factored
+])
+def test_coprime_basis(values, basis):
+    assert coprime_basis(values) == basis
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(basis) for b in basis[i + 1:])
+    for v in values:  # each value is a power product of the basis
+        for b in basis:
+            while v % b == 0:
+                v //= b
+        assert v == 1
+
+
+def test_a_localized_quotient_takes_the_powers_it_needs():
+    ring = Localization((6,))
+    # 2 holds the base factor 2 of 6: 1 / 2 = 3 / 6 is found at one more power
+    half = ring.divide(ring.one, ring.of(F(2)))
+    assert (half.n, half.e, ring.fraction(half)) == (3, (1,), F(1, 2))
+    # 36 / 36 strips both powers of 6 again
+    one = ring.divide(ring.of(F(1, 36)), ring.of(F(1, 36)))
+    assert (one.n, one.e) == (1, (0,))
+    x, y = ring.of(F(5, 6)), ring.of(F(-7, 36))
+    assert ring.fraction(x * y - y) == F(5, 6) * F(-7, 36) - F(-7, 36)
+    with pytest.raises(ZeroDivisionError):
+        ring.divide(ring.one, ring.of(F(0)))
+    with pytest.raises(AssertionError):  # 1 / 5 is not in Z[1/6]
+        ring.divide(ring.one, ring.of(F(5)))
 
 
 def test_rational_inverses():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qrec import qsystem
+from qrec import fields, qsystem
 from qrec.cartan import LieType, cartan_data, order_tables
 from qrec.fields import INTEGERS, RATIONALS, PrimeField, seeded_primes
 from qrec.qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode,
@@ -13,7 +13,9 @@ from qrec.qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode,
                           resolve_branching)
 from qrec.weights import evaluate, weight_system
 
-from helpers_oracles import check_relation
+from helpers_oracles import check_relation, fraction_table
+from test_cli import E6_BRANCHING
+from test_cli_digests import BAD_BRANCHING
 
 F = Fraction
 
@@ -162,7 +164,7 @@ def test_a_non_integral_q_keeps_fractions_and_an_inexact_quotient_is_a_bug():
     assert all(check_relation(cartan, table.values, a, m)
                for a, seq in enumerate(table.values, start=1) for m in range(1, len(seq) - 1))
     # over Z every quotient is exact; a corrupted level leaves a remainder
-    extend = qsystem._table(B2, [F(4), F(-3)], RATIONALS)
+    extend = qsystem._table(B2, [F(4), F(-3)], qsystem._ring([F(4), F(-3)], RATIONALS))
     vals = extend(required_depths(B2, None, 3))
     assert all(type(v) is int for seq in vals for v in seq)
     vals[0][3] += 1
@@ -198,12 +200,77 @@ def test_non_unit_divisor_is_singular():
     # node 3 in the sweep where node 3 divides by zero
     ("B3", (0, 1, 0), 12, False, (3, 1)),
     ("B3", (0, 1, 0), 12, True, (3, 1)),
+    # rational q, whose labels were recorded when such tables were made in Fractions
+    ("C3", (F(1, 2), F(1, 2), 1), 12, False, (3, 3)),
+    ("D4", (F(2, 3), F(3, 2), 1, F(1, 6)), 12, False, (3, 4)),
+    ("F4", (F(-1, 3), F(-2, 3), F(-2, 3), F(-1, 3)), 12, False, (1, 8)),
 ])
 def test_singular_draw_keeps_its_label(name, q, target, modular, label):
     field = PrimeField(math.prod(seeded_primes(3, 0))) if modular else RATIONALS
     with pytest.raises(SingularSpecialization) as err:
         generate(LieType.parse(name), RawQ(q), target=target, field=field)
     assert (err.value.node, err.value.level) == label
+
+
+def _matches_the_fraction_recursion(lt, q, depth):
+    """generate's table to the depth equals the Fraction oracle's, and so do
+    the levels of each node read in chunks, or both raise at the same
+    (node, level).  Returns the table, or None when both raised."""
+    try:
+        expected = fraction_table(cartan_data(lt).cartan, q, required_depths(lt, None, depth))
+    except ZeroDivisionError as zero:
+        with pytest.raises(SingularSpecialization) as err:
+            generate(lt, RawQ(q), depth)
+        assert (err.value.node, err.value.level) == zero.args, (lt, q)
+        return None
+    table = generate(lt, RawQ(q), depth)
+    assert [list(seq) for seq in table.values] == expected, (lt, q)
+    for node in range(1, lt.rank + 1):
+        read = levels(lt, q, node)
+        assert [read(n) for n in (2, 5, depth + 1)] == [expected[node - 1][:n]
+                                                      for n in (2, 5, depth + 1)]
+    return table
+
+
+def test_tables_at_random_rational_q_match_the_fraction_recursion():
+    rng, made = random.Random(0), []
+    for name in ("A1", "A3", "B3", "C3", "D4", "G2", "F4", "C4", "B4"):
+        lt = LieType.parse(name)
+        for _ in range(10):
+            # denominators that share primes, and small numerators, so that
+            # some draws divide by zero
+            q = [F(rng.choice((-3, -2, -1, 1, 2, 3, 5, 7)),
+                   rng.choice((1, 2, 3, 4, 6, 9, 10, 15, 35))) for _ in range(lt.rank)]
+            made.append(_matches_the_fraction_recursion(lt, q, 12))
+    assert None in made and any(made)
+
+
+@pytest.mark.parametrize("name, branching, depth", [
+    ("A4", None, 10), ("B3", None, 10), ("C3", None, 10), ("D4", None, 8), ("G2", None, 14),
+    ("B3", BAD_BRANCHING["branching"], 10),
+    ("E6", E6_BRANCHING, 4),
+])
+def test_tables_at_torus_points_match_the_fraction_recursion(name, branching, depth):
+    lt, rng = LieType.parse(name), random.Random(name)
+    for _ in range(2):
+        y = [F(rng.choice([n for n in range(-9, 10) if n]), rng.randint(1, 9))
+             for _ in range(lt.rank)]
+        q = initial_values(lt, CharacterPoint(y, branching))
+        assert any(v.denominator != 1 for v in q)
+        assert _matches_the_fraction_recursion(lt, q, depth) is not None
+
+
+def test_a_divisor_holding_a_base_factor_takes_another_power(monkeypatch):
+    # the q of `detect --type E6 --node 1 --q 1/2,-3/7,5/4,2/9,7/3,-11/6`: a
+    # divisor's numerator shares a factor with the basis, so a first division
+    # leaves a remainder and is repeated at one more power of every base
+    q = [F(v) for v in "1/2,-3/7,5/4,2/9,7/3,-11/6".split(",")]
+    table = _matches_the_fraction_recursion(E6, q, 20)
+    divisions = []
+    monkeypatch.setattr(fields, "divmod", lambda n, d: divisions.append(d) or divmod(n, d),
+                        raising=False)
+    assert generate(E6, RawQ(q), 20) == table
+    assert len(divisions) > sum(len(seq) - 2 for seq in table.values)
 
 
 def test_character_point_initial_values():
