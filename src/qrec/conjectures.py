@@ -19,8 +19,7 @@ from .cartan import LieType, cartan_data, growth_degree, predicted_order
 from .linalg import solve_overdetermined
 from .linrec import RecurrencePoly
 from .qsystem import QTable, default_branching
-from .weights import (Weight, dimension, dominant_conjugate, evaluate, omega,
-                      weight_system, zero)
+from .weights import Weight, dimension, dominant_conjugate, evaluate, omega, weight_system
 
 MARGIN = 5  # experiments past the candidate count, to verify the fit
 
@@ -153,7 +152,7 @@ def _character_difference(lt, plus, minus, const: int) -> frozenset:
         for w, m in weight_system(lt, minus).items():
             acc[w] = acc.get(w, 0) - m
     if const:
-        z = zero(lt.rank)
+        z = omega(lt.rank, 0)
         acc[z] = acc.get(z, 0) - const
     acc = {w: m for w, m in acc.items() if m}
     if any(m != 1 for m in acc.values()):
@@ -171,11 +170,11 @@ def build_lambda(lt: LieType, a: int) -> LambdaSpec:
     if fam == "A":
         spec = LambdaSpec(_distinct_weights(lt, omega(r, a)), empty, 1)
     elif fam == "B" and a == 1:
-        nonzero = _distinct_weights(lt, omega(r, 1)) - {zero(r)}
+        nonzero = _distinct_weights(lt, omega(r, 1)) - {omega(r, 0)}
         spec = LambdaSpec(frozenset(nonzero), empty, 1)
     elif fam == "C" and a == 1:
         spec = LambdaSpec(_distinct_weights(lt, omega(r, 1)),
-                          frozenset({zero(r)}), t[0])
+                          frozenset({omega(r, 0)}), t[0])
     elif fam == "D" and a in (1, r - 1, r):
         spec = LambdaSpec(_distinct_weights(lt, omega(r, a)), empty, 1)
     elif (fam, r, a) == ("E", 6, 1) or (fam, r, a) == ("E", 7, 6) or \

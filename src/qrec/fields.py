@@ -1,7 +1,7 @@
 """Exact coefficient rings (the rationals, the integers inside them, the
-rationals whose denominators are power products of a coprime basis, and Z/m
-for m a prime or a product of distinct primes), rational reconstruction from
-Z/m, and the seeded prime generator used by detection."""
+ring Z[1/D] of rationals whose denominators divide a power of one integer D,
+and Z/m for m a prime or a product of distinct primes), rational
+reconstruction from Z/m, and the seeded prime generator used by detection."""
 from __future__ import annotations
 
 import itertools
@@ -10,7 +10,6 @@ import random
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from operator import add, sub
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e24
 
@@ -61,103 +60,73 @@ class Integers:
 INTEGERS = Integers()
 
 
-def coprime_basis(values) -> tuple[int, ...]:
-    """Pairwise coprime integers b_j > 1 of which each positive value is a
-    power product, by gcd refinement: nothing is factored.  Empty when every
-    value is 1."""
-    basis: list[int] = []
-    for value in values:
-        todo = [value]
-        while todo:
-            x = todo.pop()
-            if x == 1:
-                continue
-            for i, b in enumerate(basis):
-                g = math.gcd(x, b)
-                if g != 1:  # x = g x', b = g b': refine into g, x', b'
-                    del basis[i]
-                    todo += [b // g, g, x // g]
-                    break
-            else:
-                basis.append(x)
-    return tuple(sorted(basis))
-
-
 class Scaled:
-    """The element n / prod b_j^e_j of a Localization over the basis b."""
+    """The element n / D^e of the Localization Z[1/D]."""
 
-    __slots__ = ("n", "e", "ring")
+    __slots__ = ("n", "e", "base")
 
-    def __init__(self, n: int, e: tuple[int, ...], ring):
-        self.n, self.e, self.ring = n, e, ring
+    def __init__(self, n: int, e: int, base: int):
+        self.n, self.e, self.base = n, e, base
 
     def __mul__(self, other):
-        return Scaled(self.n * other.n, tuple(map(add, self.e, other.e)), self.ring)
+        return Scaled(self.n * other.n, self.e + other.e, self.base)
 
     def __sub__(self, other):
-        e, power = tuple(map(max, self.e, other.e)), self.ring.power
-        return Scaled(self.n * power(map(sub, e, self.e))
-                      - other.n * power(map(sub, e, other.e)), e, self.ring)
+        shift = self.e - other.e
+        if shift >= 0:
+            return Scaled(self.n - other.n * self.base ** shift, self.e, self.base)
+        return Scaled(self.n * self.base ** -shift - other.n, other.e, self.base)
 
 
 class Localization:
-    """Z[1/b_1, ..., 1/b_s] inside Q for a coprime basis b, with Scaled
-    elements: a product adds exponents and a difference brings both terms to
-    the componentwise maximum, so no operation takes a gcd.  Like Integers it
-    divides by the divisor itself, for quotients known to lie in the ring."""
+    """Z[1/D] inside Q for one integer D > 1, with Scaled elements: a product
+    adds exponents and a difference brings both terms to the larger one, so
+    no operation takes a gcd.  Like Integers it divides by the divisor
+    itself, for quotients known to lie in the ring."""
 
-    def __init__(self, basis):
-        self.basis = tuple(basis)
-        self.one = Scaled(1, (0,) * len(self.basis), self)
-        self._unit = math.prod(self.basis)
-
-    def power(self, exponents) -> int:
-        """prod b_j^k_j for the exponents k."""
-        out = 1
-        for b, k in zip(self.basis, exponents):
-            if k:
-                out *= b ** k
-        return out
+    def __init__(self, base: int):
+        self.base = base
+        self.one = Scaled(1, 0, base)
 
     def of(self, value: Fraction) -> Scaled:
-        """value, whose denominator is a power product of the basis."""
-        d, e = value.denominator, []
-        for b in self.basis:
-            k = 0
-            while d % b == 0:
-                d, k = d // b, k + 1
-            e.append(k)
-        return Scaled(value.numerator, tuple(e), self)
+        """value at the least exponent e with its denominator dividing D^e;
+        ValueError when the denominator has a prime factor that D lacks."""
+        d, e, power = value.denominator, 0, 1
+        while power % d:  # d divides some D^k iff it divides D^bit_length(d)
+            if e == d.bit_length():
+                raise ValueError(f"{value} is not in Z[1/{self.base}]")
+            power, e = power * self.base, e + 1
+        return Scaled(value.numerator * (power // d), e, self.base)
 
     def fraction(self, x: Scaled) -> Fraction:
-        return Fraction(x.n, self.power(x.e))
+        return Fraction(x.n, self.base ** x.e)
 
     divisors = staticmethod(list)
 
     def divide(self, num: Scaled, d: Scaled) -> Scaled:
         """num / d, which must lie in the ring; ZeroDivisionError when d == 0.
 
-        The quotient's numerator is num.n / d.n at exponent num.e - d.e.  A
-        remainder means d.n holds a base factor that num.n lacks: one more
-        power of every b_j is taken until the division is exact, at most
-        bit_length(d.n) times, since each b_j >= 2.  Then each b_j that
-        divides the quotient is stripped, so its exponents stay minimal."""
-        e = [k - j for k, j in zip(num.e, d.e)]
-        n = num.n * self.power([-k if k < 0 else 0 for k in e])
-        e = [k if k > 0 else 0 for k in e]
+        The quotient's numerator is num.n / d.n at exponent num.e - d.e,
+        with a negative exponent multiplied into the numerator.  A remainder
+        means d.n holds a factor of D that num.n lacks: one more power of D
+        is taken until the division is exact, at most bit_length(d.n) times,
+        since no prime divides d.n that often.  Then D is stripped while it
+        divides the quotient."""
+        base, n, e = self.base, num.n, num.e - d.e
+        if e < 0:
+            n, e = n * base ** -e, 0
         quotient, remainder = divmod(n, d.n)  # ZeroDivisionError on d == 0
         if remainder:
             for _ in range(d.n.bit_length()):
-                n, e = n * self._unit, [k + 1 for k in e]
+                n, e = n * base, e + 1
                 quotient, remainder = divmod(n, d.n)
                 if not remainder:
                     break
             else:
                 raise AssertionError("a quotient left the localization (a bug)")
-        for j, b in enumerate(self.basis):
-            while e[j] and quotient % b == 0:
-                quotient, e[j] = quotient // b, e[j] - 1
-        return Scaled(quotient, tuple(e), self)
+        while e and quotient % base == 0:
+            quotient, e = quotient // base, e - 1
+        return Scaled(quotient, e, base)
 
 
 class PrimeField(namedtuple("PrimeField", "modulus")):

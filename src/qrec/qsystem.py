@@ -8,12 +8,13 @@ the level-1 data: explicit values, a torus point, or dimensions.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
 from .cartan import LieType, cartan_data
-from .fields import INTEGERS, RATIONALS, Localization, coprime_basis
+from .fields import INTEGERS, RATIONALS, Localization
 from .weights import Weight, dimension, evaluate, is_dominant, omega, weight_system
 
 
@@ -199,14 +200,14 @@ class QTable(namedtuple("QTable", "lie_type field_name values spec_kind",
 
 
 def _ring(q, field):
-    """The ring a table over field is made in: over Q, the localization of Z
-    at the coprime basis of q's denominators, since with Q_0 = 1 every level
-    is an integer polynomial in q (Di Francesco-Kedem); INTEGERS when q is
-    integral.  Any other field is its own ring."""
+    """The ring a table over field is made in: over Q, Z[1/D] for D the lcm
+    of q's denominators, since with Q_0 = 1 every level is an integer
+    polynomial in q (Di Francesco-Kedem); INTEGERS when D = 1, that is when
+    q is integral.  Any other field is its own ring."""
     if field is not RATIONALS:
         return field
-    basis = coprime_basis([v.denominator for v in q])
-    return Localization(basis) if basis else INTEGERS
+    base = math.lcm(*(v.denominator for v in q))
+    return Localization(base) if base > 1 else INTEGERS
 
 
 def _table(lt, q, ring):

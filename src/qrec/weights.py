@@ -39,10 +39,6 @@ def dimension_cap() -> int:
     return int(env) if env else DEFAULT_DIMENSION_CAP
 
 
-def zero(rank: int) -> Weight:
-    return (0,) * rank
-
-
 def omega(rank: int, a: int) -> Weight:
     """The fundamental weight omega_a (1-based); omega(rank, 0) is zero."""
     return tuple(int(i == a - 1) for i in range(rank))
@@ -122,7 +118,7 @@ def _dominant_multiplicities(lt: LieType, highest: Weight) -> tuple:
     # The dominant weights below highest, each with the pairing vector of
     # highest - mu.  Covers in dominance order differ by one positive root,
     # so closure under root subtraction is complete.
-    gaps = {highest: zero(lt.rank)}
+    gaps = {highest: omega(lt.rank, 0)}
     frontier = [highest]
     while frontier:
         nxt = []

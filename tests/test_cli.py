@@ -8,7 +8,7 @@ import pytest
 from qrec.cartan import LieType, predicted_order
 from qrec.cli import _verify_checks, build_parser, main
 from qrec.conjectures import check_numerator, identity_catalogue
-from qrec.linrec import find_min_recurrence
+from qrec.linrec import RecurrencePoly, find_min_recurrence
 from qrec.qsystem import RawQ, SingularSpecialization, generate
 
 from test_cli_digests import PINS
@@ -302,6 +302,20 @@ def test_branching_file_roundtrip(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("lie_type, accepted", [("B3", True), ("C3", False), ("B4", False)])
+def test_a_branching_file_may_give_the_family_and_the_rank_apart(lie_type, accepted, capsys,
+                                                                 tmp_path):
+    apart = tmp_path / "branching.json"
+    apart.write_text(json.dumps({"type": "B", "rank": 3,
+                                 "branching": {"2": [[0, 1, 0], [0, 0, 0]]}}))
+    code = main(["gen", "--type", lie_type, "--depth", "3", "--branching", str(apart)])
+    if accepted:
+        assert code == 0
+    else:
+        assert code == 3
+        assert f"branching file is for B3, not {lie_type}" in capsys.readouterr().err
+
+
 def test_detection_and_depth_errors_keep_their_exit_codes():
     # InsufficientData and InsufficientDepth are ValueErrors, but not
     # configuration errors
@@ -345,6 +359,15 @@ def test_the_rank_is_read_off_the_type(capsys):
 def _catalogue_status(lt, rec, q):
     checks = _verify_checks(lt, 1, rec, None, q, None)
     return next(c["status"] for c in checks if c["name"] == "identity_catalogue")
+
+
+def test_a_catalogued_identity_past_the_detected_order_fails_the_catalogue():
+    # A2 node 1 has order 3 and catalogues C_3 = 1; an order-2 recurrence cannot hold it
+    rec = RecurrencePoly(order=2, coeffs=(1, 5, 1), start=0)
+    checks = _verify_checks(LieType.parse("A2"), 1, rec, None, (5, 5), None)
+    catalogue = next(c for c in checks if c["name"] == "identity_catalogue")
+    assert catalogue["status"] == "fail"
+    assert "C_3 = 1: k=3 beyond order 2" in catalogue["witness"]
 
 
 @pytest.mark.parametrize("name, q, first", [("B3", None, 4), ("C3", None, 5), ("D5", None, 6),
@@ -677,6 +700,7 @@ def test_a_deep_classical_order_is_a_resource_cap(argv, capsys):
     ("weights --type A2", "--highest is required"),
     ("verify --type B3 --mode character-point --seed 7 --branching {node9}",
      "branching node 9 out of range for B3"),
+    ("detect --type A2 --y 2,3,5", "torus point needs 2 entries"),
 ])
 def test_each_usage_error_exits_3_with_its_message(argv, message, capsys, tmp_path):
     node9 = tmp_path / "node9.json"

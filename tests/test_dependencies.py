@@ -1,8 +1,8 @@
 """qrec has no dependencies: every module imports only the standard library
 and qrec itself.  It also carries no unreached code: every top-level
-definition is named elsewhere in qrec or exported, every parameter is read,
-and its CLI imports no module that no job runs, since every invocation pays
-its import."""
+definition is named elsewhere in qrec or exported, every parameter and every
+imported name is read, and its CLI imports no module that no job runs, since
+every invocation pays its import."""
 import ast
 import subprocess
 import sys
@@ -65,6 +65,25 @@ def test_every_parameter_is_read():
                     if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
             unread += [f"{path.stem}.{node.name}({arg.arg})" for arg in params
                        if arg.arg not in ("self", "cls") and arg.arg not in read]
+    assert not unread
+
+
+def test_every_imported_name_is_read():
+    """An imported name that its module never reads, as a name or as the
+    base of an attribute, is a leftover of deleted code.  __future__
+    imports, and the names __init__ lists in __all__, are exempt."""
+    unread = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        bound = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if path.stem == "__init__":
+            read |= set(qrec.__all__)
+        unread += [f"{path.stem}.{name}" for name in bound if name not in read]
     assert not unread
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qrec.fields import (RATIONALS, Localization, PrimeField, coprime_basis,
+from qrec import qsystem
+from qrec.fields import (INTEGERS, RATIONALS, Localization, PrimeField,
                          rational_reconstruction, seeded_primes)
 
 F = Fraction
@@ -81,34 +82,54 @@ def test_inverses_raise_on_one_non_unit_among_many():
         field.divisors([0])
 
 
-@pytest.mark.parametrize("values, basis", [
-    ([1, 1], ()), ([12, 18], (2, 3)), ([6, 36], (6,)), ([35, 49, 10, 1], (2, 5, 7)),
-    ([4 * 9, 6, 25 * 7, 2**40 * 3], (2, 3, 175)),  # refined, not factored
-])
-def test_coprime_basis(values, basis):
-    assert coprime_basis(values) == basis
-    assert all(math.gcd(a, b) == 1 for i, a in enumerate(basis) for b in basis[i + 1:])
-    for v in values:  # each value is a power product of the basis
-        for b in basis:
-            while v % b == 0:
-                v //= b
-        assert v == 1
-
-
 def test_a_localized_quotient_takes_the_powers_it_needs():
-    ring = Localization((6,))
-    # 2 holds the base factor 2 of 6: 1 / 2 = 3 / 6 is found at one more power
+    ring = Localization(6)
+    # 2 holds the factor 2 of 6: 1 / 2 = 3 / 6 is found at one more power
     half = ring.divide(ring.one, ring.of(F(2)))
-    assert (half.n, half.e, ring.fraction(half)) == (3, (1,), F(1, 2))
-    # 36 / 36 strips both powers of 6 again
-    one = ring.divide(ring.of(F(1, 36)), ring.of(F(1, 36)))
-    assert (one.n, one.e) == (1, (0,))
+    assert (half.n, half.e, ring.fraction(half)) == (3, 1, F(1, 2))
+    # 36 / 6^2 divided by 1 strips both powers of 6 again
+    one = ring.divide(ring.of(F(1, 36)) * ring.of(F(36)), ring.one)
+    assert (one.n, one.e) == (1, 0)
     x, y = ring.of(F(5, 6)), ring.of(F(-7, 36))
     assert ring.fraction(x * y - y) == F(5, 6) * F(-7, 36) - F(-7, 36)
     with pytest.raises(ZeroDivisionError):
         ring.divide(ring.one, ring.of(F(0)))
     with pytest.raises(AssertionError):  # 1 / 5 is not in Z[1/6]
         ring.divide(ring.one, ring.of(F(5)))
+
+
+def test_a_value_outside_the_localization_is_refused():
+    ring = Localization(6)
+    seven_twelfths = ring.of(F(7, 12))  # 7 / 12 = 21 / 6^2
+    assert (seven_twelfths.n, seven_twelfths.e) == (21, 2)
+    with pytest.raises(ValueError):  # 10 has the prime factor 5, which 6 lacks
+        ring.of(F(7, 10))
+
+
+@pytest.mark.parametrize("base", [6, 10, 12, 140])
+def test_localized_arithmetic_matches_fractions(base):
+    ring, rng = Localization(base), random.Random(base)
+    primes = [p for p in (2, 3, 5, 7) if base % p == 0]
+    for _ in range(300):
+        a, b = (F(rng.randint(-60, 60), base ** rng.randint(0, 3)) for _ in range(2))
+        x, y = ring.of(a), ring.of(b)
+        assert ring.fraction(x) == a
+        assert ring.fraction(x * y) == a * b
+        assert ring.fraction(x - y) == a - b and ring.fraction(y - x) == b - a
+        if b:
+            assert ring.fraction(ring.divide(x * y, y)) == a
+        # a unit of the ring: its numerator's prime factors all divide the base
+        unit = F(rng.choice((1, -1)) * math.prod(rng.choices(primes, k=rng.randint(1, 4))),
+                 base ** rng.randint(0, 3))
+        assert ring.fraction(ring.divide(x, ring.of(unit))) == a / unit
+
+
+def test_a_table_over_q_is_made_in_z_localized_at_the_lcm_of_the_denominators():
+    assert qsystem._ring([F(4), F(-3)], RATIONALS) is INTEGERS
+    ring = qsystem._ring([F(1, 4), F(5, 6), F(2)], RATIONALS)
+    assert isinstance(ring, Localization) and ring.base == 12
+    field = PrimeField(seeded_primes(1, 0)[0])
+    assert qsystem._ring([F(1, 4), F(5, 6)], field) is field
 
 
 def test_rational_inverses():

@@ -262,8 +262,8 @@ def test_tables_at_torus_points_match_the_fraction_recursion(name, branching, de
 
 def test_a_divisor_holding_a_base_factor_takes_another_power(monkeypatch):
     # the q of `detect --type E6 --node 1 --q 1/2,-3/7,5/4,2/9,7/3,-11/6`: a
-    # divisor's numerator shares a factor with the basis, so a first division
-    # leaves a remainder and is repeated at one more power of every base
+    # divisor's numerator shares a factor with D = lcm(2, 7, 4, 9, 3, 6), so a
+    # first division leaves a remainder and is repeated at one more power of D
     q = [F(v) for v in "1/2,-3/7,5/4,2/9,7/3,-11/6".split(",")]
     table = _matches_the_fraction_recursion(E6, q, 20)
     divisions = []
