@@ -94,6 +94,25 @@ def cartan_data(lt: LieType) -> CartanData:
     return CartanData(lie_type=lt, cartan=tuple(tuple(row) for row in mat), t=tuple(t))
 
 
+_ROOT_ENTRY_CAP = 10**6  # the positive roots' entries: |Phi+| times the rank
+
+
+class RootCapExceeded(RuntimeError):
+    """A root system whose positive roots would hold more than 10^6 entries."""
+
+
+def _refuse_large_root_systems(lt: LieType) -> None:
+    """Raises RootCapExceeded, before any matrix or root is built, when the
+    |Phi+| positive roots of rank r entries each exceed _ROOT_ENTRY_CAP
+    entries: |Phi+| is r(r+1)/2 on A, r^2 on B and C and r(r-1) on D, and
+    the exceptional types have at most 120 roots of 8 entries."""
+    r = lt.rank
+    count = {"A": r * (r + 1) // 2, "B": r * r, "C": r * r, "D": r * (r - 1)}.get(lt.family, 0)
+    if count * r > _ROOT_ENTRY_CAP:
+        raise RootCapExceeded(f"{lt} has {count} positive roots of {r} entries each, "
+                              f"above the cap of {_ROOT_ENTRY_CAP} entries")
+
+
 def _shift(k, a, n):
     return k[:a] + (k[a] + n,) + k[a + 1:]
 
@@ -125,6 +144,7 @@ def positive_roots(lt: LieType) -> tuple[tuple[int, ...], ...]:
 def growth_degree(lt: LieType) -> list[int]:
     """The simple-root coordinates of 2 rho, the sum of the positive roots:
     the polynomial growth degree of each node's dimension sequence."""
+    _refuse_large_root_systems(lt)
     return [sum(column) for column in zip(*positive_roots(lt))]
 
 

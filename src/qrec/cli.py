@@ -19,7 +19,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import conjectures
-from .cartan import LieType, order_tables, cartan_data, growth_degree, predicted_order
+from .cartan import (LieType, RootCapExceeded, order_tables, cartan_data, growth_degree,
+                     predicted_order)
 from .fields import RATIONALS, PrimeField, seeded_primes
 from .linrec import (CertificateFailure, InsufficientData, LiftOverflow,
                      NoStableRecurrence, PrimeDisagreement, find_min_recurrence,
@@ -505,7 +506,8 @@ def run_dims(args):
     branching = _load_branching(args.branching, lt)
 
     def growth_depths():  # the levels each node needs to show its growth degree
-        t, degs = cartan_data(lt).t, growth_degree(lt)
+        degs = growth_degree(lt)  # refuses a root system past the cap before any matrix
+        t = cartan_data(lt).t
         return [t[a] * (degs[a] + 3) for a in range(lt.rank)]
 
     def auto():
@@ -602,7 +604,7 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.run(args)
-    except (DimensionCapExceeded, CapExceeded,
+    except (DimensionCapExceeded, RootCapExceeded, CapExceeded,
             conjectures.InsufficientDepth, LiftOverflow) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

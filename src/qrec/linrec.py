@@ -8,7 +8,6 @@ coefficient list `alternating()`.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
@@ -41,8 +40,7 @@ class LiftOverflow(RuntimeError):
 
 
 class CertificateFailure(RuntimeError):
-    """No lifted candidate passed substitution, past the primes that must
-    suffice."""
+    """No lifted candidate passed substitution, past the primes that must suffice."""
 
 
 class RecurrencePoly(namedtuple("RecurrencePoly", "order coeffs start primes",
@@ -97,8 +95,7 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS, state: list | None = None):
             continue
         coef = reduce(d * b_inv)
         shifted_len = m + len(prev)
-        if len(cur) < shifted_len:
-            cur.extend([field.zero] * (shifted_len - len(cur)))
+        cur.extend([field.zero] * (shifted_len - len(cur)))
         stash = cur[:L + 1] if 2 * L <= n else None  # deg cur <= L
         cur[m:shifted_len] = [reduce(c - coef * p) for c, p in zip(cur[m:shifted_len], prev)]
         if stash is None:
@@ -146,12 +143,12 @@ def _symmetric(c: int, modulus: int) -> int:
     return c - modulus if c > modulus // 2 else c
 
 
-def _certified(conn, modulus, window, integral):
+def _certified(conn, modulus, window):
     """The first lift of BM's conn from Z/modulus to Q that annihilates the
     integer window from len(conn) - 1 on, or None: into (-modulus/2,
-    modulus/2] first when the window's terms were integers, then by
-    rational reconstruction."""
-    for lift in (_symmetric, rational_reconstruction)[not integral:]:
+    modulus/2] first, then by rational reconstruction; either is the unique
+    minimal LFSR, of length L on N >= 2L terms."""
+    for lift in (_symmetric, rational_reconstruction):
         lifted = [lift(c, modulus) for c in conn]
         if None not in lifted:
             taps = _cleared(lifted)[::-1]
@@ -188,50 +185,53 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
 
     One loop reads seq modulo each modulus in turn.  Over Z/m the one
     modulus is m, and BM's LFSR is not substituted again: BM ran on these
-    residues, so its invariant already holds.  Over Q the moduli are the
-    products M of 4, 8, 16, ... seeded primes, and exact substitution over
-    Q certifies the first lift (see _certified) that holds: an LFSR of length
-    L on N >= 2L terms is the unique minimal one.  A prime that divides no
-    denominator of the window or of the minimal LFSR over Q cannot lengthen
-    the LFSR (Fatou's lemma over Z_(p)), and one that lengthens it unlike
-    the other primes of its set hits a non-unit and skips the set, so an
-    LFSR too long for the window raises NoStableRecurrence at once.  Its
-    coefficients are ratios of L x L minors of the integer window, each at
-    most (sqrt(L) * max|window|)^L by Hadamard, and reconstruction needs M
-    above twice their square; the moduli stop two sets past that bound,
-    sets that raised included.
+    residues, so its invariant already holds.  Over Q the moduli are
+    batches of 4 seeded primes.  Garner's CRT step joins each batch's conn
+    to those before it of the same L and window (another restarts the
+    join), and exact substitution certifies a lift of the join (see
+    _certified).  A prime that divides no denominator of the window or of
+    the LFSR over Q cannot lengthen the LFSR (Fatou's lemma over Z_(p));
+    one that lengthens it unlike the rest of its batch hits a non-unit,
+    which skips the batch, and the first batch too long for the window is
+    dropped.  The coefficients are ratios of L x L minors of the integer
+    window, at most (sqrt(L) * max|window|)^L by Hadamard; a lift needs a
+    modulus above twice their square, and the loop stops two batches after
+    the bits drawn, batches that raised included, pass that bound.
     """
     if guard is not None and guard < 4:
         raise ValueError("guard must be at least 4")
     exact = not isinstance(field, PrimeField)
-    primes = prime_stream(PRIME_SEED)
-    fields = ((PrimeField(math.prod(itertools.islice(primes, 4 << k))) for k in itertools.count())
-              if exact else [field])
-    window, need, tried = [], math.inf, []
-    for bm_field in fields:
-        if sum(bits > need for bits in tried) == 2:
+    moduli = map(math.prod, zip(*[prime_stream(PRIME_SEED)] * 4)) if exact else [field.modulus]
+    need, bits, past, dropped, join = math.inf, 0, 0, False, None
+    for p in moduli:
+        if past == 2:
             raise CertificateFailure(
                 f"no candidate LFSR of {len(window)} terms passed substitution")
-        tried.append(bm_field.modulus.bit_length())
+        bits += p.bit_length()
+        past += bits > need
         try:
-            read, (L, conn) = _read(seq, guard, bm_field)
+            read, (L, conn) = _read(seq, guard, PrimeField(p))
         except ZeroDivisionError:
             if exact:
                 continue
             raise
-        n_total = len(read)
-        g = guard_terms(L, guard)
+        n_total, g = len(read), guard_terms(L, guard)
         if 2 * L + g > n_total:
-            raise NoStableRecurrence(
-                f"the minimal LFSR of {n_total} terms has length {L}, which "
-                f"{g} guard terms do not validate")
+            if exact and not dropped:
+                dropped = True
+                continue
+            raise NoStableRecurrence(f"the minimal LFSR of {n_total} terms has length {L}, "
+                                     f"which {g} guard terms do not validate")
         if not exact:
             break
-        if len(window) != n_total:
+        if join != (L, n_total):
+            join, modulus, joined = (L, n_total), 1, [0] * (L + 1)
             window = _cleared(read)
-            integral = all(x.denominator == 1 for x in read)
             need = n_total * (max(map(abs, window)).bit_length() + n_total.bit_length()) + 1
-        if (conn := _certified(conn, bm_field.modulus, window, integral)) is not None:
+        inverse = pow(modulus, -1, p)
+        joined = [a + modulus * ((c - a) * inverse % p) for a, c in zip(joined, conn)]
+        modulus *= p
+        if (conn := _certified(joined, modulus, window)) is not None:
             break
     # an LFSR can absorb a transient into its initial fill, leaving
     # trailing zero taps; the recurrence order is the actual degree

@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cartan import CartanData, LieType, cartan_data, positive_roots
+from .cartan import (CartanData, LieType, _refuse_large_root_systems, cartan_data,
+                     positive_roots)
 from .fields import INTEGERS
 
 Weight = tuple[int, ...]
@@ -84,6 +85,7 @@ def weyl_orbit(cd: CartanData, w: Weight) -> list[Weight]:
 def _roots(lt: LieType) -> list[tuple[Weight, Weight]]:
     """Each positive root as (its fundamental-weight coordinates C k, its
     pairing vector v with v_j = k_j T / t_j, so that T (x, alpha) = x . v)."""
+    _refuse_large_root_systems(lt)
     cd = cartan_data(lt)
     scale = [lcm(*cd.t) // t for t in cd.t]
     return [(tuple(sum(c * x for c, x in zip(row, k)) for row in cd.cartan),

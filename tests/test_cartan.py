@@ -194,3 +194,24 @@ def test_growth_degrees_match_the_pinned_digest():
     for name in GROWTH_TYPES:
         digest.update(repr((name, growth_degree(LieType.parse(name)))).encode())
     assert digest.hexdigest() == GROWTH_DEGREES_SHA256
+
+
+@pytest.mark.parametrize("family, lowest", [("A", 1), ("B", 2), ("C", 2), ("D", 3)])
+def test_the_root_cap_counts_the_positive_roots_in_closed_form(family, lowest, monkeypatch):
+    import qrec.cartan as cartan
+    for rank in range(lowest, 9):
+        lt = LieType(family, rank)
+        entries = len(cartan.positive_roots(lt)) * rank
+        monkeypatch.setattr(cartan, "_ROOT_ENTRY_CAP", entries)
+        cartan._refuse_large_root_systems(lt)
+        monkeypatch.setattr(cartan, "_ROOT_ENTRY_CAP", entries - 1)
+        with pytest.raises(cartan.RootCapExceeded):
+            cartan._refuse_large_root_systems(lt)
+
+
+def test_the_root_cap_admits_a125_and_every_tested_rank():
+    import qrec.cartan as cartan
+    for name in ("A125", "A15", "B12", "C12", "D12", "E8", "F4", "G2"):
+        cartan._refuse_large_root_systems(LieType.parse(name))
+    with pytest.raises(cartan.RootCapExceeded, match="A126 has 8001 positive roots"):
+        cartan._refuse_large_root_systems(LieType.parse("A126"))

@@ -758,6 +758,28 @@ def test_dims_past_the_ceiling_is_refused_before_any_root(argv, message, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "weights --type A1000 --highest 1" + ",0" * 999,
+    "dims --type A1000",
+    "dims --type A1000 --depth 5",
+    "detect --type A1000 --mode character-point",
+    "verify --type A1000 --mode character-point --y " + ",".join(["2"] * 1000),
+], ids=["weights", "dims", "dims-depth", "detect", "verify"])
+def test_a_root_system_past_the_cap_is_refused_before_any_root(argv, capsys, monkeypatch):
+    import qrec.cartan as cartan
+    import qrec.weights as weights
+
+    def never(*args):
+        raise AssertionError("built the root system")
+
+    monkeypatch.setattr(cartan, "positive_roots", never)
+    monkeypatch.setattr(weights, "positive_roots", never)
+    monkeypatch.setattr(cartan, "_chain_matrix", never)
+    assert main(argv.split()) == 4
+    assert ("resource cap: A1000 has 500500 positive roots of 1000 entries each, "
+            "above the cap of 1000000 entries") in capsys.readouterr().err
+
+
 def test_a_singular_explicit_q_is_not_redrawn(capsys):
     assert main("detect --type A2 --q 1,0".split()) == 2
     assert "detection failed: Q^(2) vanished at level 1" in capsys.readouterr().err

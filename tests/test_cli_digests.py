@@ -92,7 +92,7 @@ PINS = {
         (0, "251a017933019d8dbfd1f3891201ea682e0aa5a1a22c39d880ad7472a2ed534f"),
     "detect --type B4 --node 4 --seed 1":
         (0, "3cc5ad26435d28cb7d35a96feb75e972dfb32ab2fe31725850aa77d629a4b820"),
-    "verify --type C5 --node 5 --mode character-point --seed 12":  # 16 primes
+    "verify --type C5 --node 5 --mode character-point --seed 12":  # 3 batches of 4 primes
         (0, "d60f15527fa4203b6d8b8a0bb982cc4da5bda358fc5f6c6702f59dfe0d8a54d1"),
     "detect --type E8 --node 7 --modular 5 --seed 2":  # order 241
         (0, "bc10a357223931e841068a0d771c63a73517b143e09b9864dddd4c97377855bb"),

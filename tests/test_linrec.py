@@ -434,20 +434,34 @@ def test_exact_detection_equals_rational_bm(name, mode):
         assert got == (dense_order, tuple(dense_coeffs)), seed
 
 
+BATCHES = [math.prod(seeded_primes(60, PRIME_SEED)[i:i + 4]) for i in range(0, 60, 4)]
+
+
+def batch(modulus):
+    """k when the modulus is the product of the kth batch of 4 primes that
+    exact detection draws, else 0."""
+    return BATCHES.index(modulus) + 1 if modulus in BATCHES else 0
+
+
+def batches_joined(modulus):
+    """The numbers of the batches whose product the modulus is."""
+    return [k for k, m in enumerate(BATCHES, 1) if modulus % m == 0]
+
+
 @pytest.fixture
 def bm_runs(monkeypatch):
-    """(number of primes, whether BM raised) of each BM call over Z/M."""
+    """(batch number, whether BM ran or raised) of each BM call over Z/M."""
     runs = []
     original = linrec.berlekamp_massey
 
     def recording(seq, field=RATIONALS, *state):
-        primes = sum(field.modulus % p == 0 for p in seeded_primes(60, PRIME_SEED))
+        k = batch(field.modulus)
         try:
             out = original(seq, field, *state)
         except ZeroDivisionError:
-            runs.append((primes, "raised"))
+            runs.append((k, "raised"))
             raise
-        runs.append((primes, "ran"))
+        runs.append((k, "ran"))
         return out
 
     monkeypatch.setattr(linrec, "berlekamp_massey", recording)
@@ -458,21 +472,37 @@ def test_a_prime_in_a_term_denominator_skips_its_set(bm_runs):
     p = seeded_primes(1, PRIME_SEED)[0]
     seq = [F(3**n, p) + 2**n for n in range(24)]
     assert detection(seq) == rational_bm_detection(seq) == (2, (1, 5, 6))
-    assert bm_runs == [(8, "ran")]  # the set holding p was never run
+    assert bm_runs == [(2, "ran")]  # the batch holding p was never run
 
 
 def test_a_non_unit_discrepancy_moves_to_fresh_primes(bm_runs):
     p = seeded_primes(1, PRIME_SEED)[0]
     seq = [(p - 1) * 2**n + 3**n for n in range(24)]  # s_0 = p: BM inverts it
     assert detection(seq) == rational_bm_detection(seq) == (2, (1, 5, 6))
-    assert bm_runs == [(4, "raised"), (8, "ran")]
+    assert bm_runs == [(1, "raised"), (2, "ran")]
 
 
-def test_coefficients_too_large_for_four_primes_double_the_count(bm_runs):
+@pytest.fixture
+def certified_moduli(monkeypatch):
+    """The modulus of each lift that exact detection tries to certify."""
+    moduli = []
+    certified = linrec._certified
+
+    def recording(conn, modulus, window):
+        moduli.append(modulus)
+        return certified(conn, modulus, window)
+
+    monkeypatch.setattr(linrec, "_certified", recording)
+    return moduli
+
+
+def test_coefficients_too_large_for_one_batch_join_a_second(bm_runs, certified_moduli):
     ratio = F(3**80, 7)  # 127 bits over 3: past sqrt(M/2) for 4 primes
     seq = [ratio**n for n in range(12)]
     assert detection(seq) == rational_bm_detection(seq) == (1, (1, ratio))
-    assert bm_runs == [(4, "ran"), (8, "ran")]
+    assert bm_runs == [(1, "ran"), (2, "ran")]
+    # the second batch's residues are joined to the first's, not run alone
+    assert [batches_joined(m) for m in certified_moduli] == [[1], [1, 2]]
 
 
 def test_substitution_rejects_a_lift_that_fits_the_wrong_modulus(bm_runs):
@@ -480,10 +510,10 @@ def test_substitution_rejects_a_lift_that_fits_the_wrong_modulus(bm_runs):
     ratio = math.prod(seeded_primes(4, PRIME_SEED)) + 5
     seq = [F(ratio) ** n for n in range(12)]
     assert detection(seq) == rational_bm_detection(seq) == (1, (1, ratio))
-    assert bm_runs == [(4, "ran"), (8, "ran")]
+    assert bm_runs == [(1, "ran"), (2, "ran")]
 
 
-def test_prime_sets_are_consecutive_slices_of_one_stream(monkeypatch):
+def test_prime_sets_are_consecutive_slices_of_one_stream(monkeypatch, certified_moduli):
     moduli = []
     original = linrec.berlekamp_massey
 
@@ -492,12 +522,16 @@ def test_prime_sets_are_consecutive_slices_of_one_stream(monkeypatch):
         return original(seq, field, *state)
 
     monkeypatch.setattr(linrec, "berlekamp_massey", recording)
-    # a rational ratio lifts by rational reconstruction only: it needs 3 sets
+    # a rational ratio of 203 bits over 3 lifts by rational reconstruction
+    # only, past 406 bits: it needs 3 batches
     ratio = F(math.prod(seeded_primes(4, PRIME_SEED)) + 5, 7)
     find_min_recurrence([F(ratio) ** n for n in range(12)])
-    primes = seeded_primes(28, PRIME_SEED)
-    assert moduli == [math.prod(primes[:4]), math.prod(primes[4:12]),
-                      math.prod(primes[12:28])]
+    primes = seeded_primes(12, PRIME_SEED)
+    assert moduli == [math.prod(primes[:4]), math.prod(primes[4:8]),
+                      math.prod(primes[8:12])]
+    # each lift is modulo the product of every batch so far
+    assert certified_moduli == [math.prod(primes[:4]), math.prod(primes[:8]),
+                                math.prod(primes[:12])]
 
 
 def test_failures_are_raised_at_the_same_inputs_as_rational_bm():
@@ -522,17 +556,47 @@ def test_one_prime_in_a_coefficient_denominator_is_a_non_unit(bm_runs):
     p = seeded_primes(1, PRIME_SEED)[0]
     seq = [F(p ** (11 - n) * 2**n) for n in range(12)]
     assert detection(seq) == rational_bm_detection(seq) == (1, (1, F(2, p)))
-    assert bm_runs == [(4, "raised"), (8, "ran")]
+    assert bm_runs == [(1, "raised"), (2, "ran")]
 
 
-@pytest.mark.xfail(strict=True, reason="when every prime of a set divides the "
-                   "denominator of a minimal-LFSR coefficient alike, the LFSR "
-                   "mod M is too long and detection stops there")
-def test_every_prime_in_a_coefficient_denominator_is_not_detected():
+def test_every_prime_in_a_coefficient_denominator_is_not_detected(bm_runs, certified_moduli):
+    # modulo each prime of the first batch the LFSR has length 12, too long
+    # for the window: that batch is dropped, and the next three, joined,
+    # lift 2/m by rational reconstruction
     m = math.prod(seeded_primes(4, PRIME_SEED))
     seq = [F(m ** (11 - n) * 2**n) for n in range(12)]
     assert rational_bm_detection(seq) == (1, (1, F(2, m)))
     assert detection(seq) == rational_bm_detection(seq)
+    assert bm_runs == [(1, "ran"), (2, "ran"), (3, "ran"), (4, "ran")]
+    assert [batches_joined(m) for m in certified_moduli] == [[2], [2, 3], [2, 3, 4]]
+
+
+def test_a_second_batch_too_long_for_the_window_raises(bm_runs):
+    seq = [F(2) ** n + F(n) ** 5 for n in range(15)]  # order 7: 2L + 8 > 15
+    with pytest.raises(NoStableRecurrence):
+        find_min_recurrence(seq)
+    assert bm_runs == [(1, "ran"), (2, "ran")]
+
+
+def test_a_stable_batch_of_another_length_restarts_the_join(monkeypatch, certified_moduli):
+    real = linrec._read
+    ratio = F(3**80, 7)  # needs two batches joined, as above
+    seq = [ratio**n for n in range(12)]
+    calls = []
+
+    def first_reads_fibonacci(seq, guard, field):
+        # the first batch reads the window but finds Fibonacci's LFSR, of
+        # length 2, on it: stable, of another L, and not certified
+        read, run = real(seq, guard, field)
+        calls.append(batch(field.modulus))
+        return read, (real(frac(FIB[:12]), guard, field)[1] if len(calls) == 1 else run)
+
+    monkeypatch.setattr(linrec, "_read", first_reads_fibonacci)
+    rec = find_min_recurrence(seq)
+    assert (rec.order, rec.coeffs) == (1, (1, ratio)) and annihilates(seq, rec)
+    assert calls == [1, 2, 3]
+    # batch 2 starts the join again; batch 3 joins it, not batch 1
+    assert [batches_joined(m) for m in certified_moduli] == [[1], [2], [2, 3]]
 
 
 def lfsr_stream(taps, fill, pulled):
@@ -550,14 +614,13 @@ def lfsr_stream(taps, fill, pulled):
 
 @pytest.fixture
 def stream_runs(monkeypatch):
-    """(primes in the modulus, terms fed, whether BM was given a state, ran
-    or raised) of each BM call."""
+    """(batch number, terms fed, whether BM was given a state, ran or
+    raised) of each BM call."""
     runs = []
     original = linrec.berlekamp_massey
-    primes = seeded_primes(60, PRIME_SEED)
 
     def recording(seq, field=RATIONALS, *state):
-        run = [sum(field.modulus % p == 0 for p in primes), len(seq), bool(state), "ran"]
+        run = [batch(field.modulus), len(seq), bool(state), "ran"]
         runs.append(run)
         try:
             return original(seq, field, *state)
@@ -600,10 +663,10 @@ def test_a_stream_skips_prime_sets_like_a_window(stream_runs):
         rec = find_min_recurrence(lambda n: seq[:n])
         streamed += [run for run in stream_runs if run[2]]
         assert (rec.order, rec.coeffs) == detection(seq) == (2, (1, 5, 6))
-    # the first stream restarts on its 24 terms modulo 8 primes after the
-    # 4-prime run raised; the second never runs modulo the set holding p
+    # the first stream restarts on its 24 terms modulo batch 2 after the
+    # batch 1 run raised; the second never runs modulo the batch holding p
     assert streamed == [
-        [4, 24, True, "raised"], [8, 24, True, "ran"], [8, 24, True, "ran"]]
+        [1, 24, True, "raised"], [2, 24, True, "ran"], [2, 24, True, "ran"]]
 
 
 def test_a_short_stream_fails_like_its_window():
@@ -673,7 +736,7 @@ def test_a_later_modulus_rereads_the_stream_without_generating_a_level(monkeypat
 
     monkeypatch.setattr(qsystem, "_table", recorded)
     # F4/2 at the draw of `detect --type F4 --node 2 --seed 1`: its 145
-    # coefficients need the second set of primes
+    # coefficients need the second batch of primes
     terms = qsystem.levels(LieType.parse("F4"), [F(v) for v in (-27, -13, 18, 17)], 2)
     requests = []
     rec = find_min_recurrence(lambda n: requests.append(n) or terms(n))
@@ -687,11 +750,11 @@ def test_an_integral_window_lifts_symmetrically_first(bm_runs):
     import contextlib
     import io
     import qrec.cli as cli
-    # B5/4 at seed 1 has 227-bit coefficients: the 8-prime set lifts them
-    # into (-M/2, M/2], where Wang's bound would need 16 primes
+    # B5/4 at seed 1 has 227-bit coefficients: two batches joined lift
+    # them into (-M/2, M/2], where Wang's bound would need a third
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main("detect --type B5 --node 4 --seed 1".split()) == 0
-    assert bm_runs == [(4, "ran"), (8, "ran")]
+    assert bm_runs == [(1, "ran"), (2, "ran")]
 
 
 def _lfsr_window(rng, rational):
@@ -735,16 +798,33 @@ def test_no_certified_lift_fails_two_moduli_past_the_hadamard_bound(monkeypatch,
     import qrec.cli as cli
     moduli = []
 
-    def uncertified(conn, modulus, window, integral):
+    def uncertified(conn, modulus, window):
         moduli.append(modulus)
         return None
 
     monkeypatch.setattr(linrec, "_certified", uncertified)
-    # 20 Fibonacci terms need 20 * (13 + 5) + 1 = 361 bits
+    # 20 Fibonacci terms need 20 * (13 + 5) + 1 = 361 bits: the batches
+    # drawn pass them at the second, 203 + 202 bits, and the third is the last
     with pytest.raises(CertificateFailure, match="no candidate LFSR of 20 terms"):
         find_min_recurrence(frac(FIB[:20]))
-    primes = seeded_primes(28, PRIME_SEED)
-    assert [sum(m % p == 0 for p in primes) for m in moduli] == [4, 8, 16]
-    assert [m.bit_length() for m in moduli] == [203, 404, 811]
+    assert [batches_joined(m) for m in moduli] == [[1], [1, 2], [1, 2, 3]]
+    assert [m.bit_length() for m in moduli] == [203, 405, 606]
     assert cli.main(["detect", "--type", "A2", "--q", "3,5"]) == 2
     assert "detection failed: no candidate LFSR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, batches", [
+    ("detect --type B4 --node 4 --seed 1", [1]),  # an exact-detect job
+    ("detect --type F4 --node 2 --seed 1", [1, 2]),  # 277-bit coefficients
+    ("verify --type C5 --node 5 --mode character-point --seed 12", [1, 2, 3]),
+])
+def test_exact_detection_runs_bm_modulo_each_batch_once(argv, batches, bm_runs):
+    import contextlib
+    import io
+    import itertools
+    import qrec.cli as cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv.split()) == 0
+    # a stream feeds BM its terms in chunks, modulo one batch at a time
+    assert [k for k, _ in itertools.groupby(k for k, _ in bm_runs)] == batches
+    assert {ran for _, ran in bm_runs} == {"ran"}
