@@ -214,9 +214,10 @@ def coefficient_formula(lt: LieType, a: int, y, order: int) -> list[Fraction]:
     weights w of res W_1^(a): with e_n the elementary symmetric polynomials
     in the weight values, C_k is e_k for A and D, e_k - e_{k-2} for C and
     sum_n (-1)^(k-n) e_n for B."""
-    values = level1_weight_values(lt, a, y)
     if lt.family not in _FORMULA_FACTORS or (lt.family != "A" and a != 1):
+        _level1_decomposition(lt, a)  # an unknown decomposition is the reason given
         raise NotInCatalogue(f"no coefficient formula for {lt} node {a}")
+    values = level1_weight_values(lt, a, y)
     num, den = _FORMULA_FACTORS[lt.family]
     series = linrec.series_divide(
         linrec.poly_mul(num, linrec.expand_linear_product(values)), den, order)

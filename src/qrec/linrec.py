@@ -256,10 +256,17 @@ def poly_mul(a: Sequence, b: Sequence) -> list:
 
 
 def expand_linear_product(values, stride: int = 1) -> list:
-    """prod_i (1 - v_i D^stride) as a dense coefficient list."""
-    poly = [Fraction(1)]
+    """prod_i (1 - v_i D^stride) as a dense coefficient list of Fractions.
+    With v_i = n_i / d_i this is prod_i (d_i - n_i E) / prod_i d_i in
+    E = D^stride: the factors multiply in ints, and each coefficient is
+    normalised once."""
+    coeffs, den = [1], 1
     for v in values:
-        poly = poly_mul(poly, [1] + [0] * (stride - 1) + [-Fraction(v)])
+        n, d = v.numerator, v.denominator
+        coeffs = [d * c - n * p for c, p in zip(coeffs + [0], [0] + coeffs)]
+        den *= d
+    poly = [Fraction(0)] * (stride * (len(coeffs) - 1) + 1)
+    poly[::stride] = [Fraction(c, den) for c in coeffs]
     return poly
 
 

@@ -13,8 +13,9 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .cartan import LieType, cartan_data
+from .cartan import LieType, _refuse_large_root_systems, cartan_data
 from .fields import INTEGERS, RATIONALS, Localization
+from .linrec import expand_linear_product
 from .weights import Weight, dimension, evaluate, is_dominant, omega, weight_system
 
 
@@ -117,9 +118,61 @@ def resolve_branching(lt: LieType, override=None) -> dict[int, tuple[Weight, ...
     return table
 
 
+def classical_level1_values(lt: LieType, y) -> list[Fraction]:
+    """q_1..q_r of a classical type at the torus point y, every node taken
+    with its default_branching decomposition, from the weights of the
+    vector representation (see initial_values for the x_i).
+
+    Let e_k be the elementary symmetric polynomials of V: x_1..x_{r+1} on A,
+    and otherwise x_i and 1/x_i for i <= r, with one 1 more on B.  Then
+    q_a = e_a on A, e_a - e_{a-2} on C, and e_a + e_{a-2} + ... on B below
+    node r and on D below node r - 1.  With P = prod (1 + 1/x_i) and
+    M = prod (1 - 1/x_i), the B spin node is y_r P, and the D half-spin
+    nodes r and r - 1 are y_r (P + M) / 2 and y_r (P - M) / 2.  Builds no
+    root or weight system, but refuses a type whose positive roots are past
+    the cap, as those would.
+    """
+    _refuse_large_root_systems(lt)
+    fam, r = lt.family, lt.rank
+    y = (Fraction(1), *map(Fraction, y))  # y[i] = y_i, with y_0 = 1
+    x = [y[i] / y[i - 1] for i in range(1, r + 1)]
+    if fam == "A":
+        x.append(1 / y[r])
+    elif fam == "B":
+        x[r - 1] = y[r] * y[r] / y[r - 1]
+    elif fam == "D":
+        x[r - 2] = y[r - 1] * y[r] / y[r - 2]
+        x[r - 1] = y[r] / y[r - 1]
+    inverses = [1 / v for v in x]
+    weights = x if fam == "A" else x + inverses + [1] * (fam == "B")
+    e = [c if k % 2 == 0 else -c for k, c in enumerate(expand_linear_product(weights))]
+    if fam == "A":
+        return e[1:r + 1]
+    if fam == "C":
+        return [e[a] - e[a - 2] if a >= 2 else e[a] for a in range(1, r + 1)]
+    q = [sum(e[a % 2:a + 1:2]) for a in range(1, r + 1)]
+    p = math.prod(1 + v for v in inverses)
+    if fam == "B":
+        q[r - 1] = y[r] * p
+    else:
+        m = math.prod(1 - v for v in inverses)
+        q[r - 2], q[r - 1] = y[r] * (p - m) / 2, y[r] * (p + m) / 2
+    return q
+
+
 def initial_values(lt: LieType,
                    spec: RawQ | CharacterPoint | DimensionMode) -> list[Fraction]:
-    """The level-1 values q_a as exact rationals."""
+    """The level-1 values q_a as exact rationals.
+
+    At a torus point y, q_a is the character of node a's level-1
+    decomposition at y.  On A, B, C and D, each node whose decomposition
+    is its default_branching one takes it from classical_level1_values,
+    with x_i = e^{eps_i}(y) in the eps-basis of the vector representation:
+    x_i = y_i / y_{i-1} (y_0 = 1), except that A has x_{r+1} = 1 / y_r, B
+    has x_r = y_r^2 / y_{r-1}, and D has x_{r-1} = y_{r-1} y_r / y_{r-2}
+    and x_r = y_r / y_{r-1}.  Every other node, on G, F and E and wherever
+    a branching overrides the default, sums e^w(y) over the weight systems
+    of its summands (Freudenthal)."""
     r = lt.rank
     if isinstance(spec, RawQ):
         if len(spec.values) != r:
@@ -129,7 +182,11 @@ def initial_values(lt: LieType,
         if len(spec.y) != r:
             raise ValueError(f"torus point needs {r} entries for {lt}")
         table = resolve_branching(lt, spec.branching)
-        return [sum((evaluate(weight_system(lt, mu), spec.y) for mu in table[a]),
+        shipped = default_branching(lt) if lt.family in "ABCD" else {}
+        vector = {a for a in shipped if table[a] == shipped[a]}
+        q = classical_level1_values(lt, spec.y) if vector else None
+        return [q[a - 1] if a in vector else
+                sum((evaluate(weight_system(lt, mu), spec.y) for mu in table[a]),
                     Fraction(0))
                 for a in range(1, r + 1)]
     if isinstance(spec, DimensionMode):

@@ -665,6 +665,21 @@ def test_each_attempt_computes_its_level1_values_once(argv, capsys, monkeypatch)
     assert len(specs) == 2 and specs[0] != specs[1]
 
 
+@pytest.mark.parametrize("name, node", [("A3", 2), ("B3", 3), ("C3", 2), ("D4", 4)])
+def test_a_classical_character_point_detect_builds_no_weight_system(name, node, capsys,
+                                                                    monkeypatch):
+    import qrec.qsystem as qsystem
+
+    def never(*args):
+        raise AssertionError("built a weight system")
+
+    monkeypatch.setattr(qsystem, "weight_system", never)
+    code, payload = run_json(capsys, "detect", "--type", name, "--node", str(node),
+                             "--mode", "character-point", "--seed", "2")
+    assert code == 0
+    assert payload["recurrence"]["order"] == predicted_order(LieType.parse(name), node)
+
+
 def test_a_character_point_verify_expands_no_elementary_symmetric(capsys):
     for argv in ("verify --type B3 --node 1 --mode character-point --seed 7",
                  "verify --type A3 --node 2 --mode character-point --seed 2"):

@@ -113,6 +113,17 @@ PINS = {
         (0, "7c4fbc2bbfe787365fb45065dfca9ff7f3d1d1c1e4a4b32e2380046cbb3b166a"),
     "detect --type E6 --node 1 --q 1/2,-3/7,5/4,2/9,7/3,-11/6":
         (0, "29f6fe4227e8918e78ee064611292d68550ad8c77d9be9790626bd8fe82c7515"),
+    # level-1 values from the vector representation, one run per family
+    "verify --type A5 --node 3 --mode character-point --seed 2":
+        (0, "1a80b83dfaa07d776f7a62b0f48aec4be8c822fcbabdbebc863ea3d95dd9fd85"),
+    "verify --type B4 --node 4 --mode character-point --seed 5":  # spin node
+        (0, "7d3f0e0b5ad3f833917dcbf80a58280d0fcebc5de4af8ae0176e9f709f9f82d1"),
+    "verify --type C4 --node 2 --mode character-point --seed 1":
+        (0, "08c050add26f2f9d968cb2eb7e24c3b7279f4806f9f63437a26436eeebcb29c6"),
+    "verify --type D5 --node 4 --mode character-point --seed 1":  # half-spin nodes
+        (0, "a83b77ee2fc5cc847b1a116733bfd87167809db468cb36c3a1da7ff786b286b4"),
+    "verify --type D5 --node 5 --mode character-point --seed 3":
+        (0, "962f8a96fc08847066ca9926dc50ffbb2aee409c9ffa153a80f89d4b3bb8dd74"),
 }
 
 

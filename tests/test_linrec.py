@@ -124,6 +124,32 @@ def test_poly_ops():
         series_divide([F(1)], [F(0), F(1)], 3)
 
 
+def _fraction_linear_product(values, stride):
+    """prod (1 - v D^stride), one Fraction factor at a time."""
+    poly = [F(1)]
+    for v in values:
+        factor = [F(1)] + [F(0)] * (stride - 1) + [-F(v)]
+        out = [F(0)] * (len(poly) + stride)
+        for i, p in enumerate(poly):
+            for j, f in enumerate(factor):
+                out[i + j] += p * f
+        poly = out
+    return poly
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_expand_linear_product_matches_the_fraction_loop(stride):
+    rng = random.Random(stride)
+    cases = [[], [0], [7, -2, 0, 5], [F(1, 3)], [F(-5, 6), F(9, 4), F(0), F(2, 9)],
+             [F(3, 2), F(2, 3)],  # reciprocal pairs, as in a weight set
+             [rng.choice([rng.randint(-9, 9), F(rng.randint(-30, 30), rng.randint(1, 40))])
+              for _ in range(12)]]
+    for values in cases:
+        got = expand_linear_product(values, stride)
+        assert got == _fraction_linear_product(values, stride), values
+        assert all(type(c) is Fraction for c in got)
+
+
 def test_the_helpers_over_q_return_fractions():
     # 1.0 == Fraction(1), so the equality checks above would let a float
     # through; integer inputs must still give Fractions

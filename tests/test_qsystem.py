@@ -281,6 +281,55 @@ def test_character_point_initial_values():
     assert q[1] == evaluate(weight_system(lt, (0, 1)), y)
 
 
+CLASSICAL = [LieType(family, rank) for family, lowest in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+             for rank in range(lowest, 8)]
+
+
+def _freudenthal_values(lt, table, y):
+    """Each node's character at y, summed over the weight systems of its table entry."""
+    return [sum((evaluate(weight_system(lt, mu), y) for mu in table[a]), F(0))
+            for a in range(1, lt.rank + 1)]
+
+
+@pytest.mark.parametrize("lt", CLASSICAL, ids=str)
+def test_classical_character_points_come_from_the_vector_representation(lt, monkeypatch):
+    rng = random.Random(str(lt))
+    points = []
+    for _ in range(3):
+        y = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(lt.rank)]
+        for i in rng.sample(range(lt.rank), rng.randint(1, lt.rank)):
+            y[i] = -y[i]
+        points.append(tuple(y))
+    want = [_freudenthal_values(lt, default_branching(lt), y) for y in points]
+
+    def refuse(lt, highest):
+        raise AssertionError(f"built the weight system of {highest}")
+
+    monkeypatch.setattr(qsystem, "weight_system", refuse)
+    assert [initial_values(lt, CharacterPoint(y)) for y in points] == want
+    assert [qsystem.classical_level1_values(lt, y) for y in points] == want
+
+
+@pytest.mark.parametrize("lt", CLASSICAL, ids=str)
+def test_the_vector_representation_at_the_identity_gives_the_dimensions(lt):
+    assert (qsystem.classical_level1_values(lt, (1,) * lt.rank)
+            == initial_values(lt, DimensionMode()))
+
+
+def test_a_branching_override_takes_freudenthal_at_its_node_only(monkeypatch):
+    lt = LieType.parse("D5")
+    y = (F(-2, 3), F(5), F(3, 7), F(-4), F(7, 2))
+    override = {2: [(0, 1, 0, 0, 0)]}  # the default adds the trivial summand
+    want = _freudenthal_values(lt, resolve_branching(lt, override), y)
+    built = []
+    original = qsystem.weight_system
+    monkeypatch.setattr(qsystem, "weight_system",
+                        lambda lt, mu: built.append(mu) or original(lt, mu))
+    q = initial_values(lt, CharacterPoint(y, override))
+    assert q == want and built == [(0, 1, 0, 0, 0)]
+    assert q[1] != qsystem.classical_level1_values(lt, y)[1]
+
+
 def test_branching_defaults_and_refusal():
     b3 = default_branching(LieType.parse("B3"))
     assert b3[1] == ((1, 0, 0),)
