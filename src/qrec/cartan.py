@@ -120,9 +120,19 @@ def _shift(k, a, n):
 @lru_cache(maxsize=None)
 def positive_roots(lt: LieType) -> tuple[tuple[int, ...], ...]:
     """All positive roots in simple-root coordinates k (the root is
-    sum_j k_j alpha_j), closing root strings upward from the simple roots:
-    beta + alpha_a is a root when beta - p alpha_a is the lowest root of its
-    alpha_a-string and p > <beta, alpha_a^vee> = (C k)_a."""
+    sum_j k_j alpha_j), sorted: on A the intervals alpha_i + ... + alpha_j,
+    on every other family the closure of _root_strings."""
+    r = lt.rank
+    if lt.family == "A":
+        return tuple(sorted((0,) * i + (1,) * (j - i) + (0,) * (r - j)
+                            for i in range(r) for j in range(i + 1, r + 1)))
+    return _root_strings(lt)
+
+
+def _root_strings(lt: LieType) -> tuple[tuple[int, ...], ...]:
+    """The positive roots, sorted, by closing root strings upward from the
+    simple roots: beta + alpha_a is a root when beta - p alpha_a is the
+    lowest root of its alpha_a-string and p > <beta, alpha_a^vee> = (C k)_a."""
     cartan, r = cartan_data(lt).cartan, lt.rank
     frontier = [tuple(int(i == a) for i in range(r)) for a in range(r)]
     roots = set(frontier)

@@ -545,8 +545,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The qrec parser.  When command names a subcommand, only that one gets
-    its options, since a run parses no other; otherwise every one does."""
+    """The qrec parser.  When command names a subcommand, only that one is
+    built, since a run parses no other; otherwise every one is."""
     parser = _Parser(
         prog="qrec",
         description="Exact Q-system tables, recurrence detection, and structural checks.")
@@ -588,12 +588,15 @@ def build_parser(command=None) -> argparse.ArgumentParser:
          "depth branching format"),
         ("weights", run_weights, "dump a weight system as CSV or JSON", "highest format"),
     )
-    if command not in [name for name, *_ in commands]:
+    every = [name for name, *_ in commands]
+    if command in every:
+        sub.metavar = "{" + ",".join(every) + "}"  # the usage line lists every subcommand
+    else:
         command = None
     for name, runner, text, names in commands:
-        subparser = sub.add_parser(name, help=text)
-        subparser.set_defaults(run=runner)
         if command in (None, name):
+            subparser = sub.add_parser(name, help=text)
+            subparser.set_defaults(run=runner)
             for option in ("type", *names.split(), "out"):
                 subparser.add_argument(f"--{option}", **options[option])
     return parser

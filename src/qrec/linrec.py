@@ -78,8 +78,11 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS, state: list | None = None):
     A state list, empty at first, carries the terms fed, the connection
     polynomials cur and prev, L, the shift m and b_inv = 1/(prev's d) from
     one call to the next, and seq holds only the terms that follow theirs.
-    Each discrepancy is one inner product and each update one pass over
-    prev, on plain operators, with one field.reduce per element.
+    Each discrepancy is one inner product, reduced once, and each update
+    one pass over prev on plain operators, not reduced: over Z/m only the
+    discrepancy, prev (the stash of cur taken where L changes) and the
+    returned conn are reduced.  So prev and each update's multiplier lie in
+    [0, m), and after N updates an entry of cur is below N * m^2 in size.
     Over Z/m, a discrepancy that is not a unit where L changes is one that
     vanishes modulo some of the primes only, where the per-prime runs part
     ways; inverting it raises ZeroDivisionError, and the state is spent.
@@ -96,8 +99,8 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS, state: list | None = None):
         coef = reduce(d * b_inv)
         shifted_len = m + len(prev)
         cur.extend([field.zero] * (shifted_len - len(cur)))
-        stash = cur[:L + 1] if 2 * L <= n else None  # deg cur <= L
-        cur[m:shifted_len] = [reduce(c - coef * p) for c, p in zip(cur[m:shifted_len], prev)]
+        stash = list(map(reduce, cur[:L + 1])) if 2 * L <= n else None  # deg cur <= L
+        cur[m:shifted_len] = [c - coef * p for c, p in zip(cur[m:shifted_len], prev)]
         if stash is None:
             m += 1
         else:
@@ -105,7 +108,7 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS, state: list | None = None):
             prev, (b_inv,), m = stash, field.divisors([d]), 1
     if state is not None:
         state[:] = terms, cur, prev, L, m, b_inv
-    conn = cur[: L + 1]
+    conn = list(map(reduce, cur[: L + 1]))
     conn.extend([field.zero] * (L + 1 - len(conn)))
     return L, conn
 

@@ -14,14 +14,14 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .cartan import LieType, _refuse_large_root_systems, cartan_data
-from .fields import INTEGERS, RATIONALS, Localization
+from .fields import INTEGERS, RATIONALS, Localization, PrimeField
 from .linrec import expand_linear_product
 from .weights import Weight, dimension, evaluate, is_dominant, omega, weight_system
 
 
 class SingularSpecialization(ArithmeticError):
-    """Division by zero (or by a non-unit mod m) while advancing the recursion
-    (retry another seed)."""
+    """Division by zero (or, over Z/m past the Z phase of _table, by a
+    non-unit) while advancing the recursion (retry another seed)."""
 
     def __init__(self, node, level):
         self.node = node
@@ -267,27 +267,49 @@ def _ring(q, field):
     return Localization(base) if base > 1 else INTEGERS
 
 
+# Over Z/m at integral q, a table is made over Z while every pending node's
+# last level has at most this many bits, then reduced and continued over Z/m.
+Z_PHASE_BITS = 2048
+
+
 def _table(lt, q, ring):
     """A function that extends one table, a list of levels per node, from
     the level-1 values q, in place to the per-node depths it is given, and
     returns the table, made in the ring that _ring gives.
+
+    Over Z/m at integral q, the table starts over INTEGERS (the Z phase):
+    every level is an integer polynomial in q, so exact divmod gives the
+    levels whose residues Z/m would, with no inverse.  Before the first
+    sweep where the last level of a pending node is longer than
+    Z_PHASE_BITS, every stored level is reduced mod m once, and the table
+    continues over Z/m.  So a level it returns may be an int outside
+    [0, m): _output says how generate and levels convert it.
 
     Nodes are interleaved: each sweep advances every node whose inputs are
     available, so cross-node index excursions resolve without recursion.
     A sweep's divisors are prepared in one ring.divisors call, and each
     quotient is taken as its node's numerator is formed, since a node reads
     levels appended earlier in the sweep.  Raises SingularSpecialization on
-    division by zero, or over Z/m by a non-unit, at the first node that
-    divides by it.
+    division by zero, or over Z/m past the Z phase by a non-unit, at the
+    first node that divides by it.
     """
     C, r = cartan_data(lt).cartan, lt.rank
     # node a at level m multiplies Q^(b)_{floor((C_ba m - k) / C_ab)}, 0 <= k < -C_ab
     couplings = [[(b, C[b][a], k, C[a][b]) for b in range(r) for k in range(-C[a][b])]
                  for a in range(r)]
+    field = ring
+    if isinstance(ring, PrimeField) and all(v.denominator == 1 for v in q):
+        ring = INTEGERS
     vals = [[ring.one, ring.of(v)] for v in q]
 
     def extend(depths):
+        nonlocal ring
         while pending := [a for a in range(r) if len(vals[a]) - 1 < depths[a]]:
+            if ring is not field and any(vals[a][-1].bit_length() > Z_PHASE_BITS
+                                         for a in pending):
+                ring = field
+                for seq in vals:
+                    seq[:] = map(field.reduce, seq)
             try:
                 divisors = ring.divisors([vals[a][-2] for a in pending])
             except ZeroDivisionError:
@@ -315,6 +337,16 @@ def _table(lt, q, ring):
     return extend
 
 
+def _output(ring):
+    """What generate and levels apply to each stored level of a table made
+    in the ring before handing it out: ring.fraction over Z[1/D], the
+    residue over Z/m, where the Z phase stores ints (see _table), and None
+    over Z, where levels are handed out as stored."""
+    if isinstance(ring, Localization):
+        return ring.fraction
+    return ring.reduce if isinstance(ring, PrimeField) else None
+
+
 def generate(lt: LieType, spec: RawQ | CharacterPoint | DimensionMode, target,
              field=RATIONALS) -> QTable:
     """Advance the recursion until the target is reached: either a
@@ -325,8 +357,8 @@ def generate(lt: LieType, spec: RawQ | CharacterPoint | DimensionMode, target,
     q = initial_values(lt, spec)
     ring = _ring(q, field)
     vals = _table(lt, q, ring)(required_depths(lt, node, depth))
-    if isinstance(ring, Localization):
-        vals = [map(ring.fraction, seq) for seq in vals]
+    if (convert := _output(ring)) is not None:
+        vals = [map(convert, seq) for seq in vals]
     return QTable(lie_type=lt, field_name=field.name,
                   values=tuple(tuple(v) for v in vals), spec_kind=type(spec).__name__)
 
@@ -334,17 +366,18 @@ def generate(lt: LieType, spec: RawQ | CharacterPoint | DimensionMode, target,
 def levels(lt: LieType, q: Sequence[Fraction], node: int, field=RATIONALS):
     """A function n -> [Q^(node)_0, ..., Q^(node)_{n-1}] from the level-1
     values q; each call extends one table to generate's at depth n - 1, so
-    each level is made once, and at non-integral q over Q converted to a
-    Fraction once."""
+    each level is made once.  Only the levels of the node returned are
+    converted (see _output), each once: to a Fraction at non-integral q
+    over Q, to its residue over Z/m."""
     ring = _ring(q, field)
     extend = _table(lt, q, ring)
-    if not isinstance(ring, Localization):
+    if (convert := _output(ring)) is None:
         return lambda n: extend(required_depths(lt, node, n - 1))[node - 1][:n]
     made = []
 
     def read(n):
         seq = extend(required_depths(lt, node, n - 1))[node - 1]
-        made.extend(map(ring.fraction, seq[len(made):n]))
+        made.extend(map(convert, seq[len(made):n]))
         return made[:n]
     return read
 

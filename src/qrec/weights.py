@@ -82,14 +82,15 @@ def weyl_orbit(cd: CartanData, w: Weight) -> list[Weight]:
     return sorted(seen)
 
 
-def _roots(lt: LieType) -> list[tuple[Weight, Weight]]:
+@lru_cache(maxsize=None)
+def _roots(lt: LieType) -> tuple[tuple[Weight, Weight], ...]:
     """Each positive root as (its fundamental-weight coordinates C k, its
     pairing vector v with v_j = k_j T / t_j, so that T (x, alpha) = x . v)."""
     _refuse_large_root_systems(lt)
     cd = cartan_data(lt)
     scale = [lcm(*cd.t) // t for t in cd.t]
-    return [(tuple(sum(c * x for c, x in zip(row, k)) for row in cd.cartan),
-             tuple(x * s for x, s in zip(k, scale))) for k in positive_roots(lt)]
+    return tuple((tuple(sum(c * x for c, x in zip(row, k)) for row in cd.cartan),
+                  tuple(x * s for x, s in zip(k, scale))) for k in positive_roots(lt))
 
 
 def _require_dominant(highest):

@@ -3,11 +3,13 @@
 Deliberately self-contained: the dense recurrence solver, subset-expansion
 e_k, the Q-system relation check, the Q-system recursion over Fraction, the
 G2 dimension closed form and the L and M triangles' recursions share no code
-with the package under test.
+with the package under test.  The eager Berlekamp-Massey uses only the
+field's reduce and divisors.
 """
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 
 def solve_exact(matrix, rhs):
@@ -59,6 +61,37 @@ def dense_min_recurrence(seq, max_order):
                 coeffs.append(conn if k % 2 == 0 else -conn)
             return order, coeffs
     return None
+
+
+def eager_berlekamp_massey(seq, field, state=None):
+    """Berlekamp-Massey with every entry of every update reduced at once:
+    the same (L, conn) and the same state protocol as
+    linrec.berlekamp_massey, which reduces only discrepancies, stashes and
+    the returned conn."""
+    reduce = field.reduce
+    terms, cur, prev, L, m, b_inv = state or ([], [field.one], [field.one], 0, 1, field.one)
+    terms.extend(seq)
+    for n in range(len(terms) - len(seq), len(terms)):
+        k = min(L, len(cur) - 1)
+        d = reduce(terms[n] + sum(map(mul, cur[1:k + 1], reversed(terms[n - k:n]))))
+        if d == field.zero:
+            m += 1
+            continue
+        coef = reduce(d * b_inv)
+        shifted_len = m + len(prev)
+        cur.extend([field.zero] * (shifted_len - len(cur)))
+        stash = cur[:L + 1] if 2 * L <= n else None
+        cur[m:shifted_len] = [reduce(c - coef * p) for c, p in zip(cur[m:shifted_len], prev)]
+        if stash is None:
+            m += 1
+        else:
+            L = n + 1 - L
+            prev, (b_inv,), m = stash, field.divisors([d]), 1
+    if state is not None:
+        state[:] = terms, cur, prev, L, m, b_inv
+    conn = cur[: L + 1]
+    conn.extend([field.zero] * (L + 1 - len(conn)))
+    return L, conn
 
 
 def brute_elementary_symmetric(values, k):

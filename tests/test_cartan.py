@@ -215,3 +215,10 @@ def test_the_root_cap_admits_a125_and_every_tested_rank():
         cartan._refuse_large_root_systems(LieType.parse(name))
     with pytest.raises(cartan.RootCapExceeded, match="A126 has 8001 positive roots"):
         cartan._refuse_large_root_systems(LieType.parse("A126"))
+
+
+@pytest.mark.parametrize("rank", range(1, 13))
+def test_a_roots_in_closed_form_equal_the_root_string_closure(rank):
+    import qrec.cartan as cartan
+    lt = LieType("A", rank)
+    assert cartan.positive_roots(lt) == cartan._root_strings(lt)

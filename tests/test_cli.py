@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import re
@@ -861,3 +862,12 @@ def test_e6_node_1_character_numerator_end_to_end(seed, capsys, tmp_path):
     code, payload = run_json(capsys, *argv, str(bad))
     failed = [c["name"] for c in payload["checks"] if c["status"] == "fail"]
     assert code == 2 and failed == ["factorization"]
+
+
+def test_a_parser_for_one_subcommand_builds_that_subparser_only():
+    def built(parser):
+        sub, = [action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)]
+        return list(sub.choices)
+    assert built(build_parser("detect")) == ["detect"]
+    assert built(build_parser()) == built(build_parser("frobnicate")) == list(COMMANDS)

@@ -14,7 +14,7 @@ from qrec.linrec import (PRIME_SEED, CertificateFailure, InsufficientData, LiftO
                          find_min_recurrence, multi_prime_detect, numerator,
                          poly_mul, series_divide)
 
-from helpers_oracles import dense_min_recurrence
+from helpers_oracles import dense_min_recurrence, eager_berlekamp_massey
 
 F = Fraction
 
@@ -296,6 +296,68 @@ def test_berlekamp_massey_raises_where_the_primes_part_ways():
     assert berlekamp_massey([s % p1 for s in seq], PrimeField(p1)) == (1, [1, p1 - 2])
     with pytest.raises(ZeroDivisionError):
         berlekamp_massey(seq, PrimeField(p1 * p2 * p3))
+
+
+def _bm_sequences(rng, field):
+    """Random sequences over the field: LFSRs of order 0..12 after a
+    transient, and sequences with no short LFSR."""
+    draw = ((lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))) if field is RATIONALS
+            else (lambda: rng.randrange(field.modulus)))
+    for _ in range(15):
+        order, n = rng.randint(0, 12), rng.randint(1, 60)
+        taps = [draw() for _ in range(order)]
+        seq = [draw() for _ in range(order + rng.randint(0, 4))]
+        while len(seq) < n:
+            seq.append(field.reduce(sum(c * seq[-1 - i] for i, c in enumerate(taps))))
+        yield seq[:n]
+        yield [draw() for _ in range(n)]
+
+
+@pytest.mark.parametrize("count", [None, 3, 8])
+def test_lazy_berlekamp_massey_equals_the_eager_one(count):
+    field = RATIONALS if count is None else PrimeField(math.prod(seeded_primes(count, 5)))
+    rng = random.Random(f"lazy-bm-{count}")
+    for seq in _bm_sequences(rng, field):
+        want = eager_berlekamp_massey(seq, field)
+        assert berlekamp_massey(seq, field) == want
+        # fed in chunks, each call returns the eager LFSR of the terms so far
+        state, fed = [], 0
+        while fed < len(seq):
+            cut = min(len(seq), fed + rng.randint(1, 9))
+            assert berlekamp_massey(seq[fed:cut], field, state) == \
+                eager_berlekamp_massey(seq[:cut], field), (seq, cut)
+            fed = cut
+
+
+def _raising_term(bm, seq, field):
+    """The index of the term at which bm, fed one term at a time, raises
+    ZeroDivisionError, or None."""
+    state = []
+    for n, s in enumerate(seq):
+        try:
+            bm([s], field, state)
+        except ZeroDivisionError:
+            return n
+    return None
+
+
+def test_lazy_berlekamp_massey_raises_at_the_eager_ones_non_unit():
+    primes = seeded_primes(3, 6)
+    field, rng, raised = PrimeField(math.prod(primes)), random.Random(6), []
+    for _ in range(40):
+        # one LFSR modulo every prime up to term t, then one term off it modulo
+        # one prime only: the discrepancy there vanishes modulo the others
+        order = rng.randint(1, 6)
+        taps = [rng.randrange(field.modulus) for _ in range(order)]
+        seq = [rng.randrange(field.modulus) for _ in range(order)]
+        while len(seq) < 40:
+            seq.append(sum(c * seq[-1 - i] for i, c in enumerate(taps)) % field.modulus)
+        t, p = rng.randint(order, 30), rng.choice(primes)
+        seq[t] = (seq[t] + field.modulus // p * rng.randint(1, p - 1)) % field.modulus
+        at = _raising_term(berlekamp_massey, seq, field)
+        assert at == _raising_term(eager_berlekamp_massey, seq, field)
+        raised.append(at)
+    assert None not in raised
 
 
 def crt(residues, moduli):

@@ -183,11 +183,23 @@ def test_singular_specialization():
     assert (err.value.node, err.value.level) == (1, 2)
 
 
-def test_non_unit_divisor_is_singular():
-    # q = p1 is nonzero mod p1*p2*p3 but not a unit, and Q_3 divides by it
+def test_a_non_unit_divisor_in_the_z_phase_takes_the_exact_quotient():
+    # q = p1 is nonzero mod p1*p2*p3 but not a unit, and Q_3 divides by it:
+    # over Z the quotient is exact, so the residues are the exact table's
     p1, p2, p3 = seeded_primes(3, 0)
+    field = PrimeField(p1 * p2 * p3)
+    table = generate(LieType.parse("A1"), RawQ((p1,)), target=(1, 6), field=field)
+    exact = generate(LieType.parse("A1"), RawQ((p1,)), target=(1, 6))
+    assert list(table.node(1)) == [int(v) % field.modulus for v in exact.node(1)]
+
+
+def test_non_unit_divisor_is_singular():
+    # q = p1 * 2^2100 is longer than Z_PHASE_BITS, so the first sweep is
+    # over Z/m, where Q_3 divides by q, a non-unit mod p1*p2*p3
+    p1, p2, p3 = seeded_primes(3, 0)
+    assert (p1 << 2100).bit_length() > qsystem.Z_PHASE_BITS
     with pytest.raises(SingularSpecialization) as err:
-        generate(LieType.parse("A1"), RawQ((p1,)), target=(1, 6),
+        generate(LieType.parse("A1"), RawQ((p1 << 2100,)), target=(1, 6),
                  field=PrimeField(p1 * p2 * p3))
     assert (err.value.node, err.value.level) == (1, 1)
 
@@ -453,3 +465,69 @@ def test_a_stream_read_in_the_readers_chunks_costs_what_its_window_costs(monkeyp
     assert len(divisions) == sum(len(seq) - 2 for seq in table.values) > 0
     assert streamed["divisions"] == len(divisions)
     assert streamed["sweeps"] <= 1.1 * len(sweeps)
+
+
+def _integral_draw(lt, rng, depth):
+    """A q in [-50, 50]^r whose exact table to the depth divides by no
+    zero, with that table."""
+    while True:
+        q = [F(rng.randint(-50, 50)) for _ in range(lt.rank)]
+        try:
+            return q, generate(lt, RawQ(q), depth)
+        except SingularSpecialization:
+            continue
+
+
+@pytest.mark.parametrize("name, depth, bits", [
+    *[(name, 40, bits) for name in ("A3", "B3", "C3", "D4", "G2", "F4", "E6")
+      for bits in (qsystem.Z_PHASE_BITS, 64)],
+    # windows that cross the switch at the default Z_PHASE_BITS
+    ("F4", 325, qsystem.Z_PHASE_BITS), ("E8", 500, qsystem.Z_PHASE_BITS)])
+def test_modular_tables_are_the_exact_table_modulo_m(name, depth, bits, monkeypatch):
+    lt, rng = LieType.parse(name), random.Random(f"z-phase-{name}-{depth}")
+    monkeypatch.setattr(qsystem, "Z_PHASE_BITS", bits)
+    q, exact = _integral_draw(lt, rng, depth)
+    longest = max(v.bit_length() for seq in exact.values for v in seq)
+    assert (longest > bits) == (bits == 64 or depth > 40)  # the table crosses the switch
+    nodes = range(1, lt.rank + 1) if depth == 40 else [2 if name == "F4" else 7]
+    for count in (3, 5, 8):
+        field = PrimeField(math.prod(seeded_primes(count, depth)))
+        want = [[v % field.modulus for v in seq] for seq in exact.values]
+        assert [list(seq) for seq in generate(lt, RawQ(q), depth, field).values] == want
+        for node in nodes:
+            read, n = levels(lt, q, node, field), len(exact.node(node))
+            assert [read(k) for k in (2, 33, n)] == [want[node - 1][:k] for k in (2, 33, n)]
+
+
+def _count_inversions(monkeypatch):
+    """The values of every PrimeField.divisors call, one list per call."""
+    calls, divisors = [], PrimeField.divisors
+    monkeypatch.setattr(PrimeField, "divisors",
+                        lambda self, values: calls.append(values) or divisors(self, values))
+    return calls
+
+
+def test_a_shallow_modular_window_makes_no_inversion(monkeypatch):
+    # the windows of `interpolate --type E6 --node 1 --modular 3`
+    calls = _count_inversions(monkeypatch)
+    rng, field = random.Random(1), PrimeField(math.prod(seeded_primes(3, 0)))
+    for _ in range(5):
+        q = [F(rng.randint(-50, 50)) for _ in range(6)]
+        assert len(levels(E6, q, 1, field)(67)) == 67
+    assert calls == []
+
+
+def test_a_deep_modular_table_inverts_once_per_sweep_past_the_switch(monkeypatch):
+    # E8 is simply laced: each sweep advances every pending node by one level
+    lt, depth = LieType.parse("E8"), 500
+    q, exact = _integral_draw(lt, random.Random(7), depth)
+    depths = required_depths(lt, 7, depth)
+    switch = next(m for m in range(1, max(depths))
+                  if any(m < d and exact.values[a][m].bit_length() > qsystem.Z_PHASE_BITS
+                         for a, d in enumerate(depths)))
+    calls = _count_inversions(monkeypatch)
+    field = PrimeField(math.prod(seeded_primes(5, 0)))
+    generate(lt, RawQ(q), (7, depth), field)
+    assert 0 < len(calls) == max(depths) - switch
+    assert [len(values) for values in calls] == [
+        sum(m < d for d in depths) for m in range(switch, max(depths))]
