@@ -24,9 +24,10 @@ from .cartan import (LieType, RootCapExceeded, order_tables, cartan_data, growth
 from .fields import RATIONALS, PrimeField, seeded_primes
 from .linrec import (CertificateFailure, InsufficientData, LiftOverflow,
                      NoStableRecurrence, PrimeDisagreement, find_min_recurrence,
-                     guard_terms, multi_prime_detect)
+                     guard_terms, multi_prime_detect, multi_prime_lanes)
 from .qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode, RawQ,
-                      SingularSpecialization, generate, initial_values, levels)
+                      SingularSpecialization, generate, initial_values, levels,
+                      required_depths, windows)
 from .weights import DimensionCapExceeded, weight_system
 
 EXIT_OK = 0
@@ -37,6 +38,13 @@ EXIT_RESOURCE = 4
 DEPTH_CEILING = 8192
 MAX_SINGULAR_RETRIES = 5
 Q_BOUND = 50  # raw-random q are drawn from [-Q_BOUND, Q_BOUND]^rank
+# interpolate detects its draws in rounds, whose tables are lanes of one
+# table: a round holds at most this many levels, summed over its lanes'
+# required_depths.  Every lane's table is kept until the round's windows
+# are read, so a round's memory grows with its lanes; at this cap a round
+# holds 8 E6/1 draws, 6 of F4/4 or 3 of E7/6, and the peak memory of an
+# interpolation stays near that of one draw.
+ROUND_LEVELS = 3200
 
 
 class ConfigError(ValueError):
@@ -226,6 +234,32 @@ def _detect(lt, node, spec, depth, guard, modular_primes):
         rec = multi_prime_detect(lambda m: source(PrimeField(m)), modular_primes, guard=guard)
         return q, rec, None, len(read) - 1
     return q, find_min_recurrence(source(RATIONALS), guard=guard), read, len(read) - 1
+
+
+def _detect_round(lt, node, specs, depth, guard, modular_primes):
+    """_detect on levels 0..depth of each draw of a round: per draw, in
+    order, (the level-1 values q, rec), or (q, the exception that _detect
+    would raise).  Over Q, an exception other than NoStableRecurrence is
+    raised at the draw where _detect would raise it.
+
+    The draws' tables are the lanes of one table (qsystem.windows).  Over
+    Z/m, the windows run through Berlekamp-Massey in lockstep
+    (linrec.multi_prime_lanes); over Q, each goes through
+    find_min_recurrence.
+    """
+    qs = [initial_values(lt, spec) for spec in specs]
+    if modular_primes:
+        recs = multi_prime_lanes(lambda m: windows(lt, qs, node, depth, PrimeField(m)),
+                                 modular_primes, guard=guard)
+        return list(zip(qs, recs))
+    recs = []
+    for window in windows(lt, qs, node, depth, RATIONALS):
+        try:
+            recs.append(window if isinstance(window, SingularSpecialization) else
+                        find_min_recurrence(window, guard=guard))
+        except NoStableRecurrence as exc:
+            recs.append(exc)
+    return list(zip(qs, recs))
 
 
 def _digest(payload: dict) -> str:
@@ -446,22 +480,25 @@ def run_interpolate(args):
         raise ConfigError(f"--k {k} exceeds the order {order} of node {node} of {lt}")
     experiments, seen = [], set()
     limit = min(args.runs + MAX_SINGULAR_RETRIES * 4, space)
+    lanes = max(1, ROUND_LEVELS // sum(required_depths(lt, node, depth)))
     started = time.perf_counter()
-    for spec in specs:
-        if len(experiments) >= args.runs:
-            break
-        if len(seen) == limit:
+    while len(experiments) < args.runs:
+        draws = []  # the round: fresh distinct draws, no more than the runs still missing
+        while len(draws) < min(lanes, args.runs - len(experiments)) and len(seen) < limit:
+            spec = next(specs)
+            if spec.values not in seen:  # a repeated q would add an identical row
+                seen.add(spec.values)
+                draws.append(spec)
+        if not draws:
             raise NoStableRecurrence(f"{len(experiments)} of --runs {args.runs} detections of "
                                      f"order >= {k} succeeded, out of {limit} distinct draws")
-        if spec.values in seen:  # a repeated q would add an identical row
-            continue
-        seen.add(spec.values)
-        try:
-            qvals, rec, _, _ = _detect(lt, node, spec, depth, args.guard, primes)
-        except (SingularSpecialization, NoStableRecurrence, PrimeDisagreement):
-            continue
-        if rec.order >= k:
-            experiments.append(([int(v) for v in qvals], int(rec.coeffs[k])))
+        for qvals, rec in _detect_round(lt, node, draws, depth, args.guard, primes):
+            if isinstance(rec, (SingularSpecialization, NoStableRecurrence, PrimeDisagreement)):
+                continue
+            if isinstance(rec, Exception):
+                raise rec
+            if rec.order >= k:
+                experiments.append(([int(v) for v in qvals], int(rec.coeffs[k])))
     detect_s = time.perf_counter() - started
     candidates = conjectures.degree_monomials(lt.rank, args.degree)
     started = time.perf_counter()
@@ -520,6 +557,9 @@ def run_dims(args):
     depth = _depth(args, auto)
     needed = growth_depths()
     deepest = max(range(lt.rank), key=needed.__getitem__)
+    # refused before any table or Weyl dimension when too shallow
+    conjectures.check_growth_depths(
+        lt, [d + 1 for d in required_depths(lt, deepest + 1, depth)])
     table = generate(lt, DimensionMode(branching), (deepest + 1, depth))
     results = conjectures.check_growth_degree(lt, table)
     payload = {

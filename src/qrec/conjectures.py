@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
@@ -431,8 +432,15 @@ def interpolate_coefficients(rank: int, candidates, experiments):
         raise ValueError(
             f"need at least {len(candidates) + MARGIN} experiments "
             f"for {len(candidates)} candidates, got {len(experiments)}")
-    rows = [[math.prod(v ** e for v, e in zip(qvals, exps)) for exps in candidates]
-            for qvals, _ in experiments]
+    # each candidate as its (variable, exponent) pairs, read from a table of
+    # powers per experiment
+    factors = [[(i, e) for i, e in enumerate(exps) if e] for exps in candidates]
+    top = max((e for exps in candidates for e in exps), default=0)
+    rows = []
+    for qvals, _ in experiments:
+        powers = [list(itertools.accumulate([v] * top, operator.mul, initial=1))
+                  for v in qvals]
+        rows.append([math.prod([powers[i][e] for i, e in pairs]) for pairs in factors])
     status, sol = solve_overdetermined(rows, [value for _, value in experiments])
     if status == "underdetermined":
         raise UnderdeterminedSystem(
@@ -456,18 +464,26 @@ class GrowthResult(namedtuple("GrowthResult", "node detected predicted")):
         return self.detected == self.predicted
 
 
+def check_growth_depths(lt: LieType, sizes) -> None:
+    """Raises InsufficientDepth at the first node whose levels, sizes[a - 1]
+    of them from level 0 on, are too few to show its growth degree in
+    check_growth_degree."""
+    t = cartan_data(lt).t
+    for a, (size, degree) in enumerate(zip(sizes, growth_degree(lt)), start=1):
+        stride = t[a - 1]
+        if len(range(0, size, stride)) < degree + 2:
+            raise InsufficientDepth(f"node {a} needs at least {stride * (degree + 2)} levels")
+
+
 def check_growth_degree(lt: LieType, table: QTable) -> list[GrowthResult]:
     """Exact finite differences on the stride-t_a subsequence of each node's
     dimension sequence, compared with the 2*C^-1 row sums."""
     t = cartan_data(lt).t
     predicted = growth_degree(lt)
+    check_growth_depths(lt, [len(seq) for seq in table.values])
     results = []
     for a in range(1, lt.rank + 1):
-        stride = t[a - 1]
-        sub = [Fraction(v) for v in table.node(a)[::stride]]
-        if len(sub) < predicted[a - 1] + 2:
-            raise InsufficientDepth(
-                f"node {a} needs at least {stride * (predicted[a - 1] + 2)} levels")
+        sub = [Fraction(v) for v in table.node(a)[::t[a - 1]]]
         k = 0
         cur = sub
         while any(c != 0 for c in cur):

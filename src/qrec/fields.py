@@ -172,8 +172,11 @@ class PrimeField(namedtuple("PrimeField", "modulus")):
     def divide(self, num: int, d: int) -> int:
         return num * d % self.modulus
 
-    def reduce(self, x: int) -> int:
-        return x % self.modulus
+    @property
+    def reduce(self):
+        """x -> x % modulus for an int x: the modulus's own __rmod__, which
+        runs no Python frame per call."""
+        return self.modulus.__rmod__
 
 
 def rational_reconstruction(a: int, m: int) -> Fraction | None:

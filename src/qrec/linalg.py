@@ -16,27 +16,37 @@ P = (1 << 61) - 1  # a Mersenne prime, the modulus of the integer solve
 
 
 def _eliminate(aug, n, field):
-    """Gauss-Jordan elimination over field of the rows aug, whose first n
+    """Gaussian elimination over field of the rows aug, whose first n
     columns hold the coefficients.
 
-    Returns (the reduced rows, the pivot columns); the r-th pivot column has
-    its 1 in row r.
+    Returns (the rows, the pivot columns); the r-th pivot column has its 1
+    in row r.  Each pivot row is scaled to that 1 and eliminated below it
+    only.  Over Z/m an elimination reduces only its multiplier, so that an
+    entry grows by less than m^2 at each one, and entries are reduced where
+    they are read: the pivot rows once scaled, and the right-hand column,
+    n, at the end.  That column alone is then back-substituted, so that
+    entry n of every row is what Gauss-Jordan leaves there.
     """
     aug = [[field.of(x) for x in row] for row in aug]
     reduce, pivots = field.reduce, []
     for col in range(n):
         at = len(pivots)
-        pivot = next((r for r in range(at, len(aug)) if aug[r][col]), None)
+        pivot = next((r for r in range(at, len(aug)) if reduce(aug[r][col])), None)
         if pivot is None:
             continue
         aug[at], aug[pivot] = aug[pivot], aug[at]
-        (inv,) = field.divisors([aug[at][col]])
-        lead = aug[at] = [reduce(x * inv) for x in aug[at]]
-        for r, row in enumerate(aug):
-            factor = row[col]
-            if r != at and factor:
-                aug[r] = [reduce(x - factor * y) for x, y in zip(row, lead)]
+        (inv,) = field.divisors([reduce(aug[at][col])])
+        lead = aug[at][col:] = [reduce(x * inv) for x in aug[at][col:]]
+        for row in aug[at + 1:]:
+            if factor := reduce(row[col]):
+                row[col:] = [x - factor * y for x, y in zip(row[col:], lead)]
         pivots.append(col)
+    for row in aug[len(pivots):]:
+        row[n] = reduce(row[n])
+    for r in reversed(range(len(pivots))):
+        row = aug[r]
+        row[n] = reduce(row[n] - sum(row[c] * aug[s][n]
+                                     for s, c in enumerate(pivots[r + 1:], r + 1)))
     return aug, pivots
 
 

@@ -71,7 +71,8 @@ class RecurrencePoly(namedtuple("RecurrencePoly", "order coeffs start primes",
 
 
 def berlekamp_massey(seq: Sequence, field=RATIONALS, state: list | None = None):
-    """Minimal LFSR of seq over the field (or Z/m).
+    """Minimal LFSR of seq over the field (or Z/m): one lane of
+    _berlekamp_massey.
 
     Returns (L, conn) with conn[0] = 1 and
     sum_{i=0..L} conn[i] * seq[n-i] = 0 for all L <= n < len(seq).
@@ -87,30 +88,72 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS, state: list | None = None):
     vanishes modulo some of the primes only, where the per-prime runs part
     ways; inverting it raises ZeroDivisionError, and the state is spent.
     """
-    reduce = field.reduce
-    terms, cur, prev, L, m, b_inv = state or ([], [field.one], [field.one], 0, 1, field.one)
-    terms.extend(seq)
-    for n in range(len(terms) - len(seq), len(terms)):
-        k = min(L, len(cur) - 1)
-        d = reduce(terms[n] + sum(map(mul, cur[1:k + 1], reversed(terms[n - k:n]))))
-        if d == field.zero:
-            m += 1
-            continue
-        coef = reduce(d * b_inv)
-        shifted_len = m + len(prev)
-        cur.extend([field.zero] * (shifted_len - len(cur)))
-        stash = list(map(reduce, cur[:L + 1])) if 2 * L <= n else None  # deg cur <= L
-        cur[m:shifted_len] = [c - coef * p for c, p in zip(cur[m:shifted_len], prev)]
-        if stash is None:
-            m += 1
-        else:
-            L = n + 1 - L
-            prev, (b_inv,), m = stash, field.divisors([d]), 1
-    if state is not None:
-        state[:] = terms, cur, prev, L, m, b_inv
-    conn = list(map(reduce, cur[: L + 1]))
-    conn.extend([field.zero] * (L + 1 - len(conn)))
-    return L, conn
+    (run,) = _berlekamp_massey([seq], field, [[] if state is None else state])
+    if isinstance(run, ZeroDivisionError):
+        raise run
+    return run
+
+
+def _berlekamp_massey(seqs, field, states) -> list:
+    """berlekamp_massey on each seq of seqs with its state, the lanes in
+    lockstep: per lane, its (L, conn), or the ZeroDivisionError of a
+    discrepancy that is not a unit where its L changes, which stops that
+    lane alone and spends its state.
+
+    Step n feeds each lane its n-th new term.  The lanes whose L changes at
+    the step invert their discrepancies in one field.divisors call, as the
+    next step needs them; when that call meets a non-unit, each is inverted
+    alone, so that only the lanes at fault stop.
+    """
+    reduce, zero, one = field.reduce, field.zero, field.one
+    lanes = []  # per running lane: [terms, cur, prev, L, m, b_inv, its first n, its end, index]
+    for j, (seq, state) in enumerate(zip(seqs, states)):
+        terms, cur, prev, L, m, b_inv = state or ([], [one], [one], 0, 1, one)
+        lanes.append([terms, cur, prev, L, m, b_inv, len(terms), len(terms) + len(seq), j])
+        terms.extend(seq)
+    out = [None] * len(lanes)
+    for step in range(max(map(len, seqs), default=0)):
+        changed, discrepancies = [], []
+        for lane in lanes:
+            terms, cur, prev, L, m, b_inv, first, end, _ = lane
+            if (n := first + step) >= end:
+                continue
+            k = L if L < len(cur) else len(cur) - 1
+            d = reduce(terms[n] + sum(map(mul, cur[1:k + 1], reversed(terms[n - k:n]))))
+            if d == zero:
+                lane[4] = m + 1
+                continue
+            coef = reduce(d * b_inv)
+            if (shifted_len := m + len(prev)) > len(cur):
+                cur.extend([zero] * (shifted_len - len(cur)))
+            stash = list(map(reduce, cur[:L + 1])) if 2 * L <= n else None  # deg cur <= L
+            cur[m:shifted_len] = [c - coef * p for c, p in zip(cur[m:shifted_len], prev)]
+            if stash is None:
+                lane[4] = m + 1
+            else:
+                lane[2:5] = stash, n + 1 - L, 1
+                changed.append(lane)
+                discrepancies.append(d)
+        if changed:
+            try:
+                inverses = field.divisors(discrepancies)
+            except ZeroDivisionError:
+                inverses = []
+                for lane, d in zip(changed, discrepancies):
+                    try:
+                        inverses += field.divisors([d])
+                    except ZeroDivisionError as exc:
+                        out[lane[-1]] = exc
+                        inverses.append(None)
+                lanes = [lane for lane in lanes if out[lane[-1]] is None]
+            for lane, inverse in zip(changed, inverses):
+                lane[5] = inverse
+    for terms, cur, prev, L, m, b_inv, _, _, j in lanes:
+        states[j][:] = terms, cur, prev, L, m, b_inv
+        conn = list(map(reduce, cur[: L + 1]))
+        conn.extend([zero] * (L + 1 - len(conn)))
+        out[j] = L, conn
+    return out
 
 
 def guard_terms(L: int, guard: int | None = None) -> int:
@@ -170,9 +213,32 @@ def _read(seq, guard, field):
     while want > fed and len(read := terms(want)) > fed:
         run = berlekamp_massey(_residues(read, field.modulus, fed), field, state)
         fed, want = len(read), 2 * run[0] + guard_terms(run[0], guard)
-    if fed < 2 + guard_terms(0, guard):
-        raise InsufficientData(f"{fed} terms are too few for guard {guard_terms(0, guard)}")
+    if (short := _too_few(fed, guard)) is not None:
+        raise short
     return read, run
+
+
+def _too_few(fed, guard):
+    """InsufficientData when fed terms are too few to validate any LFSR
+    with the guard, else None."""
+    if fed < 2 + guard_terms(0, guard):
+        return InsufficientData(f"{fed} terms are too few for guard {guard_terms(0, guard)}")
+    return None
+
+
+def _unstable(n_total, L, guard):
+    """NoStableRecurrence when n_total terms are too few to validate an
+    LFSR of length L with the guard, else None."""
+    g = guard_terms(L, guard)
+    if 2 * L + g > n_total:
+        return NoStableRecurrence(f"the minimal LFSR of {n_total} terms has length {L}, "
+                                  f"which {g} guard terms do not validate")
+    return None
+
+
+def _check_guard(guard):
+    if guard is not None and guard < 4:
+        raise ValueError("guard must be at least 4")
 
 
 def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
@@ -201,8 +267,7 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
     modulus above twice their square, and the loop stops two batches after
     the bits drawn, batches that raised included, pass that bound.
     """
-    if guard is not None and guard < 4:
-        raise ValueError("guard must be at least 4")
+    _check_guard(guard)
     exact = not isinstance(field, PrimeField)
     moduli = map(math.prod, zip(*[prime_stream(PRIME_SEED)] * 4)) if exact else [field.modulus]
     need, bits, past, dropped, join = math.inf, 0, 0, False, None
@@ -218,13 +283,12 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
             if exact:
                 continue
             raise
-        n_total, g = len(read), guard_terms(L, guard)
-        if 2 * L + g > n_total:
+        n_total = len(read)
+        if (unstable := _unstable(n_total, L, guard)) is not None:
             if exact and not dropped:
                 dropped = True
                 continue
-            raise NoStableRecurrence(f"the minimal LFSR of {n_total} terms has length {L}, "
-                                     f"which {g} guard terms do not validate")
+            raise unstable
         if not exact:
             break
         if join != (L, n_total):
@@ -236,8 +300,13 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
         modulus *= p
         if (conn := _certified(joined, modulus, window)) is not None:
             break
-    # an LFSR can absorb a transient into its initial fill, leaving
-    # trailing zero taps; the recurrence order is the actual degree
+    return _recurrence(conn, L, field)
+
+
+def _recurrence(conn, L, field) -> RecurrencePoly:
+    """The recurrence of the connection polynomial conn of an LFSR of
+    length L.  An LFSR can absorb a transient into its initial fill,
+    leaving trailing zero taps; the recurrence order is the actual degree."""
     while len(conn) > 1 and conn[-1] == 0:
         conn.pop()
     coeffs = tuple(c if k % 2 == 0 else field.reduce(-c) for k, c in enumerate(conn))
@@ -311,20 +380,68 @@ def multi_prime_detect(seq_factory: Callable[[int], Sequence[int]], primes,
     CRT; a division by a non-unit mod M is where they would disagree.  The
     result is flagged "modular" confidence.
     """
+    primes, modulus = _detection_primes(primes)
+    try:
+        rec = find_min_recurrence(seq_factory(modulus), guard=guard, field=PrimeField(modulus))
+    except ZeroDivisionError as exc:
+        raise _disagreement(exc) from None
+    rec = _lifted(rec, primes, modulus)
+    if isinstance(rec, LiftOverflow):
+        raise rec
+    return rec
+
+
+def multi_prime_lanes(window_factory: Callable[[int], list], primes,
+                      guard: int | None = None) -> list:
+    """multi_prime_detect on lanes: window_factory(M) gives a list of integer
+    windows reduced mod M, one per lane, and Berlekamp-Massey runs on them
+    in lockstep (see _berlekamp_massey).  Returns per lane the
+    RecurrencePoly that multi_prime_detect would return on its window, or
+    the exception that it would raise there.  A lane whose window is an
+    exception, as qsystem.windows gives for a singular table, gets that
+    exception back."""
+    primes, modulus = _detection_primes(primes)
+    _check_guard(guard)
+    field, windows = PrimeField(modulus), window_factory(modulus)
+    regular = [w for w in windows if not isinstance(w, Exception)]
+    runs = iter(_berlekamp_massey(regular, field, [[] for _ in regular]))
+    out = []
+    for window in windows:
+        if isinstance(window, Exception):
+            out.append(window)
+            continue
+        if isinstance(run := next(runs), ZeroDivisionError):
+            out.append(_disagreement(run))
+            continue
+        L, conn = run
+        # the first exception that find_min_recurrence and the lift would raise
+        out.append(_too_few(len(window), guard) or _unstable(len(window), L, guard)
+                   or _lifted(_recurrence(conn, L, field), primes, modulus))
+    return out
+
+
+def _detection_primes(primes):
+    """The sorted distinct primes of a detection, and their product; a
+    ValueError when there are fewer than 3, or one is not above 2^50."""
     primes = sorted(set(int(p) for p in primes))
     if len(primes) < 3:
         raise ValueError("need at least 3 distinct primes")
     if any(p <= 2**50 for p in primes):
         raise ValueError("primes must exceed 2^50")
-    modulus = math.prod(primes)
-    try:
-        rec = find_min_recurrence(seq_factory(modulus), guard=guard, field=PrimeField(modulus))
-    except ZeroDivisionError as exc:
-        raise PrimeDisagreement(f"detections modulo the primes disagree: {exc}") from None
+    return primes, math.prod(primes)
+
+
+def _disagreement(exc: ZeroDivisionError) -> PrimeDisagreement:
+    return PrimeDisagreement(f"detections modulo the primes disagree: {exc}")
+
+
+def _lifted(rec, primes, modulus):
+    """rec over Z/modulus lifted to the symmetric range, or LiftOverflow
+    when a coefficient lands within 2^16 of modulus/2."""
     lifted = [_symmetric(c, modulus) for c in rec.coeffs]
     for k, c in enumerate(lifted):
         if modulus // 2 - abs(c) < 2**16:
-            raise LiftOverflow(f"coefficient C_{k} lifted to {c}, within 2^16 of "
-                               "modulus/2; rerun with more primes")
+            return LiftOverflow(f"coefficient C_{k} lifted to {c}, within 2^16 of "
+                                "modulus/2; rerun with more primes")
     return RecurrencePoly(order=rec.order, coeffs=tuple(lifted), start=rec.start,
                           primes=tuple(primes))

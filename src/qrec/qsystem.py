@@ -272,67 +272,90 @@ def _ring(q, field):
 Z_PHASE_BITS = 2048
 
 
-def _table(lt, q, ring):
-    """A function that extends one table, a list of levels per node, from
-    the level-1 values q, in place to the per-node depths it is given, and
-    returns the table, made in the ring that _ring gives.
+def _table(lt, qs, ring):
+    """A function that extends a list of tables, one per lane, in place to
+    the per-node depths it is given, and returns per lane its table (a list
+    of levels per node, made from the level-1 values q of that lane in the
+    ring that _ring gives) or the SingularSpecialization that stopped it.
 
-    Over Z/m at integral q, the table starts over INTEGERS (the Z phase):
-    every level is an integer polynomial in q, so exact divmod gives the
-    levels whose residues Z/m would, with no inverse.  Before the first
-    sweep where the last level of a pending node is longer than
-    Z_PHASE_BITS, every stored level is reduced mod m once, and the table
-    continues over Z/m.  So a level it returns may be an int outside
-    [0, m): _output says how generate and levels convert it.
+    The lanes advance in lockstep.  Nodes are interleaved: each sweep
+    advances every node whose inputs are available, so cross-node index
+    excursions resolve without recursion, and a node reads levels appended
+    earlier in the sweep.  Every running lane holds as many levels of each
+    node as the others, so a sweep works out its schedule once for all of
+    them: the nodes it advances, with their levels and the indices of their
+    coupling inputs.
 
-    Nodes are interleaved: each sweep advances every node whose inputs are
-    available, so cross-node index excursions resolve without recursion.
-    A sweep's divisors are prepared in one ring.divisors call, and each
-    quotient is taken as its node's numerator is formed, since a node reads
-    levels appended earlier in the sweep.  Raises SingularSpecialization on
-    division by zero, or over Z/m past the Z phase by a non-unit, at the
-    first node that divides by it.
+    Over Z/m, a lane at integral q starts over INTEGERS (its Z phase): every
+    level is an integer polynomial in q, so exact divmod gives the levels
+    whose residues Z/m would, with no inverse.  Before the first sweep where
+    the last level of one of its pending nodes is longer than Z_PHASE_BITS,
+    the lane reduces its stored levels mod m once and continues over Z/m.
+    So a level it returns may be an int outside [0, m): _output says how
+    generate and levels convert it.
+
+    In each sweep, a lane prepares the divisors of the nodes it advances in
+    one ring.divisors call, and takes each quotient as its node's numerator
+    is formed.  A lane that divides by zero, or over Z/m past its Z phase by
+    a non-unit, stops with SingularSpecialization at the first node that
+    divides by it, and the other lanes go on.
     """
     C, r = cartan_data(lt).cartan, lt.rank
     # node a at level m multiplies Q^(b)_{floor((C_ba m - k) / C_ab)}, 0 <= k < -C_ab
     couplings = [[(b, C[b][a], k, C[a][b]) for b in range(r) for k in range(-C[a][b])]
                  for a in range(r)]
-    field = ring
-    if isinstance(ring, PrimeField) and all(v.denominator == 1 for v in q):
-        ring = INTEGERS
-    vals = [[ring.one, ring.of(v)] for v in q]
+    field, tables, lanes = ring, [], []
+    for q in qs:
+        start = INTEGERS if isinstance(field, PrimeField) and all(
+            v.denominator == 1 for v in q) else field
+        tables.append([[start.one, start.of(v)] for v in q])
+        lanes.append([start, len(lanes)])  # a running lane: its ring and its index
+    sizes = [2] * r  # the levels of each node in every running lane
 
     def extend(depths):
-        nonlocal ring
-        while pending := [a for a in range(r) if len(vals[a]) - 1 < depths[a]]:
-            if ring is not field and any(vals[a][-1].bit_length() > Z_PHASE_BITS
-                                         for a in pending):
-                ring = field
-                for seq in vals:
-                    seq[:] = map(field.reduce, seq)
-            try:
-                divisors = ring.divisors([vals[a][-2] for a in pending])
-            except ZeroDivisionError:
-                # a zero or non-unit: prepared per node, so the first to reach it reports it
-                divisors = [None] * len(pending)
-            advanced = False
-            for a, d in zip(pending, divisors):
-                seq, m, prod = vals[a], len(vals[a]) - 1, None
+        nonlocal lanes
+        while lanes and (pending := [a for a in range(r) if sizes[a] - 1 < depths[a]]):
+            steps = []
+            for a in pending:
+                m, inputs = sizes[a] - 1, []
                 for b, c_ba, k, c_ab in couplings[a]:
-                    if (i := (c_ba * m - k) // c_ab) >= len(vals[b]):
+                    if (i := (c_ba * m - k) // c_ab) >= sizes[b]:
                         break  # an input made later in this sweep or the next
-                    prod = vals[b][i] if prod is None else prod * vals[b][i]
+                    inputs.append((b, i))
                 else:
-                    num = seq[m] * seq[m] - (ring.one if prod is None else prod)
-                    try:
-                        d = ring.divisors([seq[m - 1]])[0] if d is None else d
-                        seq.append(ring.divide(num, d))
-                    except ZeroDivisionError:
-                        raise SingularSpecialization(a + 1, m - 1) from None
-                    advanced = True
-            if not advanced:
+                    steps.append((a, m, inputs))
+                    sizes[a] += 1
+            if not steps:
                 raise RuntimeError("recursion scheduling made no progress (bug)")
-        return vals
+            stopped = False
+            for lane in lanes:
+                lane_ring, vals = lane[0], tables[lane[1]]
+                if lane_ring is not field and any(vals[a][-1].bit_length() > Z_PHASE_BITS
+                                                  for a in pending):
+                    lane[0] = lane_ring = field
+                    for seq in vals:
+                        seq[:] = map(field.reduce, seq)
+                try:
+                    divisors = lane_ring.divisors([vals[a][m - 1] for a, m, _ in steps])
+                except ZeroDivisionError:
+                    # a zero or non-unit: prepared per node, so the first to reach it reports it
+                    divisors = [None] * len(steps)
+                one, divide = lane_ring.one, lane_ring.divide
+                for (a, m, inputs), d in zip(steps, divisors):
+                    seq, prod = vals[a], None
+                    for b, i in inputs:
+                        prod = vals[b][i] if prod is None else prod * vals[b][i]
+                    num = seq[m] * seq[m] - (one if prod is None else prod)
+                    try:
+                        d = lane_ring.divisors([seq[m - 1]])[0] if d is None else d
+                        seq.append(divide(num, d))
+                    except ZeroDivisionError:
+                        tables[lane[1]] = SingularSpecialization(a + 1, m - 1)
+                        stopped = True
+                        break
+            if stopped:
+                lanes = [lane for lane in lanes if isinstance(tables[lane[1]], list)]
+        return tables
 
     return extend
 
@@ -356,7 +379,7 @@ def generate(lt: LieType, spec: RawQ | CharacterPoint | DimensionMode, target,
         raise ValueError("target depth must be at least 1")
     q = initial_values(lt, spec)
     ring = _ring(q, field)
-    vals = _table(lt, q, ring)(required_depths(lt, node, depth))
+    vals = _raised(_table(lt, [q], ring)(required_depths(lt, node, depth))[0])
     if (convert := _output(ring)) is not None:
         vals = [map(convert, seq) for seq in vals]
     return QTable(lie_type=lt, field_name=field.name,
@@ -370,14 +393,38 @@ def levels(lt: LieType, q: Sequence[Fraction], node: int, field=RATIONALS):
     converted (see _output), each once: to a Fraction at non-integral q
     over Q, to its residue over Z/m."""
     ring = _ring(q, field)
-    extend = _table(lt, q, ring)
+    extend = _table(lt, [q], ring)
+
+    def table(n):
+        return _raised(extend(required_depths(lt, node, n - 1))[0])[node - 1]
+
     if (convert := _output(ring)) is None:
-        return lambda n: extend(required_depths(lt, node, n - 1))[node - 1][:n]
+        return lambda n: table(n)[:n]
     made = []
 
     def read(n):
-        seq = extend(required_depths(lt, node, n - 1))[node - 1]
+        seq = table(n)
         made.extend(map(convert, seq[len(made):n]))
         return made[:n]
     return read
+
+
+def windows(lt: LieType, qs: Sequence[Sequence[Fraction]], node: int, depth: int,
+            field=RATIONALS) -> list:
+    """Q^(node)_0, ..., Q^(node)_depth from each q of qs, converted as
+    levels converts them, or the SingularSpecialization that generate would
+    raise there: one table whose lanes are the qs (see _table)."""
+    ring = _ring([v for q in qs for v in q], field)
+    tables = _table(lt, qs, ring)(required_depths(lt, node, depth))
+    convert = _output(ring)
+    return [table if isinstance(table, SingularSpecialization) else
+            table[node - 1][:depth + 1] if convert is None else
+            list(map(convert, table[node - 1][:depth + 1])) for table in tables]
+
+
+def _raised(lane):
+    """A lane's result, raising it when it is an exception."""
+    if isinstance(lane, Exception):
+        raise lane
+    return lane
 

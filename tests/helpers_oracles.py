@@ -4,8 +4,12 @@ Deliberately self-contained: the dense recurrence solver, subset-expansion
 e_k, the Q-system relation check, the Q-system recursion over Fraction, the
 G2 dimension closed form and the L and M triangles' recursions share no code
 with the package under test.  The eager Berlekamp-Massey uses only the
-field's reduce and divisors.
+field's reduce and divisors.  The per-draw interpolation loop is the
+reference for the CLI's rounds of draws: it detects one draw at a time
+through the CLI's one-draw detection, cli._detect.
 """
+import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -214,3 +218,68 @@ def mm_recursion(m, n):
     if n == m:
         return 2 * 3**m - 2**m
     return 2 * mm_recursion(m - 1, n - 1) + mm_recursion(m - 1, n)
+
+
+def per_draw_interpolate(args):
+    """qrec interpolate as one detection per draw, in draw order: a stand-in
+    for cli.run_interpolate with the same validation, skips, errors and
+    report."""
+    from qrec import cli, conjectures
+
+    k = args.k
+    if k is None:
+        raise cli.ConfigError("--k is required for interpolate")
+    if k < 0:
+        raise cli.ConfigError(f"--k {k} is negative")
+    if args.degree < 0:
+        raise cli.ConfigError(f"--degree {args.degree} is negative")
+    rank = cli._parse_type(args).rank
+    need = math.comb(rank + args.degree, args.degree) + conjectures.MARGIN
+    if args.runs < need:
+        raise cli.ConfigError(f"--runs {args.runs} is below {need}, the candidate monomials "
+                              f"of degree at most {args.degree} plus {conjectures.MARGIN}")
+    space = (2 * cli.Q_BOUND + 1) ** rank
+    if args.runs > space:
+        raise cli.ConfigError(f"--runs {args.runs} exceeds the {space} distinct q "
+                              f"in [-{cli.Q_BOUND}, {cli.Q_BOUND}]^{rank}")
+    lt, node, _, primes, depth, specs = setup = cli._prologue(args, "interpolate")
+    if depth is None:
+        raise cli.ConfigError("interpolation needs a tabulated order or explicit --depth")
+    order = cli.predicted_order(lt, node)
+    if order is not None and k > order:
+        raise cli.ConfigError(f"--k {k} exceeds the order {order} of node {node} of {lt}")
+    experiments, seen = [], set()
+    limit = min(args.runs + cli.MAX_SINGULAR_RETRIES * 4, space)
+    started = time.perf_counter()
+    for spec in specs:
+        if len(experiments) >= args.runs:
+            break
+        if len(seen) == limit:
+            raise cli.NoStableRecurrence(
+                f"{len(experiments)} of --runs {args.runs} detections of "
+                f"order >= {k} succeeded, out of {limit} distinct draws")
+        if spec.values in seen:
+            continue
+        seen.add(spec.values)
+        try:
+            qvals, rec, _, _ = cli._detect(lt, node, spec, depth, args.guard, primes)
+        except (cli.SingularSpecialization, cli.NoStableRecurrence, cli.PrimeDisagreement):
+            continue
+        if rec.order >= k:
+            experiments.append(([int(v) for v in qvals], int(rec.coeffs[k])))
+    detect_s = time.perf_counter() - started
+    candidates = conjectures.degree_monomials(lt.rank, args.degree)
+    started = time.perf_counter()
+    poly = conjectures.interpolate_coefficients(lt.rank, candidates, experiments)
+    solve_s = time.perf_counter() - started
+    payload = {
+        "job": "interpolate",
+        "config": cli._config_echo(setup, args),
+        "k": k, "runs": args.runs,
+        "polynomial": None if poly is None else str(poly),
+        "terms": None if poly is None else
+            [{"exponents": list(e), "coeff": str(c)} for e, c in sorted(poly.terms.items())],
+        "timings": {"detect_s": round(detect_s, 6), "solve_s": round(solve_s, 6)},
+    }
+    cli._emit(payload, args)
+    return cli.EXIT_OK if poly is not None else cli.EXIT_CHECK_FAILED

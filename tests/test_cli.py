@@ -247,13 +247,13 @@ def test_interpolate_skips_a_repeated_q(capsys, monkeypatch):
     draws = iter([(2, 3), (2, 3), (5, 7), (2, 3), (-4, 9), (5, 7), (1, -6), (8, 8), (-3, 2),
                   (6, -1), (-9, -5), (4, 11), (7, 3), (-2, -8)])
     monkeypatch.setattr(cli_mod, "_random_q", lambda lt, rng: next(draws))
-    detected, real = [], cli_mod._detect
+    detected, real = [], cli_mod._detect_round
 
-    def detect(lt, node, spec, *rest):
-        detected.append(spec.values)
-        return real(lt, node, spec, *rest)
+    def detect(lt, node, specs, *rest):
+        detected.extend(spec.values for spec in specs)
+        return real(lt, node, specs, *rest)
 
-    monkeypatch.setattr(cli_mod, "_detect", detect)
+    monkeypatch.setattr(cli_mod, "_detect_round", detect)
     code, payload = run_json(capsys, "interpolate", "--type", "A2", "--k", "1",
                              "--runs", "8", "--degree", "1")
     assert code == 0 and payload["polynomial"] == "q_1"
@@ -268,6 +268,7 @@ def test_more_runs_than_distinct_q_is_a_usage_error_before_any_detection(capsys,
         raise AssertionError("detected")
 
     monkeypatch.setattr(cli_mod, "_detect", never)
+    monkeypatch.setattr(cli_mod, "_detect_round", never)
     assert main("interpolate --type A1 --k 1 --degree 97 --runs 103 --seed 1".split()) == 3
     assert "--runs 103 exceeds the 101 distinct q" in capsys.readouterr().err
 
@@ -285,6 +286,7 @@ def test_too_few_runs_for_the_candidates_is_a_usage_error_before_any_detection(
         raise AssertionError("detected or listed candidates")
 
     monkeypatch.setattr(cli_mod, "_detect", never)
+    monkeypatch.setattr(cli_mod, "_detect_round", never)
     monkeypatch.setattr(cli_mod.conjectures, "degree_monomials", never)
     assert main(argv.split()) == 3
     assert "--runs" in capsys.readouterr().err
@@ -501,6 +503,7 @@ def test_depth_past_the_doubling_ceiling_is_a_resource_cap(argv, capsys, monkeyp
 
     monkeypatch.setattr(cli_mod, "levels", lambda *args: no_table)
     monkeypatch.setattr(cli_mod, "generate", no_table)
+    monkeypatch.setattr(cli_mod, "windows", no_table)
     assert main(argv) == 4
     assert "depth ceiling 8192" in capsys.readouterr().err
 
@@ -575,6 +578,7 @@ def test_guard_and_degree_are_checked_before_any_generation(argv, option, capsys
 
     monkeypatch.setattr(cli_mod, "generate", no_table)
     monkeypatch.setattr(cli_mod, "levels", no_table)
+    monkeypatch.setattr(cli_mod, "windows", no_table)
     assert main(argv) == 3
     assert option in capsys.readouterr().err
 
@@ -592,6 +596,7 @@ def test_a_depth_below_1_is_a_usage_error_before_any_generation(command, option,
 
     monkeypatch.setattr(cli_mod, "generate", no_table)
     monkeypatch.setattr(cli_mod, "levels", no_table)
+    monkeypatch.setattr(cli_mod, "windows", no_table)
     assert main([*command.split(), *option]) == 3
     assert f"--depth {depth} is below 1" in capsys.readouterr().err
 
@@ -871,3 +876,90 @@ def test_a_parser_for_one_subcommand_builds_that_subparser_only():
         return list(sub.choices)
     assert built(build_parser("detect")) == ["detect"]
     assert built(build_parser()) == built(build_parser("frobnicate")) == list(COMMANDS)
+
+
+# every interpolate argv of the tests: the pinned ones, the benchmark's smoke
+# job, and the argv that the tests above run, some of them with the draws or
+# the order table patched
+INTERPOLATE_ARGV = [text for text in PINS if text.startswith("interpolate")] + [
+    "interpolate --type E6 --node 1 --k 2 --runs 40 --modular 3 --seed 5",
+    "interpolate --type E6 --node 1 --k 1 --runs 12 --degree 1 --modular 3 --seed 1",
+    "interpolate --type A2 --k 3 --runs 12 --degree 1 --seed 2",
+    "interpolate --type A2 --k 4 --runs 12 --degree 1",
+    "interpolate --type A2 --k -1 --runs 12 --degree 1",
+    "interpolate --type A1 --k 1 --degree 97 --runs 103 --seed 1",
+    "interpolate --type E6 --node 1 --k 1 --degree 3 --runs 40 --modular 3",
+    "interpolate --type E6 --node 1 --k 1 --degree 50",
+    "interpolate --type A2 --k 1 --runs=-1",
+    "interpolate --type A2 --k 1 --runs 11 --guard 100000",
+    "interpolate --type A2 --k 1 --degree=-1",
+    "interpolate --type A2 --k 1 --depth 0",
+    "interpolate --type A2 --k 1 --depth=-3",
+    "interpolate --type A2 --k 1 --runs 12 --degree 1 --seed 2",
+    "interpolate --type B500 --node 2 --k 1 --degree 0 --runs 6",
+    "interpolate --type A2",
+    "interpolate --type E6 --node 3 --k 1",
+    "interpolate --type A20000 --k 1 --degree 0 --runs 6",
+    "interpolate --type E6 --node 3 --k 1 --depth 40 --degree 0 --runs 6",
+    "untabulated: interpolate --type A2 --k 4 --degree 0 --runs 6 --depth 20",
+    "repeated: interpolate --type A2 --k 1 --runs 8 --degree 1",
+    "repeated: interpolate --type A2 --k 1 --runs 8 --degree 1 --modular 3",
+    "dependent: interpolate --type A2 --k 1 --runs 8 --degree 1",
+    # singular draws in the middle of a round, over Q and over Z/m
+    "singular: interpolate --type A2 --k 1 --runs 8 --degree 1",
+    "singular: interpolate --type A2 --k 1 --runs 8 --degree 1 --modular 3",
+    # windows too short for any guard: the first draw raises InsufficientData
+    "interpolate --type A2 --k 1 --runs 8 --degree 1 --depth 5",
+    "interpolate --type A2 --k 1 --runs 8 --degree 1 --depth 5 --modular 3",
+]
+
+
+@pytest.mark.parametrize("text", INTERPOLATE_ARGV)
+def test_interpolation_by_rounds_reports_what_one_detection_per_draw_does(text, capsys,
+                                                                          monkeypatch):
+    import qrec.cli as cli_mod
+    from helpers_oracles import per_draw_interpolate
+
+    patch, _, argv = text.rpartition(": ")
+    if patch == "untabulated":
+        monkeypatch.setattr(cli_mod, "predicted_order", lambda lt, a: None)
+
+    def outcome(runner):
+        # the same draws for both runners
+        repeated = iter([(2, 3), (2, 3), (5, 7), (2, 3), (-4, 9), (5, 7), (1, -6), (8, 8),
+                         (-3, 2), (6, -1), (-9, -5), (4, 11), (7, 3), (-2, -8)])
+        singular = iter([(2, 3), (0, 0), (5, 7), (-4, 9), (0, 5), (1, -6), (8, 8), (0, 0),
+                         (-3, 2), (6, -1), (3, 0), (-9, -5), (4, 11), (7, 3), (-2, -8)])
+        line = random.Random(5)
+        draws = {"repeated": lambda lt, rng: next(repeated),
+                 "singular": lambda lt, rng: next(singular),
+                 "dependent": lambda lt, rng: (lambda x: (x, x + 1))(line.randint(-50, 49))}
+        if patch in draws:
+            monkeypatch.setattr(cli_mod, "_random_q", draws[patch])
+        monkeypatch.setattr(cli_mod, "run_interpolate", runner)
+        code = main(argv.split())
+        out, err = capsys.readouterr()
+        payload = json.loads(out) if out else None
+        if payload is not None:
+            del payload["timings"]
+        return code, payload, err
+
+    rounds = outcome(cli_mod.run_interpolate)
+    assert rounds == outcome(per_draw_interpolate)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("dims --type A60 --depth 1", "node 1 needs at least 62 levels"),
+    ("dims --type A125 --depth 1", "node 1 needs at least 127 levels"),
+    # node 2 of G2 strides by 3, and node 1 has the levels it needs
+    ("dims --type G2 --depth 25", "node 2 needs at least 36 levels"),
+])
+def test_dims_refuses_a_shallow_depth_before_any_table(argv, message, capsys, monkeypatch):
+    import qrec.qsystem as qsystem
+
+    def never(*args):
+        raise AssertionError("a Weyl dimension was computed")
+
+    monkeypatch.setattr(qsystem, "dimension", never)
+    assert main(argv.split()) == 4
+    assert capsys.readouterr().err == f"resource cap: {message}\n"

@@ -68,6 +68,13 @@ PINS = {
         (2, "d59411f7c492232349b4c09111d32938f907a53b28689fa92e5065d67c481c44"),
     "interpolate --type E6 --node 1 --k 2 --runs 40 --modular 3 --seed 1":  # 28 candidates
         (0, "84ef4c7035a663cf9636f2cbe2fdbab921eb39c0ad2c5c186bc89b28e3bbd261"),
+    # one draw of order 60, not 74, makes the fit inconsistent
+    "interpolate --type F4 --node 4 --k 1 --modular 3 --seed 7":
+        (2, "76a15df9e1a9f9f12d8c69417728f70c19b6b67bc26b6a002f004592f80c1313"),
+    "interpolate --type E6 --node 1 --k 3 --runs 40 --modular 3 --seed 8":
+        (0, "f28b014f30c5ffe9be79b3732273d4d5dff609a39565feb1570f41d6db812f4e"),
+    "interpolate --type E6 --node 1 --k 1 --runs 40 --seed 3":  # exact, over several rounds
+        (0, "54f66eb26a08810e9ffe853a326d3fb141449e0cceb70fc8b62d1c745f238d73"),
     "dims --type G2":
         (0, "27ceafc8bad3e7df4afbcf87110d72ddeca6f79b04c75b1037ed43c21ffbe7e5"),
     "dims --type B3 --format csv":

@@ -329,6 +329,64 @@ def test_lazy_berlekamp_massey_equals_the_eager_one(count):
             fed = cut
 
 
+@pytest.mark.parametrize("count", [None, 3, 8])
+def test_each_lane_of_berlekamp_massey_is_the_eager_one(count):
+    field = RATIONALS if count is None else PrimeField(math.prod(seeded_primes(count, 5)))
+    rng = random.Random(f"bm-lanes-{count}")
+    seqs = list(_bm_sequences(rng, field))
+    assert linrec._berlekamp_massey(seqs, field, [[] for _ in seqs]) == [
+        eager_berlekamp_massey(seq, field) for seq in seqs]
+    # fed in chunks, some of them empty, each lane through its own state
+    states, fed = [[] for _ in seqs], [0] * len(seqs)
+    while any(n < len(seq) for n, seq in zip(fed, seqs)):
+        cuts = [min(len(seq), n + rng.randint(0, 9)) for n, seq in zip(fed, seqs)]
+        runs = linrec._berlekamp_massey([seq[n:cut] for seq, n, cut in zip(seqs, fed, cuts)],
+                                        field, states)
+        assert runs == [eager_berlekamp_massey(seq[:cut], field)
+                        for seq, cut in zip(seqs, cuts)]
+        fed = cuts
+
+
+def _parting_sequence(rng, primes):
+    """One LFSR modulo every prime up to a term t, then one term off it
+    modulo one prime only: the discrepancy there vanishes modulo the
+    others, so BM modulo their product meets a non-unit."""
+    modulus = math.prod(primes)
+    order = rng.randint(1, 6)
+    taps = [rng.randrange(modulus) for _ in range(order)]
+    seq = [rng.randrange(modulus) for _ in range(order)]
+    while len(seq) < 40:
+        seq.append(sum(c * seq[-1 - i] for i, c in enumerate(taps)) % modulus)
+    t, p = rng.randint(order, 30), rng.choice(primes)
+    seq[t] = (seq[t] + modulus // p * rng.randint(1, p - 1)) % modulus
+    return seq
+
+
+def test_a_lane_of_berlekamp_massey_that_meets_a_non_unit_stops_alone():
+    primes = seeded_primes(3, 6)
+    field, rng = PrimeField(math.prod(primes)), random.Random(16)
+    seqs = [_parting_sequence(rng, primes) if j % 3 == 1 else
+            [rng.randrange(field.modulus) for _ in range(40)] for j in range(12)]
+    want = [_raising_term(eager_berlekamp_massey, seq, field) for seq in seqs]
+    assert [at is None for at in want] == [j % 3 != 1 for j in range(12)]
+    runs = linrec._berlekamp_massey(seqs, field, [[] for _ in seqs])
+    for seq, at, run in zip(seqs, want, runs):
+        if at is None:
+            assert run == eager_berlekamp_massey(seq, field)
+        else:
+            assert isinstance(run, ZeroDivisionError)
+    # fed one term at a time, each lane stops at the eager BM's term
+    states, stopped = [[] for _ in seqs], [None] * len(seqs)
+    for n in range(40):
+        running = [j for j, at in enumerate(stopped) if at is None]
+        runs = linrec._berlekamp_massey([[seqs[j][n]] for j in running], field,
+                                        [states[j] for j in running])
+        for j, run in zip(running, runs):
+            if isinstance(run, ZeroDivisionError):
+                stopped[j] = n
+    assert stopped == want
+
+
 def _raising_term(bm, seq, field):
     """The index of the term at which bm, fed one term at a time, raises
     ZeroDivisionError, or None."""
@@ -345,15 +403,7 @@ def test_lazy_berlekamp_massey_raises_at_the_eager_ones_non_unit():
     primes = seeded_primes(3, 6)
     field, rng, raised = PrimeField(math.prod(primes)), random.Random(6), []
     for _ in range(40):
-        # one LFSR modulo every prime up to term t, then one term off it modulo
-        # one prime only: the discrepancy there vanishes modulo the others
-        order = rng.randint(1, 6)
-        taps = [rng.randrange(field.modulus) for _ in range(order)]
-        seq = [rng.randrange(field.modulus) for _ in range(order)]
-        while len(seq) < 40:
-            seq.append(sum(c * seq[-1 - i] for i, c in enumerate(taps)) % field.modulus)
-        t, p = rng.randint(order, 30), rng.choice(primes)
-        seq[t] = (seq[t] + field.modulus // p * rng.randint(1, p - 1)) % field.modulus
+        seq = _parting_sequence(rng, primes)
         at = _raising_term(berlekamp_massey, seq, field)
         assert at == _raising_term(eager_berlekamp_massey, seq, field)
         raised.append(at)
@@ -813,13 +863,13 @@ def test_a_later_modulus_rereads_the_stream_without_generating_a_level(monkeypat
     sizes = []  # levels in the table after each request
     table = qsystem._table
 
-    def recorded(lt, q, field):
-        extend = table(lt, q, field)
+    def recorded(lt, qs, field):
+        extend = table(lt, qs, field)
 
         def recording(depths):
-            out = extend(depths)
+            [out] = extend(depths)  # the one lane of levels
             sizes.append(sum(map(len, out)))
-            return out
+            return [out]
         return recording
 
     monkeypatch.setattr(qsystem, "_table", recorded)
@@ -916,3 +966,59 @@ def test_exact_detection_runs_bm_modulo_each_batch_once(argv, batches, bm_runs):
     # a stream feeds BM its terms in chunks, modulo one batch at a time
     assert [k for k, _ in itertools.groupby(k for k, _ in bm_runs)] == batches
     assert {ran for _, ran in bm_runs} == {"ran"}
+
+
+def test_a_round_of_windows_inverts_once_per_step_where_a_lane_changes_length(monkeypatch):
+    # a round of eight draws of `interpolate --type E6 --node 1 --modular 3`
+    from qrec.cartan import LieType
+    from qrec.qsystem import windows
+    lt, primes, rng = LieType.parse("E6"), seeded_primes(3, 0), random.Random(26)
+    field = PrimeField(math.prod(primes))
+    qs = [[F(rng.randint(-50, 50)) for _ in range(6)] for _ in range(8)]
+    alone, changes = [], {}  # step -> the lanes whose L changes there
+    for w in windows(lt, qs, 1, 66, field):
+        alone.append(multi_prime_detect(lambda m: w, primes))
+        state, length = [], 0
+        for n, s in enumerate(w):
+            if (L := berlekamp_massey([s], field, state)[0]) != length:
+                changes[n] = changes.get(n, 0) + 1
+            length = L
+    calls, divisors = [], PrimeField.divisors
+    monkeypatch.setattr(PrimeField, "divisors",
+                        lambda self, values: calls.append(values) or divisors(self, values))
+    # the tables stay in their Z phase, which inverts nothing
+    recs = linrec.multi_prime_lanes(lambda m: windows(lt, qs, 1, 66, PrimeField(m)), primes)
+    assert [len(values) for values in calls] == [changes[n] for n in sorted(changes)]
+    assert recs == alone
+
+
+def test_each_lane_of_a_multi_prime_detection_is_its_own_detection():
+    primes = seeded_primes(3, 6)
+    modulus = math.prod(primes)
+    rng = random.Random(36)
+    half = (modulus - 1) // 2
+    windows = [
+        [2 * 3**n % modulus for n in range(30)],  # a recurrence
+        _parting_sequence(rng, primes),  # PrimeDisagreement
+        [rng.randrange(modulus) for _ in range(30)],  # NoStableRecurrence
+        [5, 7, 9],  # InsufficientData
+        [pow(half, n, modulus) for n in range(30)],  # C_1 near modulus/2: LiftOverflow
+        [(n * n + 1) % modulus for n in range(40)],
+    ]
+
+    def alone(window):
+        try:
+            return multi_prime_detect(lambda m: window, primes)
+        except (PrimeDisagreement, NoStableRecurrence, InsufficientData, LiftOverflow) as exc:
+            return type(exc), str(exc)
+
+    lanes = [(type(rec), str(rec)) if isinstance(rec, Exception) else rec
+             for rec in linrec.multi_prime_lanes(lambda m: windows, primes)]
+    assert lanes == [alone(w) for w in windows]
+    assert [lane[0] for lane in lanes[1:5]] == [PrimeDisagreement, NoStableRecurrence,
+                                                 InsufficientData, LiftOverflow]
+    # the lane of a singular table gets its exception back
+    from qrec.qsystem import SingularSpecialization
+    singular = SingularSpecialization(2, 5)
+    assert linrec.multi_prime_lanes(lambda m: [windows[0], singular, windows[5]], primes) == [
+        alone(windows[0]), singular, alone(windows[5])]

@@ -10,7 +10,7 @@ from qrec.fields import INTEGERS, RATIONALS, PrimeField, seeded_primes
 from qrec.qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode,
                           RawQ, SingularSpecialization, default_branching,
                           generate, initial_values, levels, required_depths,
-                          resolve_branching)
+                          resolve_branching, windows)
 from qrec.weights import evaluate, weight_system
 
 from helpers_oracles import check_relation, fraction_table
@@ -164,8 +164,8 @@ def test_a_non_integral_q_keeps_fractions_and_an_inexact_quotient_is_a_bug():
     assert all(check_relation(cartan, table.values, a, m)
                for a, seq in enumerate(table.values, start=1) for m in range(1, len(seq) - 1))
     # over Z every quotient is exact; a corrupted level leaves a remainder
-    extend = qsystem._table(B2, [F(4), F(-3)], qsystem._ring([F(4), F(-3)], RATIONALS))
-    vals = extend(required_depths(B2, None, 3))
+    extend = qsystem._table(B2, [[F(4), F(-3)]], qsystem._ring([F(4), F(-3)], RATIONALS))
+    [vals] = extend(required_depths(B2, None, 3))
     assert all(type(v) is int for seq in vals for v in seq)
     vals[0][3] += 1
     with pytest.raises(AssertionError):
@@ -531,3 +531,43 @@ def test_a_deep_modular_table_inverts_once_per_sweep_past_the_switch(monkeypatch
     assert 0 < len(calls) == max(depths) - switch
     assert [len(values) for values in calls] == [
         sum(m < d for d in depths) for m in range(switch, max(depths))]
+
+
+def _one_lane(lt, q, node, depth, field):
+    """Levels 0..depth of the node from a table of its own, or the
+    (node, level) at which that table is singular."""
+    try:
+        return levels(lt, q, node, field)(depth + 1)
+    except SingularSpecialization as err:
+        return err.node, err.level
+
+
+@pytest.mark.parametrize("bits", [qsystem.Z_PHASE_BITS, 64])
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4", "E6"])
+def test_each_lane_of_a_table_is_its_own_table(name, bits, monkeypatch):
+    # at 64 bits the lanes leave the Z phase at different sweeps: small q
+    # later than large ones; q = 0 divides by zero in the middle of the
+    # round, and the last q is not integral, so over Z/m it has no Z phase
+    # and over Q it puts every lane in Z[1/2]
+    monkeypatch.setattr(qsystem, "Z_PHASE_BITS", bits)
+    lt, rng = LieType.parse(name), random.Random(f"lanes-{name}")
+    qs = [[F(rng.randint(-bound, bound)) for _ in range(lt.rank)]
+          for bound in (50, 2, 50, 1, 50, 3)]
+    qs.insert(3, [F(0)] * lt.rank)
+    qs.append([F(2 * rng.randint(-9, 9) + 1, 2) for _ in range(lt.rank)])  # no Z phase
+    for field in (RATIONALS, *(PrimeField(math.prod(seeded_primes(count, 9)))
+                               for count in (3, 8))):
+        for node in range(1, lt.rank + 1):
+            lanes = [(lane.node, lane.level) if isinstance(lane, SingularSpecialization)
+                     else lane for lane in windows(lt, qs, node, 40, field)]
+            assert lanes == [_one_lane(lt, q, node, 40, field) for q in qs], (field, node)
+            assert isinstance(lanes[3], tuple)
+    if bits == 64:  # the first level past the switch differs between lanes
+        first = set()
+        for q in qs[:-1]:
+            try:
+                table = generate(lt, RawQ(q), 40).values
+            except SingularSpecialization:
+                continue
+            first.add(min(m for seq in table for m, v in enumerate(seq) if v.bit_length() > bits))
+        assert len(first) > 1
