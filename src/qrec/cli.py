@@ -23,11 +23,11 @@ from .cartan import (LieType, RootCapExceeded, order_tables, cartan_data, growth
                      predicted_order)
 from .fields import RATIONALS, PrimeField, seeded_primes
 from .linrec import (CertificateFailure, InsufficientData, LiftOverflow,
-                     NoStableRecurrence, PrimeDisagreement, find_min_recurrence,
-                     guard_terms, multi_prime_detect, multi_prime_lanes)
+                     NoStableRecurrence, PrimeDisagreement, _raised, find_min_recurrence,
+                     guard_terms, multi_prime_lanes)
 from .qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode, RawQ,
                       SingularSpecialization, generate, initial_values, levels,
-                      required_depths, windows)
+                      required_depths)
 from .weights import DimensionCapExceeded, weight_system
 
 EXIT_OK = 0
@@ -40,10 +40,10 @@ MAX_SINGULAR_RETRIES = 5
 Q_BOUND = 50  # raw-random q are drawn from [-Q_BOUND, Q_BOUND]^rank
 # interpolate detects its draws in rounds, whose tables are lanes of one
 # table: a round holds at most this many levels, summed over its lanes'
-# required_depths.  Every lane's table is kept until the round's windows
-# are read, so a round's memory grows with its lanes; at this cap a round
-# holds 8 E6/1 draws, 6 of F4/4 or 3 of E7/6, and the peak memory of an
-# interpolation stays near that of one draw.
+# required_depths.  Every lane's table is kept until each lane has read its
+# levels and detected, so a round's memory grows with its lanes; at this
+# cap a round holds 8 E6/1 draws, 6 of F4/4 or 3 of E7/6, and the peak
+# memory of an interpolation stays near that of one draw.
 ROUND_LEVELS = 3200
 
 
@@ -213,53 +213,48 @@ def _run(args, step, timing):
     return setup, spec, result, head
 
 
-def _detect(lt, node, spec, depth, guard, modular_primes):
-    """Detects the recurrence of node on levels 0..depth or, when depth is
-    None, on the levels read online until detection is stable.  Returns (the
-    level-1 values q, rec, the exact sequence or None, the depth read)."""
-    q = initial_values(lt, spec)
-    read = []
+def _detect(lt, node, specs, depth, guard, primes):
+    """Detects the recurrence of node at each draw of a round, on levels
+    0..depth or, when depth is None, on the levels read online until its
+    detection is stable.  Returns per draw, in order, (the level-1 values q,
+    the recurrence or the exception that stopped it, the exact levels or
+    None, the depth read).
 
-    def source(field):
-        table = levels(lt, q, node, field)
-
-        def terms(n):
-            if n - 1 > DEPTH_CEILING:  # refused before any level past it is generated
-                raise CapExceeded(n - 1)
-            read[:] = table(n)
-            return read
-        return terms if depth is None else terms(depth + 1)
-
-    if modular_primes:
-        rec = multi_prime_detect(lambda m: source(PrimeField(m)), modular_primes, guard=guard)
-        return q, rec, None, len(read) - 1
-    return q, find_min_recurrence(source(RATIONALS), guard=guard), read, len(read) - 1
-
-
-def _detect_round(lt, node, specs, depth, guard, modular_primes):
-    """_detect on levels 0..depth of each draw of a round: per draw, in
-    order, (the level-1 values q, rec), or (q, the exception that _detect
-    would raise).  Over Q, an exception other than NoStableRecurrence is
-    raised at the draw where _detect would raise it.
-
-    The draws' tables are the lanes of one table (qsystem.windows).  Over
-    Z/m, the windows run through Berlekamp-Massey in lockstep
-    (linrec.multi_prime_lanes); over Q, each goes through
-    find_min_recurrence.
+    The draws' tables are the lanes of one table (qsystem.levels).  Over
+    Z/M their levels run through Berlekamp-Massey in lockstep
+    (linrec.multi_prime_lanes); over Q each goes through
+    find_min_recurrence.  A detection failure is its draw's result, over Q
+    as over Z/M; a depth past the ceiling is raised.
     """
     qs = [initial_values(lt, spec) for spec in specs]
-    if modular_primes:
-        recs = multi_prime_lanes(lambda m: windows(lt, qs, node, depth, PrimeField(m)),
-                                 modular_primes, guard=guard)
-        return list(zip(qs, recs))
-    recs = []
-    for window in windows(lt, qs, node, depth, RATIONALS):
-        try:
-            recs.append(window if isinstance(window, SingularSpecialization) else
-                        find_min_recurrence(window, guard=guard))
-        except NoStableRecurrence as exc:
-            recs.append(exc)
-    return list(zip(qs, recs))
+    reads = [[] for _ in qs]  # per draw, the levels it read last
+
+    def lanes(field):
+        table = levels(lt, qs, node, field)
+
+        def lane(j):
+            def terms(n):
+                if n - 1 > DEPTH_CEILING:  # refused before any level past it is generated
+                    raise CapExceeded(n - 1)
+                if isinstance(seq := table(n)[j], list):
+                    reads[j] = seq
+                return seq
+            return terms
+        streams = [lane(j) for j in range(len(qs))]
+        return streams if depth is None else [terms(depth + 1) for terms in streams]
+
+    if primes:
+        recs = multi_prime_lanes(lambda m: lanes(PrimeField(m)), primes, guard=guard)
+    else:
+        recs = []
+        for terms in lanes(RATIONALS):
+            try:
+                recs.append(find_min_recurrence(terms, guard=guard))
+            except (SingularSpecialization, NoStableRecurrence, InsufficientData,
+                    CertificateFailure) as exc:
+                recs.append(exc)
+    return [(q, rec, None if primes else read, len(read) - 1)
+            for q, rec, read in zip(qs, recs, reads)]
 
 
 def _digest(payload: dict) -> str:
@@ -321,8 +316,13 @@ def _config_echo(setup, args):
 
 
 def _detect_step(args):
-    return lambda setup, spec: _detect(setup.lt, setup.node, spec, setup.depth,
-                                       args.guard, setup.primes)
+    """The step of detect and verify: _detect on a round of one draw,
+    raising what stopped it."""
+    def step(setup, spec):
+        [(q, rec, seq, depth)] = _detect(setup.lt, setup.node, [spec], setup.depth,
+                                         args.guard, setup.primes)
+        return q, _raised(rec), seq, depth
+    return step
 
 
 def run_detect(args):
@@ -492,7 +492,7 @@ def run_interpolate(args):
         if not draws:
             raise NoStableRecurrence(f"{len(experiments)} of --runs {args.runs} detections of "
                                      f"order >= {k} succeeded, out of {limit} distinct draws")
-        for qvals, rec in _detect_round(lt, node, draws, depth, args.guard, primes):
+        for qvals, rec, _, _ in _detect(lt, node, draws, depth, args.guard, primes):
             if isinstance(rec, (SingularSpecialization, NoStableRecurrence, PrimeDisagreement)):
                 continue
             if isinstance(rec, Exception):

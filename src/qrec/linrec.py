@@ -88,10 +88,7 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS, state: list | None = None):
     vanishes modulo some of the primes only, where the per-prime runs part
     ways; inverting it raises ZeroDivisionError, and the state is spent.
     """
-    (run,) = _berlekamp_massey([seq], field, [[] if state is None else state])
-    if isinstance(run, ZeroDivisionError):
-        raise run
-    return run
+    return _raised(_berlekamp_massey([seq], field, [[] if state is None else state])[0])
 
 
 def _berlekamp_massey(seqs, field, states) -> list:
@@ -203,37 +200,61 @@ def _certified(conn, modulus, window):
     return None
 
 
-def _read(seq, guard, field):
-    """(the terms read, BM's (L, conn) on them over the field) of a window,
-    read as one chunk, or a stream, read online: terms(33), then
-    terms(2L + g) for BM's current L, until that many are read or no more
-    come.  BM is fed each chunk once; a non-unit raises."""
-    terms = seq if callable(seq) else lambda n: seq
-    fed, want, state = 0, 33, []
-    while want > fed and len(read := terms(want)) > fed:
-        run = berlekamp_massey(_residues(read, field.modulus, fed), field, state)
-        fed, want = len(read), 2 * run[0] + guard_terms(run[0], guard)
-    if (short := _too_few(fed, guard)) is not None:
-        raise short
-    return read, run
+def _read(seqs, guard, field) -> list:
+    """Per lane of seqs, (the terms read, L, conn) of BM over the field on
+    them, or the exception that stopped the lane.  A lane is a window, read
+    as one chunk; a stream, a function n -> the first n terms, read online:
+    terms(33), then terms(2L + g) for its current L, until that many are
+    read or no more come; or an exception, which is the lane's result, as
+    is an exception that a stream returns in place of its terms.  Each
+    round feeds the new chunk of every lane still reading through
+    _berlekamp_massey in lockstep, each term once.  A non-unit discrepancy
+    or denominator stops its lane with ZeroDivisionError, and a lane that
+    has read to its end stops with what _stable says.
+    """
+    out = [None] * len(seqs)
+    # per lane still reading: [index, terms, the terms read, the terms
+    # wanted, BM's state, BM's (L, conn) on the terms read]
+    lanes = [[j, seq if callable(seq) else lambda n, seq=seq: seq, [], 33, [], None]
+             for j, seq in enumerate(seqs)]
+    while lanes:
+        fed, chunks = [], []
+        for lane in lanes:
+            j, terms, read, want, _, run = lane
+            more = terms(want) if want > len(read) else read
+            if isinstance(more, Exception):
+                out[j] = more
+            elif len(more) <= len(read):
+                out[j] = _stable(read, run, guard)
+            else:
+                try:
+                    chunks.append(_residues(more, field.modulus, len(read)))
+                except ZeroDivisionError as exc:  # a denominator that is a non-unit
+                    out[j] = exc
+                    continue
+                lane[2] = more
+                fed.append(lane)
+        lanes = []
+        for lane, run in zip(fed, _berlekamp_massey(chunks, field, [lane[4] for lane in fed])):
+            if isinstance(run, ZeroDivisionError):
+                out[lane[0]] = run
+            else:
+                lane[3], lane[5] = 2 * run[0] + guard_terms(run[0], guard), run
+                lanes.append(lane)
+    return out
 
 
-def _too_few(fed, guard):
-    """InsufficientData when fed terms are too few to validate any LFSR
-    with the guard, else None."""
-    if fed < 2 + guard_terms(0, guard):
-        return InsufficientData(f"{fed} terms are too few for guard {guard_terms(0, guard)}")
-    return None
-
-
-def _unstable(n_total, L, guard):
-    """NoStableRecurrence when n_total terms are too few to validate an
-    LFSR of length L with the guard, else None."""
-    g = guard_terms(L, guard)
-    if 2 * L + g > n_total:
-        return NoStableRecurrence(f"the minimal LFSR of {n_total} terms has length {L}, "
+def _stable(read, run, guard):
+    """(read, L, conn) for BM's run (L, conn) on the terms read, or
+    InsufficientData when they are too few to validate any LFSR with the
+    guard, or NoStableRecurrence when too few to validate one of length L."""
+    if len(read) < 2 + (g := guard_terms(0, guard)):
+        return InsufficientData(f"{len(read)} terms are too few for guard {g}")
+    L, conn = run
+    if 2 * L + (g := guard_terms(L, guard)) > len(read):
+        return NoStableRecurrence(f"the minimal LFSR of {len(read)} terms has length {L}, "
                                   f"which {g} guard terms do not validate")
-    return None
+    return read, L, conn
 
 
 def _check_guard(guard):
@@ -252,45 +273,39 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
     index is BM's L: taps that held from L - 1 on would be a shorter LFSR
     modulo every prime of the modulus, where BM's L is minimal.
 
-    One loop reads seq modulo each modulus in turn.  Over Z/m the one
-    modulus is m, and BM's LFSR is not substituted again: BM ran on these
-    residues, so its invariant already holds.  Over Q the moduli are
-    batches of 4 seeded primes.  Garner's CRT step joins each batch's conn
-    to those before it of the same L and window (another restarts the
-    join), and exact substitution certifies a lift of the join (see
-    _certified).  A prime that divides no denominator of the window or of
-    the LFSR over Q cannot lengthen the LFSR (Fatou's lemma over Z_(p));
-    one that lengthens it unlike the rest of its batch hits a non-unit,
-    which skips the batch, and the first batch too long for the window is
-    dropped.  The coefficients are ratios of L x L minors of the integer
-    window, at most (sqrt(L) * max|window|)^L by Hadamard; a lift needs a
-    modulus above twice their square, and the loop stops two batches after
-    the bits drawn, batches that raised included, pass that bound.
+    Each reading of seq is one lane of _read.  Over Z/m seq is read once,
+    and BM's LFSR is not substituted again: BM ran on these residues, so
+    its invariant already holds.  Over Q one loop reads seq modulo batches
+    of 4 seeded primes.  Garner's CRT step joins each batch's conn to those
+    before it of the same L and window (another restarts the join), and
+    exact substitution certifies a lift of the join (see _certified).  A
+    prime that divides no denominator of the window or of the LFSR over Q
+    cannot lengthen the LFSR (Fatou's lemma over Z_(p)); one that lengthens
+    it unlike the rest of its batch hits a non-unit, which skips the batch,
+    and the first batch too long for the window is dropped.  The
+    coefficients are ratios of L x L minors of the integer window, at most
+    (sqrt(L) * max|window|)^L by Hadamard; a lift needs a modulus above
+    twice their square, and the loop stops two batches after the bits
+    drawn, batches that raised included, pass that bound.
     """
     _check_guard(guard)
-    exact = not isinstance(field, PrimeField)
-    moduli = map(math.prod, zip(*[prime_stream(PRIME_SEED)] * 4)) if exact else [field.modulus]
+    if isinstance(field, PrimeField):
+        _, L, conn = _raised(_read([seq], guard, field)[0])
+        return _recurrence(conn, L, field)
     need, bits, past, dropped, join = math.inf, 0, 0, False, None
-    for p in moduli:
+    for p in map(math.prod, zip(*[prime_stream(PRIME_SEED)] * 4)):
         if past == 2:
             raise CertificateFailure(
                 f"no candidate LFSR of {len(window)} terms passed substitution")
         bits += p.bit_length()
         past += bits > need
-        try:
-            read, (L, conn) = _read(seq, guard, PrimeField(p))
-        except ZeroDivisionError:
-            if exact:
-                continue
-            raise
+        if isinstance(run := _read([seq], guard, PrimeField(p))[0], ZeroDivisionError):
+            continue
+        if isinstance(run, NoStableRecurrence) and not dropped:
+            dropped = True
+            continue
+        read, L, conn = _raised(run)
         n_total = len(read)
-        if (unstable := _unstable(n_total, L, guard)) is not None:
-            if exact and not dropped:
-                dropped = True
-                continue
-            raise unstable
-        if not exact:
-            break
         if join != (L, n_total):
             join, modulus, joined = (L, n_total), 1, [0] * (L + 1)
             window = _cleared(read)
@@ -301,6 +316,13 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
         if (conn := _certified(joined, modulus, window)) is not None:
             break
     return _recurrence(conn, L, field)
+
+
+def _raised(result):
+    """A lane's result, raising it when it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _recurrence(conn, L, field) -> RecurrencePoly:
@@ -372,72 +394,47 @@ def numerator(seq: Sequence, rec: RecurrencePoly) -> list:
 def multi_prime_detect(seq_factory: Callable[[int], Sequence[int]], primes,
                        guard: int | None = None) -> RecurrencePoly:
     """Detection modulo the product M of the primes, lifted to the symmetric
-    range (-M/2, M/2].
-
-    seq_factory(M) must give the integer sequence reduced mod M, as a window
-    or a stream (see find_min_recurrence).  Z/M is the product of the prime
-    fields, so this one detection is the per-prime detections joined by
-    CRT; a division by a non-unit mod M is where they would disagree.  The
-    result is flagged "modular" confidence.
-    """
-    primes, modulus = _detection_primes(primes)
-    try:
-        rec = find_min_recurrence(seq_factory(modulus), guard=guard, field=PrimeField(modulus))
-    except ZeroDivisionError as exc:
-        raise _disagreement(exc) from None
-    rec = _lifted(rec, primes, modulus)
-    if isinstance(rec, LiftOverflow):
-        raise rec
-    return rec
+    range (-M/2, M/2]: multi_prime_lanes on the one lane seq_factory(M), the
+    integer sequence reduced mod M as a window or a stream, raising what
+    that lane stops with.  The result is flagged "modular" confidence."""
+    return _raised(multi_prime_lanes(lambda m: [seq_factory(m)], primes, guard)[0])
 
 
-def multi_prime_lanes(window_factory: Callable[[int], list], primes,
+def multi_prime_lanes(lane_factory: Callable[[int], list], primes,
                       guard: int | None = None) -> list:
-    """multi_prime_detect on lanes: window_factory(M) gives a list of integer
-    windows reduced mod M, one per lane, and Berlekamp-Massey runs on them
-    in lockstep (see _berlekamp_massey).  Returns per lane the
-    RecurrencePoly that multi_prime_detect would return on its window, or
-    the exception that it would raise there.  A lane whose window is an
-    exception, as qsystem.windows gives for a singular table, gets that
-    exception back."""
-    primes, modulus = _detection_primes(primes)
-    _check_guard(guard)
-    field, windows = PrimeField(modulus), window_factory(modulus)
-    regular = [w for w in windows if not isinstance(w, Exception)]
-    runs = iter(_berlekamp_massey(regular, field, [[] for _ in regular]))
-    out = []
-    for window in windows:
-        if isinstance(window, Exception):
-            out.append(window)
-            continue
-        if isinstance(run := next(runs), ZeroDivisionError):
-            out.append(_disagreement(run))
-            continue
-        L, conn = run
-        # the first exception that find_min_recurrence and the lift would raise
-        out.append(_too_few(len(window), guard) or _unstable(len(window), L, guard)
-                   or _lifted(_recurrence(conn, L, field), primes, modulus))
-    return out
+    """Detection modulo the product M of the primes on lanes: lane_factory(M)
+    gives a list of integer windows or streams reduced mod M, read in
+    lockstep (see _read), or exceptions, as qsystem.levels gives for a
+    singular table.  Returns per lane its RecurrencePoly, lifted to the
+    symmetric range, or the exception that stops it; a lane that is an
+    exception gets it back.
 
-
-def _detection_primes(primes):
-    """The sorted distinct primes of a detection, and their product; a
-    ValueError when there are fewer than 3, or one is not above 2^50."""
+    Z/M is the product of the prime fields, so each lane's detection is its
+    per-prime detections joined by CRT; a division by a non-unit mod M is
+    where they would disagree, PrimeDisagreement.  A coefficient that lands
+    within 2^16 of M/2 is LiftOverflow.
+    """
     primes = sorted(set(int(p) for p in primes))
     if len(primes) < 3:
         raise ValueError("need at least 3 distinct primes")
     if any(p <= 2**50 for p in primes):
         raise ValueError("primes must exceed 2^50")
-    return primes, math.prod(primes)
+    _check_guard(guard)
+    modulus = math.prod(primes)
+    field, out = PrimeField(modulus), []
+    for run in _read(lane_factory(modulus), guard, field):
+        if isinstance(run, ZeroDivisionError):
+            run = PrimeDisagreement(f"detections modulo the primes disagree: {run}")
+        out.append(run if isinstance(run, Exception) else _lifted(run, field, primes))
+    return out
 
 
-def _disagreement(exc: ZeroDivisionError) -> PrimeDisagreement:
-    return PrimeDisagreement(f"detections modulo the primes disagree: {exc}")
-
-
-def _lifted(rec, primes, modulus):
-    """rec over Z/modulus lifted to the symmetric range, or LiftOverflow
-    when a coefficient lands within 2^16 of modulus/2."""
+def _lifted(run, field, primes):
+    """The recurrence of a lane that _read read over Z/M, the field, lifted
+    to the symmetric range, or LiftOverflow when a coefficient lands within
+    2^16 of M/2."""
+    _, L, conn = run
+    rec, modulus = _recurrence(conn, L, field), field.modulus
     lifted = [_symmetric(c, modulus) for c in rec.coeffs]
     for k, c in enumerate(lifted):
         if modulus // 2 - abs(c) < 2**16:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cartan import LieType, _refuse_large_root_systems, cartan_data
 from .fields import INTEGERS, RATIONALS, Localization, PrimeField
-from .linrec import expand_linear_product
+from .linrec import _raised, expand_linear_product
 from .weights import Weight, dimension, evaluate, is_dominant, omega, weight_system
 
 
@@ -386,45 +386,26 @@ def generate(lt: LieType, spec: RawQ | CharacterPoint | DimensionMode, target,
                   values=tuple(tuple(v) for v in vals), spec_kind=type(spec).__name__)
 
 
-def levels(lt: LieType, q: Sequence[Fraction], node: int, field=RATIONALS):
-    """A function n -> [Q^(node)_0, ..., Q^(node)_{n-1}] from the level-1
-    values q; each call extends one table to generate's at depth n - 1, so
-    each level is made once.  Only the levels of the node returned are
-    converted (see _output), each once: to a Fraction at non-integral q
-    over Q, to its residue over Z/m."""
-    ring = _ring(q, field)
-    extend = _table(lt, [q], ring)
-
-    def table(n):
-        return _raised(extend(required_depths(lt, node, n - 1))[0])[node - 1]
-
-    if (convert := _output(ring)) is None:
-        return lambda n: table(n)[:n]
-    made = []
+def levels(lt: LieType, qs: Sequence[Sequence[Fraction]], node: int, field=RATIONALS):
+    """A function n -> per q of qs, [Q^(node)_0, ..., Q^(node)_{n-1}] from
+    those level-1 values, or the SingularSpecialization that generate would
+    raise there: one table whose lanes are the qs (see _table).  Each call
+    extends it to generate's at depth n - 1, so each level is made once.
+    Only the levels of the node returned are converted (see _output), each
+    once: to a Fraction at non-integral q over Q, to its residue over Z/m."""
+    ring = _ring([v for q in qs for v in q], field)
+    extend, convert = _table(lt, qs, ring), _output(ring)
+    made = [[] for _ in qs]  # per lane, its levels converted so far
 
     def read(n):
-        seq = table(n)
-        made.extend(map(convert, seq[len(made):n]))
-        return made[:n]
+        out = []
+        for table, seq in zip(extend(required_depths(lt, node, n - 1)), made):
+            if isinstance(table, SingularSpecialization):
+                out.append(table)
+            elif convert is None:
+                out.append(table[node - 1][:n])
+            else:
+                seq.extend(map(convert, table[node - 1][len(seq):n]))
+                out.append(seq[:n])
+        return out
     return read
-
-
-def windows(lt: LieType, qs: Sequence[Sequence[Fraction]], node: int, depth: int,
-            field=RATIONALS) -> list:
-    """Q^(node)_0, ..., Q^(node)_depth from each q of qs, converted as
-    levels converts them, or the SingularSpecialization that generate would
-    raise there: one table whose lanes are the qs (see _table)."""
-    ring = _ring([v for q in qs for v in q], field)
-    tables = _table(lt, qs, ring)(required_depths(lt, node, depth))
-    convert = _output(ring)
-    return [table if isinstance(table, SingularSpecialization) else
-            table[node - 1][:depth + 1] if convert is None else
-            list(map(convert, table[node - 1][:depth + 1])) for table in tables]
-
-
-def _raised(lane):
-    """A lane's result, raising it when it is an exception."""
-    if isinstance(lane, Exception):
-        raise lane
-    return lane
-

@@ -6,7 +6,7 @@ G2 dimension closed form and the L and M triangles' recursions share no code
 with the package under test.  The eager Berlekamp-Massey uses only the
 field's reduce and divisors.  The per-draw interpolation loop is the
 reference for the CLI's rounds of draws: it detects one draw at a time
-through the CLI's one-draw detection, cli._detect.
+through cli._detect on a round of that one draw.
 """
 import math
 import time
@@ -96,6 +96,22 @@ def eager_berlekamp_massey(seq, field, state=None):
     conn = cur[: L + 1]
     conn.extend([field.zero] * (L + 1 - len(conn)))
     return L, conn
+
+
+def lane_levels(lt, q, node, *field):
+    """qsystem.levels on the one lane q, over the field if one is given: a
+    function n -> its levels Q^(node)_0..Q^(node)_{n-1}, raising its
+    SingularSpecialization."""
+    from qrec.qsystem import levels
+
+    read = levels(lt, [q], node, *field)
+
+    def terms(n):
+        [seq] = read(n)
+        if isinstance(seq, Exception):
+            raise seq
+        return seq
+    return terms
 
 
 def brute_elementary_symmetric(values, k):
@@ -261,10 +277,12 @@ def per_draw_interpolate(args):
         if spec.values in seen:
             continue
         seen.add(spec.values)
-        try:
-            qvals, rec, _, _ = cli._detect(lt, node, spec, depth, args.guard, primes)
-        except (cli.SingularSpecialization, cli.NoStableRecurrence, cli.PrimeDisagreement):
+        [(qvals, rec, _, _)] = cli._detect(lt, node, [spec], depth, args.guard, primes)
+        if isinstance(rec, (cli.SingularSpecialization, cli.NoStableRecurrence,
+                            cli.PrimeDisagreement)):
             continue
+        if isinstance(rec, Exception):
+            raise rec
         if rec.order >= k:
             experiments.append(([int(v) for v in qvals], int(rec.coeffs[k])))
     detect_s = time.perf_counter() - started

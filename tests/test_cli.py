@@ -247,13 +247,13 @@ def test_interpolate_skips_a_repeated_q(capsys, monkeypatch):
     draws = iter([(2, 3), (2, 3), (5, 7), (2, 3), (-4, 9), (5, 7), (1, -6), (8, 8), (-3, 2),
                   (6, -1), (-9, -5), (4, 11), (7, 3), (-2, -8)])
     monkeypatch.setattr(cli_mod, "_random_q", lambda lt, rng: next(draws))
-    detected, real = [], cli_mod._detect_round
+    detected, real = [], cli_mod._detect
 
     def detect(lt, node, specs, *rest):
         detected.extend(spec.values for spec in specs)
         return real(lt, node, specs, *rest)
 
-    monkeypatch.setattr(cli_mod, "_detect_round", detect)
+    monkeypatch.setattr(cli_mod, "_detect", detect)
     code, payload = run_json(capsys, "interpolate", "--type", "A2", "--k", "1",
                              "--runs", "8", "--degree", "1")
     assert code == 0 and payload["polynomial"] == "q_1"
@@ -268,7 +268,6 @@ def test_more_runs_than_distinct_q_is_a_usage_error_before_any_detection(capsys,
         raise AssertionError("detected")
 
     monkeypatch.setattr(cli_mod, "_detect", never)
-    monkeypatch.setattr(cli_mod, "_detect_round", never)
     assert main("interpolate --type A1 --k 1 --degree 97 --runs 103 --seed 1".split()) == 3
     assert "--runs 103 exceeds the 101 distinct q" in capsys.readouterr().err
 
@@ -286,7 +285,6 @@ def test_too_few_runs_for_the_candidates_is_a_usage_error_before_any_detection(
         raise AssertionError("detected or listed candidates")
 
     monkeypatch.setattr(cli_mod, "_detect", never)
-    monkeypatch.setattr(cli_mod, "_detect_round", never)
     monkeypatch.setattr(cli_mod.conjectures, "degree_monomials", never)
     assert main(argv.split()) == 3
     assert "--runs" in capsys.readouterr().err
@@ -503,7 +501,6 @@ def test_depth_past_the_doubling_ceiling_is_a_resource_cap(argv, capsys, monkeyp
 
     monkeypatch.setattr(cli_mod, "levels", lambda *args: no_table)
     monkeypatch.setattr(cli_mod, "generate", no_table)
-    monkeypatch.setattr(cli_mod, "windows", no_table)
     assert main(argv) == 4
     assert "depth ceiling 8192" in capsys.readouterr().err
 
@@ -513,7 +510,7 @@ def test_deepest_accepted_depth_is_the_doubling_ceiling(capsys, monkeypatch):
     from qrec.linrec import NoStableRecurrence
     depths = []
 
-    def record(lt, spec, node, field):
+    def record(lt, qs, node, field):
         def table(n):
             depths.append(n - 1)
             raise NoStableRecurrence("stop after the depth check")
@@ -578,7 +575,6 @@ def test_guard_and_degree_are_checked_before_any_generation(argv, option, capsys
 
     monkeypatch.setattr(cli_mod, "generate", no_table)
     monkeypatch.setattr(cli_mod, "levels", no_table)
-    monkeypatch.setattr(cli_mod, "windows", no_table)
     assert main(argv) == 3
     assert option in capsys.readouterr().err
 
@@ -596,7 +592,6 @@ def test_a_depth_below_1_is_a_usage_error_before_any_generation(command, option,
 
     monkeypatch.setattr(cli_mod, "generate", no_table)
     monkeypatch.setattr(cli_mod, "levels", no_table)
-    monkeypatch.setattr(cli_mod, "windows", no_table)
     assert main([*command.split(), *option]) == 3
     assert f"--depth {depth} is below 1" in capsys.readouterr().err
 
@@ -627,14 +622,14 @@ def test_a_stream_past_the_ceiling_is_a_resource_cap(argv, field, capsys, monkey
     import qrec.cli as cli_mod
     read = []
 
-    def counted(lt, spec, node, field_used):
+    def counted(lt, qs, node, field_used):
         # one ceiling, whichever field the stream is read in
         assert field_used.name.startswith(field)
-        table = cli_mod_levels(lt, spec, node, field_used)
+        table = cli_mod_levels(lt, qs, node, field_used)
 
         def terms(n):
-            read[:] = table(n)
-            return read
+            [read[:]] = table(n)
+            return [read]
         return terms
 
     cli_mod_levels = cli_mod.levels
@@ -812,9 +807,9 @@ def test_singular_draws_are_redrawn_up_to_the_retry_limit(command, capsys, monke
     monkeypatch.setattr(cli_mod, "_random_q", lambda lt, rng: (0, 0))
     detected, real = [], cli_mod._detect
 
-    def detect(lt, node, spec, *rest):
-        detected.append(spec.values)
-        return real(lt, node, spec, *rest)
+    def detect(lt, node, specs, *rest):
+        detected.extend(spec.values for spec in specs)
+        return real(lt, node, specs, *rest)
 
     monkeypatch.setattr(cli_mod, "_detect", detect)
     assert main([command, "--type", "A2"]) == 2
@@ -963,3 +958,25 @@ def test_dims_refuses_a_shallow_depth_before_any_table(argv, message, capsys, mo
     monkeypatch.setattr(qsystem, "dimension", never)
     assert main(argv.split()) == 4
     assert capsys.readouterr().err == f"resource cap: {message}\n"
+
+
+@pytest.mark.parametrize("modular", [False, True], ids=["exact", "modular"])
+@pytest.mark.parametrize("depth", [None, 30], ids=["streams", "windows"])
+def test_a_round_of_draws_detects_what_rounds_of_one_draw_do(modular, depth):
+    import qrec.cli as cli_mod
+    from qrec.fields import seeded_primes
+    from qrec.qsystem import RawQ, SingularSpecialization
+    lt, primes = LieType.parse("A3"), seeded_primes(3, 1) if modular else None
+    # (0, 0, 0) divides by Q^(1)_1 = 0
+    specs = [RawQ(q) for q in ((3, -7, 12), (0, 0, 0), (-41, 5, 9), (4, -1, 6))]
+
+    def plain(draw):
+        q, rec, seq, read = draw
+        return q, (type(rec), str(rec)) if isinstance(rec, Exception) else rec, seq, read
+
+    alone = [plain(cli_mod._detect(lt, 2, [spec], depth, None, primes)[0]) for spec in specs]
+    assert [plain(draw) for draw in cli_mod._detect(lt, 2, specs, depth, None, primes)] == alone
+    assert [rec[0] for _, rec, _, _ in alone if not isinstance(rec, RecurrencePoly)] == [
+        SingularSpecialization]
+    assert all((seq is None) == modular for _, rec, seq, _ in alone
+               if isinstance(rec, RecurrencePoly))

@@ -111,6 +111,11 @@ PINS = {
         (0, "abca062de50005b0b11217d2e3c9a9f58cc84e259cb817915b0ee48bc0380475"),
     "detect --type F4 --node 2 --q=1/2,3,5/7,2":  # a stream at rational q
         (0, "388790b925d37aea625ae043f6f6f6d7a2f6dded0700b8360fe511768811aca4"),
+    # an untabulated node read online modulo M: depth 325, order 145
+    "detect --type F4 --node 2 --modular 8 --seed 1":
+        (0, "7fa441a076d12fc9db8f52e405f7122b94341d30178f0a76bbe9cd7a20d14e13"),
+    "verify --type F4 --node 2 --modular 8 --seed 1":
+        (0, "700842fc9cd524568536fb7314ee6e84d3d5c33074511c7dadb5308b775f0924"),
     # rational level-1 values whose denominators share primes
     "verify --type C3 --node 2 --y 4/9,3/2,-6/5":
         (0, "ff2ffeda82de25c8680d5d849a4b31b2a68c84a4b5cfea325b99ad4c6e1ea1cd"),

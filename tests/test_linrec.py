@@ -14,7 +14,7 @@ from qrec.linrec import (PRIME_SEED, CertificateFailure, InsufficientData, LiftO
                          find_min_recurrence, multi_prime_detect, numerator,
                          poly_mul, series_divide)
 
-from helpers_oracles import dense_min_recurrence, eager_berlekamp_massey
+from helpers_oracles import dense_min_recurrence, eager_berlekamp_massey, lane_levels
 
 F = Fraction
 
@@ -586,23 +586,28 @@ def batches_joined(modulus):
     return [k for k, m in enumerate(BATCHES, 1) if modulus % m == 0]
 
 
+def record_lanes(monkeypatch, record):
+    """Patches the lane core linrec._berlekamp_massey so that each of its
+    calls over Z/M calls record(modulus, terms fed, "ran" or "raised") once
+    per lane, in lane order."""
+    original = linrec._berlekamp_massey
+
+    def recording(seqs, field, states):
+        runs = original(seqs, field, states)
+        if isinstance(field, PrimeField):
+            for seq, run in zip(seqs, runs):
+                record(field.modulus, len(seq),
+                       "raised" if isinstance(run, ZeroDivisionError) else "ran")
+        return runs
+
+    monkeypatch.setattr(linrec, "_berlekamp_massey", recording)
+
+
 @pytest.fixture
 def bm_runs(monkeypatch):
-    """(batch number, whether BM ran or raised) of each BM call over Z/M."""
+    """(batch number, whether BM ran or raised) of each BM lane over Z/M."""
     runs = []
-    original = linrec.berlekamp_massey
-
-    def recording(seq, field=RATIONALS, *state):
-        k = batch(field.modulus)
-        try:
-            out = original(seq, field, *state)
-        except ZeroDivisionError:
-            runs.append((k, "raised"))
-            raise
-        runs.append((k, "ran"))
-        return out
-
-    monkeypatch.setattr(linrec, "berlekamp_massey", recording)
+    record_lanes(monkeypatch, lambda modulus, fed, ran: runs.append((batch(modulus), ran)))
     return runs
 
 
@@ -653,13 +658,7 @@ def test_substitution_rejects_a_lift_that_fits_the_wrong_modulus(bm_runs):
 
 def test_prime_sets_are_consecutive_slices_of_one_stream(monkeypatch, certified_moduli):
     moduli = []
-    original = linrec.berlekamp_massey
-
-    def recording(seq, field=RATIONALS, *state):
-        moduli.append(field.modulus)
-        return original(seq, field, *state)
-
-    monkeypatch.setattr(linrec, "berlekamp_massey", recording)
+    record_lanes(monkeypatch, lambda modulus, fed, ran: moduli.append(modulus))
     # a rational ratio of 203 bits over 3 lifts by rational reconstruction
     # only, past 406 bits: it needs 3 batches
     ratio = F(math.prod(seeded_primes(4, PRIME_SEED)) + 5, 7)
@@ -722,12 +721,14 @@ def test_a_stable_batch_of_another_length_restarts_the_join(monkeypatch, certifi
     seq = [ratio**n for n in range(12)]
     calls = []
 
-    def first_reads_fibonacci(seq, guard, field):
+    def first_reads_fibonacci(seqs, guard, field):
         # the first batch reads the window but finds Fibonacci's LFSR, of
         # length 2, on it: stable, of another L, and not certified
-        read, run = real(seq, guard, field)
+        [(read, *run)] = real(seqs, guard, field)
         calls.append(batch(field.modulus))
-        return read, (real(frac(FIB[:12]), guard, field)[1] if len(calls) == 1 else run)
+        if len(calls) == 1:
+            [(_, *run)] = real([frac(FIB[:12])], guard, field)
+        return [(read, *run)]
 
     monkeypatch.setattr(linrec, "_read", first_reads_fibonacci)
     rec = find_min_recurrence(seq)
@@ -752,21 +753,9 @@ def lfsr_stream(taps, fill, pulled):
 
 @pytest.fixture
 def stream_runs(monkeypatch):
-    """(batch number, terms fed, whether BM was given a state, ran or
-    raised) of each BM call."""
+    """[batch number, terms fed, ran or raised] of each BM lane over Z/M."""
     runs = []
-    original = linrec.berlekamp_massey
-
-    def recording(seq, field=RATIONALS, *state):
-        run = [batch(field.modulus), len(seq), bool(state), "ran"]
-        runs.append(run)
-        try:
-            return original(seq, field, *state)
-        except ZeroDivisionError:
-            run[3] = "raised"
-            raise
-
-    monkeypatch.setattr(linrec, "berlekamp_massey", recording)
+    record_lanes(monkeypatch, lambda modulus, fed, ran: runs.append([batch(modulus), fed, ran]))
     return runs
 
 
@@ -784,7 +773,7 @@ def test_a_stream_is_read_online_and_fed_to_bm_once(modular, stream_runs):
     rec = find_min_recurrence(stream, field=field)
     # 33 terms, then chunks up to 2L + g for L = 20 and g = 8
     assert rec.order == 20 and len(pulled) == 48
-    streamed = [(primes, terms) for primes, terms, stated, _ in stream_runs if stated]
+    streamed = [(primes, terms) for primes, terms, _ in stream_runs]
     assert streamed[0][1] == 33
     assert sum(terms for _, terms in streamed) == len(pulled)
     assert len({primes for primes, _ in streamed}) == 1
@@ -797,14 +786,13 @@ def test_a_stream_skips_prime_sets_like_a_window(stream_runs):
     streamed = []
     for seq in ([(p - 1) * 2**n + 3**n for n in range(24)],  # a non-unit discrepancy
                 [F(3**n, p) + 2**n for n in range(24)]):  # a non-unit denominator
-        stream_runs.clear()  # the window's runs also carry a state: drop them
+        stream_runs.clear()  # the window's runs are recorded too: drop them
         rec = find_min_recurrence(lambda n: seq[:n])
-        streamed += [run for run in stream_runs if run[2]]
+        streamed += stream_runs
         assert (rec.order, rec.coeffs) == detection(seq) == (2, (1, 5, 6))
     # the first stream restarts on its 24 terms modulo batch 2 after the
     # batch 1 run raised; the second never runs modulo the batch holding p
-    assert streamed == [
-        [1, 24, True, "raised"], [2, 24, True, "ran"], [2, 24, True, "ran"]]
+    assert streamed == [[1, 24, "raised"], [2, 24, "ran"], [2, 24, "ran"]]
 
 
 def test_a_short_stream_fails_like_its_window():
@@ -833,7 +821,6 @@ def test_berlekamp_massey_mod_a_product_annihilates_its_window():
 
 def test_only_exact_detection_substitutes_its_candidate(monkeypatch):
     from qrec.cartan import LieType
-    from qrec.qsystem import levels
     substituted = []
     holds = linrec._holds
 
@@ -846,7 +833,7 @@ def test_only_exact_detection_substitutes_its_candidate(monkeypatch):
     # read as a stream of 326 terms: BM's invariant covers terms 145..325
     field = PrimeField(math.prod(seeded_primes(8, 1)))
     q = [F(v) for v in (-27, -13, 18, 17)]
-    rec = find_min_recurrence(levels(LieType.parse("F4"), q, 2, field), field=field)
+    rec = find_min_recurrence(lane_levels(LieType.parse("F4"), q, 2, field), field=field)
     assert (rec.order, rec.start) == (145, 145) and substituted == []
     # a transient's start is BM's L in both arithmetics, with no substitution
     seq = frac([99, -7, 5] + [3**n for n in range(20)])
@@ -875,7 +862,7 @@ def test_a_later_modulus_rereads_the_stream_without_generating_a_level(monkeypat
     monkeypatch.setattr(qsystem, "_table", recorded)
     # F4/2 at the draw of `detect --type F4 --node 2 --seed 1`: its 145
     # coefficients need the second batch of primes
-    terms = qsystem.levels(LieType.parse("F4"), [F(v) for v in (-27, -13, 18, 17)], 2)
+    terms = lane_levels(LieType.parse("F4"), [F(v) for v in (-27, -13, 18, 17)], 2)
     requests = []
     rec = find_min_recurrence(lambda n: requests.append(n) or terms(n))
     second = requests.index(33, 1)  # the second modulus reads from the start again
@@ -971,12 +958,12 @@ def test_exact_detection_runs_bm_modulo_each_batch_once(argv, batches, bm_runs):
 def test_a_round_of_windows_inverts_once_per_step_where_a_lane_changes_length(monkeypatch):
     # a round of eight draws of `interpolate --type E6 --node 1 --modular 3`
     from qrec.cartan import LieType
-    from qrec.qsystem import windows
+    from qrec.qsystem import levels
     lt, primes, rng = LieType.parse("E6"), seeded_primes(3, 0), random.Random(26)
     field = PrimeField(math.prod(primes))
     qs = [[F(rng.randint(-50, 50)) for _ in range(6)] for _ in range(8)]
     alone, changes = [], {}  # step -> the lanes whose L changes there
-    for w in windows(lt, qs, 1, 66, field):
+    for w in levels(lt, qs, 1, field)(67):
         alone.append(multi_prime_detect(lambda m: w, primes))
         state, length = [], 0
         for n, s in enumerate(w):
@@ -987,7 +974,7 @@ def test_a_round_of_windows_inverts_once_per_step_where_a_lane_changes_length(mo
     monkeypatch.setattr(PrimeField, "divisors",
                         lambda self, values: calls.append(values) or divisors(self, values))
     # the tables stay in their Z phase, which inverts nothing
-    recs = linrec.multi_prime_lanes(lambda m: windows(lt, qs, 1, 66, PrimeField(m)), primes)
+    recs = linrec.multi_prime_lanes(lambda m: levels(lt, qs, 1, PrimeField(m))(67), primes)
     assert [len(values) for values in calls] == [changes[n] for n in sorted(changes)]
     assert recs == alone
 
@@ -1022,3 +1009,43 @@ def test_each_lane_of_a_multi_prime_detection_is_its_own_detection():
     singular = SingularSpecialization(2, 5)
     assert linrec.multi_prime_lanes(lambda m: [windows[0], singular, windows[5]], primes) == [
         alone(windows[0]), singular, alone(windows[5])]
+
+
+def test_a_stream_windows_and_exceptions_read_in_one_round_detect_as_one_lane_calls(
+        monkeypatch):
+    from qrec.qsystem import SingularSpecialization
+    primes, rng = seeded_primes(3, 9), random.Random(5)
+    modulus = math.prod(primes)
+    taps = [rng.randint(-9, 9) for _ in range(19)] + [1]
+    fill = [rng.randint(-20, 20) for _ in taps]
+
+    def lanes(pulled):
+        terms = lfsr_stream(taps, fill, pulled)
+        return [lambda n: [x % modulus for x in terms(n)],  # order 20, read online
+                [2 * 3**n % modulus for n in range(30)],
+                SingularSpecialization(2, 5),
+                [(n * n + 1) % modulus for n in range(40)],
+                _parting_sequence(random.Random(16), primes)]
+
+    def plain(rec):
+        return (type(rec), str(rec)) if isinstance(rec, Exception) else rec
+
+    alone = [plain(linrec.multi_prime_lanes(lambda m: [lane], primes)[0])
+             for lane in lanes([])]
+    assert alone[0].order == 20 and alone[1].order == 1 and alone[3].order == 3
+    assert [rec[0] for rec in alone[2::2]] == [SingularSpecialization, PrimeDisagreement]
+    steps, original = [], linrec._berlekamp_massey
+
+    def recording(seqs, field, states):
+        if seqs:
+            steps.append([len(seq) for seq in seqs])
+        return original(seqs, field, states)
+
+    monkeypatch.setattr(linrec, "_berlekamp_massey", recording)
+    pulled = []
+    assert [plain(rec) for rec in linrec.multi_prime_lanes(lambda m: lanes(pulled),
+                                                           primes)] == alone
+    # the stream's first 33 terms go through BM in the windows' steps; then
+    # it reads alone, up to 2L + g for each L, 2 * 17 + 8 and 2 * 20 + 8,
+    # and is fed each of the 48 terms it pulled once
+    assert steps == [[33, 30, 40, 40], [9], [6]] and len(pulled) == 48

@@ -10,10 +10,10 @@ from qrec.fields import INTEGERS, RATIONALS, PrimeField, seeded_primes
 from qrec.qsystem import (BranchingIncomplete, CharacterPoint, DimensionMode,
                           RawQ, SingularSpecialization, default_branching,
                           generate, initial_values, levels, required_depths,
-                          resolve_branching, windows)
+                          resolve_branching)
 from qrec.weights import evaluate, weight_system
 
-from helpers_oracles import check_relation, fraction_table
+from helpers_oracles import check_relation, fraction_table, lane_levels
 from test_cli import E6_BRANCHING
 from test_cli_digests import BAD_BRANCHING
 
@@ -154,7 +154,7 @@ def test_a_zero_level_enters_the_coupling_product():
     # Q^(1)_1 = 0 makes node 2's product at m = 1 zero, not an empty product
     A2 = LieType.parse("A2")
     for field in (RATIONALS, PrimeField(math.prod(seeded_primes(3, 0)))):
-        assert levels(A2, [F(0), F(5)], 2, field)(3) == [1, 5, 25]
+        assert lane_levels(A2, [F(0), F(5)], 2, field)(3) == [1, 5, 25]
 
 
 def test_a_non_integral_q_keeps_fractions_and_an_inexact_quotient_is_a_bug():
@@ -238,7 +238,7 @@ def _matches_the_fraction_recursion(lt, q, depth):
     table = generate(lt, RawQ(q), depth)
     assert [list(seq) for seq in table.values] == expected, (lt, q)
     for node in range(1, lt.rank + 1):
-        read = levels(lt, q, node)
+        read = lane_levels(lt, q, node)
         assert [read(n) for n in (2, 5, depth + 1)] == [expected[node - 1][:n]
                                                       for n in (2, 5, depth + 1)]
     return table
@@ -426,7 +426,7 @@ def test_levels_read_the_table_generating_each_level_once(name, node, monkeypatc
         made = len(divisions)
         assert made == sum(len(seq) - 2 for seq in table.values)
         divisions.clear()
-        read = levels(lt, spec.values, node, field)
+        read = lane_levels(lt, spec.values, node, field)
         assert [tuple(read(n)) for n in range(1, 32)] == [table.node(node)[:n]
                                                           for n in range(1, 32)]
         assert len(divisions) == made  # the levels of the one-shot table, once each
@@ -435,7 +435,7 @@ def test_levels_read_the_table_generating_each_level_once(name, node, monkeypatc
 
 def test_levels_raise_a_singular_specialization():
     with pytest.raises(SingularSpecialization) as err:
-        levels(LieType.parse("A1"), RawQ((1,)).values, 1)(7)
+        lane_levels(LieType.parse("A1"), RawQ((1,)).values, 1)(7)
     assert (err.value.node, err.value.level) == (1, 2)
 
 
@@ -445,7 +445,7 @@ def test_a_stream_read_in_the_readers_chunks_costs_what_its_window_costs(monkeyp
     lt = LieType.parse("F4")
     spec = RawQ((-27, -13, 18, 17))
     field = PrimeField(math.prod(seeded_primes(8, 1)))
-    table, requests = levels(lt, spec.values, 2, field), []
+    table, requests = lane_levels(lt, spec.values, 2, field), []
     rec = find_min_recurrence(lambda n: requests.append(n) or table(n), field=field)
     assert rec.order == 145 and len(requests) > 2 and requests[-1] == 326
 
@@ -454,7 +454,7 @@ def test_a_stream_read_in_the_readers_chunks_costs_what_its_window_costs(monkeyp
     divisors = PrimeField.divisors
     monkeypatch.setattr(PrimeField, "divisors",
                         lambda self, values: sweeps.append(values) or divisors(self, values))
-    read = levels(lt, spec.values, 2, field)
+    read = lane_levels(lt, spec.values, 2, field)
     for n in requests:
         read(n)
     streamed = {"divisions": len(divisions), "sweeps": len(sweeps)}
@@ -495,7 +495,7 @@ def test_modular_tables_are_the_exact_table_modulo_m(name, depth, bits, monkeypa
         want = [[v % field.modulus for v in seq] for seq in exact.values]
         assert [list(seq) for seq in generate(lt, RawQ(q), depth, field).values] == want
         for node in nodes:
-            read, n = levels(lt, q, node, field), len(exact.node(node))
+            read, n = lane_levels(lt, q, node, field), len(exact.node(node))
             assert [read(k) for k in (2, 33, n)] == [want[node - 1][:k] for k in (2, 33, n)]
 
 
@@ -513,7 +513,7 @@ def test_a_shallow_modular_window_makes_no_inversion(monkeypatch):
     rng, field = random.Random(1), PrimeField(math.prod(seeded_primes(3, 0)))
     for _ in range(5):
         q = [F(rng.randint(-50, 50)) for _ in range(6)]
-        assert len(levels(E6, q, 1, field)(67)) == 67
+        assert len(lane_levels(E6, q, 1, field)(67)) == 67
     assert calls == []
 
 
@@ -537,7 +537,7 @@ def _one_lane(lt, q, node, depth, field):
     """Levels 0..depth of the node from a table of its own, or the
     (node, level) at which that table is singular."""
     try:
-        return levels(lt, q, node, field)(depth + 1)
+        return lane_levels(lt, q, node, field)(depth + 1)
     except SingularSpecialization as err:
         return err.node, err.level
 
@@ -559,7 +559,7 @@ def test_each_lane_of_a_table_is_its_own_table(name, bits, monkeypatch):
                                for count in (3, 8))):
         for node in range(1, lt.rank + 1):
             lanes = [(lane.node, lane.level) if isinstance(lane, SingularSpecialization)
-                     else lane for lane in windows(lt, qs, node, 40, field)]
+                     else lane for lane in levels(lt, qs, node, field)(41)]
             assert lanes == [_one_lane(lt, q, node, 40, field) for q in qs], (field, node)
             assert isinstance(lanes[3], tuple)
     if bits == 64:  # the first level past the switch differs between lanes
