@@ -230,17 +230,15 @@ def _detect(lt, node, specs, depth, guard, primes):
     reads = [[] for _ in qs]  # per draw, the levels it read last
 
     def lanes(field):
-        table = levels(lt, qs, node, field)
-
-        def lane(j):
+        def lane(j, table):
             def terms(n):
                 if n - 1 > DEPTH_CEILING:  # refused before any level past it is generated
                     raise CapExceeded(n - 1)
-                if isinstance(seq := table(n)[j], list):
+                if isinstance(seq := table(n), list):
                     reads[j] = seq
                 return seq
             return terms
-        streams = [lane(j) for j in range(len(qs))]
+        streams = [lane(j, table) for j, table in enumerate(levels(lt, qs, node, field))]
         return streams if depth is None else [terms(depth + 1) for terms in streams]
 
     if primes:

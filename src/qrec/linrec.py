@@ -200,46 +200,49 @@ def _certified(conn, modulus, window):
     return None
 
 
-def _read(seqs, guard, field) -> list:
+def _read(seqs, guard, field, reduced=False) -> list:
     """Per lane of seqs, (the terms read, L, conn) of BM over the field on
     them, or the exception that stopped the lane.  A lane is a window, read
-    as one chunk; a stream, a function n -> the first n terms, read online:
-    terms(33), then terms(2L + g) for its current L, until that many are
-    read or no more come; or an exception, which is the lane's result, as
-    is an exception that a stream returns in place of its terms.  Each
-    round feeds the new chunk of every lane still reading through
-    _berlekamp_massey in lockstep, each term once.  A non-unit discrepancy
-    or denominator stops its lane with ZeroDivisionError, and a lane that
-    has read to its end stops with what _stable says.
+    as one chunk; a stream, a function n -> the first n terms (in a new
+    list or one it grows), read online: terms(33), then terms(2L + g) for
+    its current L, until that many are read or no more come; or an
+    exception, which is the lane's result, as is one that a stream returns.
+    Each round feeds the new chunk of every lane still reading through
+    _berlekamp_massey in lockstep, each term once, as its residue (see
+    _residues) unless reduced says it is one.  A non-unit discrepancy or
+    denominator stops its lane with ZeroDivisionError, and a lane that has
+    read to its end stops with what _stable says.
     """
     out = [None] * len(seqs)
-    # per lane still reading: [index, terms, the terms read, the terms
-    # wanted, BM's state, BM's (L, conn) on the terms read]
-    lanes = [[j, seq if callable(seq) else lambda n, seq=seq: seq, [], 33, [], None]
+    # per lane still reading: [index, terms, the list they came in, how many
+    # were fed, the terms wanted, BM's state, BM's (L, conn) on those fed]
+    lanes = [[j, seq if callable(seq) else lambda n, seq=seq: seq, [], 0, 33, [], None]
              for j, seq in enumerate(seqs)]
     while lanes:
         fed, chunks = [], []
         for lane in lanes:
-            j, terms, read, want, _, run = lane
-            more = terms(want) if want > len(read) else read
+            j, terms, read, n, want, _, run = lane
+            more = terms(want) if want > n else read
             if isinstance(more, Exception):
                 out[j] = more
-            elif len(more) <= len(read):
-                out[j] = _stable(read, run, guard)
+            elif len(more) <= n:
+                out[j] = _stable(read[:n] if len(read) > n else read, run, guard)
             else:
                 try:
-                    chunks.append(_residues(more, field.modulus, len(read)))
+                    chunks.append((more[n:] if n else more) if reduced
+                                  else _residues(more, field.modulus, n))
                 except ZeroDivisionError as exc:  # a denominator that is a non-unit
                     out[j] = exc
                     continue
-                lane[2] = more
+                lane[2:4] = more, len(more)
                 fed.append(lane)
+        runs = _berlekamp_massey(chunks, field, [lane[5] for lane in fed]) if fed else []
         lanes = []
-        for lane, run in zip(fed, _berlekamp_massey(chunks, field, [lane[4] for lane in fed])):
+        for lane, run in zip(fed, runs):
             if isinstance(run, ZeroDivisionError):
                 out[lane[0]] = run
             else:
-                lane[3], lane[5] = 2 * run[0] + guard_terms(run[0], guard), run
+                lane[4], lane[6] = 2 * run[0] + guard_terms(run[0], guard), run
                 lanes.append(lane)
     return out
 
@@ -404,10 +407,10 @@ def multi_prime_lanes(lane_factory: Callable[[int], list], primes,
                       guard: int | None = None) -> list:
     """Detection modulo the product M of the primes on lanes: lane_factory(M)
     gives a list of integer windows or streams reduced mod M, read in
-    lockstep (see _read), or exceptions, as qsystem.levels gives for a
-    singular table.  Returns per lane its RecurrencePoly, lifted to the
-    symmetric range, or the exception that stops it; a lane that is an
-    exception gets it back.
+    lockstep as they come (see _read), or exceptions, as qsystem.levels
+    gives for a singular table.  Returns per lane its RecurrencePoly, lifted
+    to the symmetric range, or the exception that stops it; a lane that is
+    an exception gets it back.
 
     Z/M is the product of the prime fields, so each lane's detection is its
     per-prime detections joined by CRT; a division by a non-unit mod M is
@@ -422,7 +425,7 @@ def multi_prime_lanes(lane_factory: Callable[[int], list], primes,
     _check_guard(guard)
     modulus = math.prod(primes)
     field, out = PrimeField(modulus), []
-    for run in _read(lane_factory(modulus), guard, field):
+    for run in _read(lane_factory(modulus), guard, field, reduced=True):
         if isinstance(run, ZeroDivisionError):
             run = PrimeDisagreement(f"detections modulo the primes disagree: {run}")
         out.append(run if isinstance(run, Exception) else _lifted(run, field, primes))

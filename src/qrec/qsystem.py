@@ -386,26 +386,29 @@ def generate(lt: LieType, spec: RawQ | CharacterPoint | DimensionMode, target,
                   values=tuple(tuple(v) for v in vals), spec_kind=type(spec).__name__)
 
 
-def levels(lt: LieType, qs: Sequence[Sequence[Fraction]], node: int, field=RATIONALS):
-    """A function n -> per q of qs, [Q^(node)_0, ..., Q^(node)_{n-1}] from
+def levels(lt: LieType, qs: Sequence[Sequence[Fraction]], node: int, field=RATIONALS) -> list:
+    """Per q of qs, a function n -> [Q^(node)_0, ..., Q^(node)_{n-1}] from
     those level-1 values, or the SingularSpecialization that generate would
-    raise there: one table whose lanes are the qs (see _table).  Each call
-    extends it to generate's at depth n - 1, so each level is made once.
+    raise there: the lanes of one table (see _table).  Each call extends
+    the table to generate's at depth n - 1, so each level is made once.
     Only the levels of the node returned are converted (see _output), each
     once: to a Fraction at non-integral q over Q, to its residue over Z/m."""
     ring = _ring([v for q in qs for v in q], field)
     extend, convert = _table(lt, qs, ring), _output(ring)
-    made = [[] for _ in qs]  # per lane, its levels converted so far
+    depths = {}  # n -> the per-node depths that levels 0..n-1 need
 
-    def read(n):
-        out = []
-        for table, seq in zip(extend(required_depths(lt, node, n - 1)), made):
+    def lane(j):
+        made = []  # its levels converted so far
+
+        def read(n):
+            if n not in depths:
+                depths[n] = required_depths(lt, node, n - 1)
+            table = extend(depths[n])[j]
             if isinstance(table, SingularSpecialization):
-                out.append(table)
-            elif convert is None:
-                out.append(table[node - 1][:n])
-            else:
-                seq.extend(map(convert, table[node - 1][len(seq):n]))
-                out.append(seq[:n])
-        return out
-    return read
+                return table
+            if convert is None:
+                return table[node - 1][:n]
+            made.extend(map(convert, table[node - 1][len(made):n]))
+            return made[:n]
+        return read
+    return [lane(j) for j in range(len(qs))]

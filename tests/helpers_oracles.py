@@ -104,11 +104,10 @@ def lane_levels(lt, q, node, *field):
     SingularSpecialization."""
     from qrec.qsystem import levels
 
-    read = levels(lt, [q], node, *field)
+    [read] = levels(lt, [q], node, *field)
 
     def terms(n):
-        [seq] = read(n)
-        if isinstance(seq, Exception):
+        if isinstance(seq := read(n), Exception):
             raise seq
         return seq
     return terms

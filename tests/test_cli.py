@@ -499,7 +499,7 @@ def test_depth_past_the_doubling_ceiling_is_a_resource_cap(argv, capsys, monkeyp
     def no_table(*args, **kwargs):
         raise AssertionError("a table was generated")
 
-    monkeypatch.setattr(cli_mod, "levels", lambda *args: no_table)
+    monkeypatch.setattr(cli_mod, "levels", lambda lt, qs, *args: [no_table for _ in qs])
     monkeypatch.setattr(cli_mod, "generate", no_table)
     assert main(argv) == 4
     assert "depth ceiling 8192" in capsys.readouterr().err
@@ -514,7 +514,7 @@ def test_deepest_accepted_depth_is_the_doubling_ceiling(capsys, monkeypatch):
         def table(n):
             depths.append(n - 1)
             raise NoStableRecurrence("stop after the depth check")
-        return table
+        return [table for _ in qs]
 
     monkeypatch.setattr(cli_mod, "levels", record)
     assert main(["detect", "--type", "A2", "--q", "1,2", "--depth", "8192"]) == 2
@@ -625,12 +625,12 @@ def test_a_stream_past_the_ceiling_is_a_resource_cap(argv, field, capsys, monkey
     def counted(lt, qs, node, field_used):
         # one ceiling, whichever field the stream is read in
         assert field_used.name.startswith(field)
-        table = cli_mod_levels(lt, qs, node, field_used)
+        [table] = cli_mod_levels(lt, qs, node, field_used)
 
-        def terms(n):
-            [read[:]] = table(n)
-            return [read]
-        return terms
+        def terms(n):  # one list, grown in place
+            read[:] = table(n)
+            return read
+        return [terms]
 
     cli_mod_levels = cli_mod.levels
     monkeypatch.setattr(cli_mod, "predicted_order", lambda lt, a: None)

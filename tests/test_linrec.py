@@ -781,6 +781,36 @@ def test_a_stream_is_read_online_and_fed_to_bm_once(modular, stream_runs):
     assert rec == find_min_recurrence(window, field=field)
 
 
+@pytest.mark.parametrize("modular", [False, True])
+def test_a_stream_that_grows_one_list_in_place_detects_what_its_window_does(modular,
+                                                                            stream_runs):
+    rng = random.Random(5)
+    primes = seeded_primes(3, 9)
+    modulus = math.prod(primes)
+    field = PrimeField(modulus) if modular else RATIONALS
+    taps = [rng.randint(-9, 9) for _ in range(29)] + [1]
+    fill = [rng.randint(-20, 20) for _ in taps]
+    terms = lfsr_stream(taps, fill, [])
+    buffer = []
+
+    def grown(n):  # returns the one list, each call extended to n terms
+        buffer[len(buffer):] = [x % modulus if modular else F(x) for x in terms(n)[len(buffer):]]
+        return buffer
+
+    rec = find_min_recurrence(grown, field=field)
+    # 33 terms, then chunks up to 2L + g for L = 30 and g = 8, each fed once
+    assert rec.order == 30 and len(buffer) == 68
+    if modular:
+        fed = [fed for _, fed, _ in stream_runs]
+        assert fed[0] == 33 and sum(fed) == 68
+    assert rec == find_min_recurrence(list(buffer), field=field)
+    if modular:
+        buffer.clear()
+        assert multi_prime_detect(lambda m: grown, primes) == multi_prime_detect(
+            lambda m: list(buffer), primes)
+        assert len(buffer) == 68
+
+
 def test_a_stream_skips_prime_sets_like_a_window(stream_runs):
     p = seeded_primes(1, PRIME_SEED)[0]
     streamed = []
@@ -963,7 +993,7 @@ def test_a_round_of_windows_inverts_once_per_step_where_a_lane_changes_length(mo
     field = PrimeField(math.prod(primes))
     qs = [[F(rng.randint(-50, 50)) for _ in range(6)] for _ in range(8)]
     alone, changes = [], {}  # step -> the lanes whose L changes there
-    for w in levels(lt, qs, 1, field)(67):
+    for w in [lane(67) for lane in levels(lt, qs, 1, field)]:
         alone.append(multi_prime_detect(lambda m: w, primes))
         state, length = [], 0
         for n, s in enumerate(w):
@@ -974,7 +1004,8 @@ def test_a_round_of_windows_inverts_once_per_step_where_a_lane_changes_length(mo
     monkeypatch.setattr(PrimeField, "divisors",
                         lambda self, values: calls.append(values) or divisors(self, values))
     # the tables stay in their Z phase, which inverts nothing
-    recs = linrec.multi_prime_lanes(lambda m: levels(lt, qs, 1, PrimeField(m))(67), primes)
+    recs = linrec.multi_prime_lanes(
+        lambda m: [lane(67) for lane in levels(lt, qs, 1, PrimeField(m))], primes)
     assert [len(values) for values in calls] == [changes[n] for n in sorted(changes)]
     assert recs == alone
 
@@ -1037,8 +1068,7 @@ def test_a_stream_windows_and_exceptions_read_in_one_round_detect_as_one_lane_ca
     steps, original = [], linrec._berlekamp_massey
 
     def recording(seqs, field, states):
-        if seqs:
-            steps.append([len(seq) for seq in seqs])
+        steps.append([len(seq) for seq in seqs])
         return original(seqs, field, states)
 
     monkeypatch.setattr(linrec, "_berlekamp_massey", recording)

@@ -559,7 +559,7 @@ def test_each_lane_of_a_table_is_its_own_table(name, bits, monkeypatch):
                                for count in (3, 8))):
         for node in range(1, lt.rank + 1):
             lanes = [(lane.node, lane.level) if isinstance(lane, SingularSpecialization)
-                     else lane for lane in levels(lt, qs, node, field)(41)]
+                     else lane for lane in (read(41) for read in levels(lt, qs, node, field))]
             assert lanes == [_one_lane(lt, q, node, 40, field) for q in qs], (field, node)
             assert isinstance(lanes[3], tuple)
     if bits == 64:  # the first level past the switch differs between lanes
