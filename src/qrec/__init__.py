@@ -1,8 +1,7 @@
 """Exact Q-system tables, minimal recurrence detection, and structural checks."""
 
 from .cartan import LieType, cartan_data, growth_degree, predicted_order
-from .linrec import (RecurrencePoly, annihilates, berlekamp_massey, find_min_recurrence,
-                     multi_prime_detect)
+from .linrec import RecurrencePoly, annihilates, berlekamp_massey, find_min_recurrence
 from .qsystem import (CharacterPoint, DimensionMode, QTable, RawQ, generate,
                       required_depths)
 from .weights import dimension, evaluate, weight_system
@@ -10,7 +9,6 @@ from .weights import dimension, evaluate, weight_system
 __all__ = [
     "LieType", "cartan_data", "growth_degree", "predicted_order",
     "RecurrencePoly", "annihilates", "berlekamp_massey", "find_min_recurrence",
-    "multi_prime_detect",
     "RawQ", "CharacterPoint", "DimensionMode", "QTable", "generate",
     "required_depths",
     "dimension", "evaluate", "weight_system",

@@ -57,6 +57,19 @@ class CapExceeded(RuntimeError):
         super().__init__(f"depth {bound}{depth} exceeds the depth ceiling {DEPTH_CEILING}")
 
 
+# main reports an exception by the first group that holds it, with its label
+# and exit code (ValueError last: InsufficientData and InsufficientDepth are too)
+EXIT_GROUPS = (
+    ("resource cap", EXIT_RESOURCE,
+     (DimensionCapExceeded, RootCapExceeded, CapExceeded, conjectures.InsufficientDepth,
+      LiftOverflow)),
+    ("detection failed", EXIT_CHECK_FAILED,
+     (SingularSpecialization, NoStableRecurrence, PrimeDisagreement, InsufficientData,
+      CertificateFailure, conjectures.UnderdeterminedSystem, conjectures.NonIntegerSolution)),
+    ("configuration error", EXIT_CONFIG, (ConfigError, BranchingIncomplete, ValueError)),
+)
+
+
 def _parse_type(args) -> LieType:
     if args.type is None:
         raise ConfigError("--type is required")
@@ -98,11 +111,8 @@ def _random_q(lt: LieType, rng: random.Random) -> tuple[int, ...]:
 
 
 def _random_torus_point(lt: LieType, rng: random.Random) -> tuple[Fraction, ...]:
-    out = []
-    for _ in range(lt.rank):
-        num = rng.choice([n for n in range(-9, 10) if n != 0])
-        out.append(Fraction(num, rng.randint(1, 9)))
-    return tuple(out)
+    return tuple(Fraction(rng.choice([n for n in range(-9, 10) if n != 0]), rng.randint(1, 9))
+                 for _ in range(lt.rank))
 
 
 def _resolve_mode(args) -> str:
@@ -304,12 +314,9 @@ def _config_echo(setup, args):
     }
     if args.guard is not None:
         echo["guard"] = args.guard
-    if getattr(args, "modular", None):
-        echo["modular"] = args.modular
-    if getattr(args, "q", None):
-        echo["q"] = args.q
-    if getattr(args, "y", None):
-        echo["y"] = args.y
+    for option in ("modular", "q", "y"):
+        if getattr(args, option, None):
+            echo[option] = getattr(args, option)
     return echo
 
 
@@ -361,10 +368,7 @@ def _verify_checks(lt, node, rec, seq, qvals, y):
         for ident in idents:
             if ident.k > rec.order:
                 bad.append(f"{ident.label}: k={ident.k} beyond order {rec.order}")
-                continue
-            want = ident.poly.evaluate(qvals)
-            got = rec.coeffs[ident.k]
-            if want != got:
+            elif (got := rec.coeffs[ident.k]) != (want := ident.poly.evaluate(qvals)):
                 bad.append(f"{ident.label}: detected {got} != {want}")
         checks.append(_check("identity_catalogue", not bad, "; ".join(bad)))
     else:
@@ -645,18 +649,12 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.run(args)
-    except (DimensionCapExceeded, RootCapExceeded, CapExceeded,
-            conjectures.InsufficientDepth, LiftOverflow) as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (SingularSpecialization, NoStableRecurrence, PrimeDisagreement,
-            InsufficientData, CertificateFailure, conjectures.UnderdeterminedSystem) as exc:
-        print(f"detection failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (ConfigError, BranchingIncomplete, ValueError) as exc:
-        # last: InsufficientData and InsufficientDepth are ValueErrors too
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception as exc:
+        for label, code, kinds in EXIT_GROUPS:
+            if isinstance(exc, kinds):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -370,7 +370,8 @@ def expected_numerator(lt: LieType, a: int) -> list[QPoly]:
 def check_numerator(lt: LieType, a: int, seq, rec: RecurrencePoly, qvals, y):
     """Compare the computed numerator against the catalogue: polynomials in
     the level-1 values qvals, or on E6 node 1 characters at the torus point
-    y.  Returns (ok, witness); raises NotInCatalogue when nothing is
+    y.  Returns (ok, witness), a numerator that does not terminate failing
+    with NonVanishingTail's message; raises NotInCatalogue when nothing is
     catalogued for this node, or y is None on E6 node 1.
     """
     if (lt.family, lt.rank, a) == ("E", 6, 1):
@@ -381,7 +382,10 @@ def check_numerator(lt: LieType, a: int, seq, rec: RecurrencePoly, qvals, y):
                 for const, terms in e6_numerator_terms()]
     else:
         want = [p.evaluate(qvals) for p in expected_numerator(lt, a)]
-    computed = linrec.numerator(seq, rec)
+    try:
+        computed = linrec.numerator(seq, rec)
+    except linrec.NonVanishingTail as exc:
+        return False, str(exc)
     if computed == want:
         return True, None
     return False, f"numerator {computed} != catalogued {want}"

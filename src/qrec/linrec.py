@@ -70,12 +70,24 @@ class RecurrencePoly(namedtuple("RecurrencePoly", "order coeffs start primes",
         return out
 
 
-def berlekamp_massey(seq: Sequence, field=RATIONALS, state: list | None = None):
+def berlekamp_massey(seq: Sequence, field=RATIONALS):
     """Minimal LFSR of seq over the field (or Z/m): one lane of
-    _berlekamp_massey.
+    _berlekamp_massey, raising its ZeroDivisionError.
 
     Returns (L, conn) with conn[0] = 1 and
     sum_{i=0..L} conn[i] * seq[n-i] = 0 for all L <= n < len(seq).
+    """
+    return _raised(_berlekamp_massey([seq], field, [[]])[0])
+
+
+def _berlekamp_massey(seqs, field, states) -> list:
+    """berlekamp_massey on each seq of seqs with its state, the lanes in
+    lockstep: per lane, its (L, conn) on the terms fed so far, or the
+    ZeroDivisionError of a discrepancy that is not a unit where its L
+    changes, which stops that lane alone and spends its state.  Over Z/m
+    such a discrepancy vanishes modulo some of the primes only, where the
+    per-prime runs part ways.
+
     A state list, empty at first, carries the terms fed, the connection
     polynomials cur and prev, L, the shift m and b_inv = 1/(prev's d) from
     one call to the next, and seq holds only the terms that follow theirs.
@@ -84,18 +96,6 @@ def berlekamp_massey(seq: Sequence, field=RATIONALS, state: list | None = None):
     discrepancy, prev (the stash of cur taken where L changes) and the
     returned conn are reduced.  So prev and each update's multiplier lie in
     [0, m), and after N updates an entry of cur is below N * m^2 in size.
-    Over Z/m, a discrepancy that is not a unit where L changes is one that
-    vanishes modulo some of the primes only, where the per-prime runs part
-    ways; inverting it raises ZeroDivisionError, and the state is spent.
-    """
-    return _raised(_berlekamp_massey([seq], field, [[] if state is None else state])[0])
-
-
-def _berlekamp_massey(seqs, field, states) -> list:
-    """berlekamp_massey on each seq of seqs with its state, the lanes in
-    lockstep: per lane, its (L, conn), or the ZeroDivisionError of a
-    discrepancy that is not a unit where its L changes, which stops that
-    lane alone and spends its state.
 
     Step n feeds each lane its n-th new term.  The lanes whose L changes at
     the step invert their discrepancies in one field.divisors call, as the
@@ -190,10 +190,15 @@ def _certified(conn, modulus, window):
     """The first lift of BM's conn from Z/modulus to Q that annihilates the
     integer window from len(conn) - 1 on, or None: into (-modulus/2,
     modulus/2] first, then by rational reconstruction; either is the unique
-    minimal LFSR, of length L on N >= 2L terms."""
+    minimal LFSR, of length L on N >= 2L terms.  A lift stops at the first
+    coefficient that it leaves None."""
     for lift in (_symmetric, rational_reconstruction):
-        lifted = [lift(c, modulus) for c in conn]
-        if None not in lifted:
+        lifted = []
+        for c in conn:
+            if (value := lift(c, modulus)) is None:
+                break
+            lifted.append(value)
+        else:
             taps = _cleared(lifted)[::-1]
             if all(_holds(window, taps, n, RATIONALS) for n in range(len(conn) - 1, len(window))):
                 return lifted
@@ -392,15 +397,6 @@ def numerator(seq: Sequence, rec: RecurrencePoly) -> list:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def multi_prime_detect(seq_factory: Callable[[int], Sequence[int]], primes,
-                       guard: int | None = None) -> RecurrencePoly:
-    """Detection modulo the product M of the primes, lifted to the symmetric
-    range (-M/2, M/2]: multi_prime_lanes on the one lane seq_factory(M), the
-    integer sequence reduced mod M as a window or a stream, raising what
-    that lane stops with.  The result is flagged "modular" confidence."""
-    return _raised(multi_prime_lanes(lambda m: [seq_factory(m)], primes, guard)[0])
 
 
 def multi_prime_lanes(lane_factory: Callable[[int], list], primes,

@@ -69,8 +69,8 @@ def dense_min_recurrence(seq, max_order):
 
 def eager_berlekamp_massey(seq, field, state=None):
     """Berlekamp-Massey with every entry of every update reduced at once:
-    the same (L, conn) and the same state protocol as
-    linrec.berlekamp_massey, which reduces only discrepancies, stashes and
+    the same (L, conn) and the same state protocol as a lane of
+    linrec._berlekamp_massey, which reduces only discrepancies, stashes and
     the returned conn."""
     reduce = field.reduce
     terms, cur, prev, L, m, b_inv = state or ([], [field.one], [field.one], 0, 1, field.one)
@@ -111,6 +111,15 @@ def lane_levels(lt, q, node, *field):
             raise seq
         return seq
     return terms
+
+
+def multi_prime_lane(seq_factory, primes, guard=None):
+    """linrec.multi_prime_lanes on the one lane seq_factory(M), for M the
+    product of the primes: its lifted recurrence, raising what it stops
+    with."""
+    from qrec.linrec import _raised, multi_prime_lanes
+
+    return _raised(multi_prime_lanes(lambda m: [seq_factory(m)], primes, guard)[0])
 
 
 def brute_elementary_symmetric(values, k):

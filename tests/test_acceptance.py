@@ -16,12 +16,12 @@ from qrec.conjectures import (build_lambda, check_factorization,
                               coefficient_formula, identity_catalogue,
                               level1_weight_values)
 from qrec.fields import PrimeField, seeded_primes
-from qrec.linrec import annihilates, find_min_recurrence, multi_prime_detect, numerator
+from qrec.linrec import annihilates, find_min_recurrence, numerator
 from qrec.qsystem import (CharacterPoint, DimensionMode, RawQ,
                           SingularSpecialization, generate, initial_values)
 from qrec.weights import evaluate
 
-from helpers_oracles import brute_elementary_symmetric, g2_dimension_p2
+from helpers_oracles import brute_elementary_symmetric, g2_dimension_p2, multi_prime_lane
 
 F = Fraction
 
@@ -44,7 +44,7 @@ def detect_node(lt, spec, node, ell, field_primes=None, guard=None):
     if field_primes:
         def factory(p):
             return generate(lt, spec, (node, depth), field=PrimeField(p)).node(node)
-        return multi_prime_detect(factory, field_primes, guard=guard), None
+        return multi_prime_lane(factory, field_primes, guard=guard), None
     table = generate(lt, spec, (node, depth))
     return find_min_recurrence(table.node(node), guard=guard), table
 

@@ -242,6 +242,57 @@ def test_experiments_that_do_not_pin_down_the_candidates_exit_2(capsys, monkeypa
     assert "8 experiments do not pin down 3 candidates" in capsys.readouterr().err
 
 
+def test_a_non_integer_interpolation_exits_2_with_one_line(capsys, monkeypatch):
+    import qrec.conjectures as conjectures
+
+    def non_integer(*args):
+        raise conjectures.NonIntegerSolution(["1/2", "3"])
+
+    monkeypatch.setattr(conjectures, "interpolate_coefficients", non_integer)
+    assert main(["interpolate", "--type", "A2", "--k", "1", "--runs", "8",
+                 "--degree", "1", "--seed", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "detection failed: interpolated coefficients are not integers: ['1/2', '3']\n")
+
+
+def test_a_numerator_that_does_not_terminate_fails_its_check(capsys, monkeypatch):
+    import qrec.linrec as linrec
+
+    def non_vanishing(seq, rec):
+        raise linrec.NonVanishingTail("product coefficient at degree 9 is 1")
+
+    monkeypatch.setattr(linrec, "numerator", non_vanishing)
+    code, payload = run_json(capsys, "verify", "--type", "B4", "--node", "1",
+                             "--mode", "character-point", "--seed", "13")
+    assert code == 2
+    [check] = [c for c in payload["checks"] if c["name"] == "numerator"]
+    assert check == {"name": "numerator", "status": "fail",
+                     "witness": "product coefficient at degree 9 is 1"}
+    assert [c["name"] for c in payload["checks"] if c["status"] == "fail"] == ["numerator"]
+
+
+def test_every_exception_of_qrec_has_an_exit_group_or_is_handled_in_its_subcommand():
+    import importlib
+    import pkgutil
+
+    import qrec
+    from qrec.cli import EXIT_GROUPS
+    from qrec.conjectures import NonIntegerSolution, NotInCatalogue
+    from qrec.linrec import NonVanishingTail
+    # verify reports these as skipped or failed checks
+    handled = {NotInCatalogue, NonVanishingTail}
+    defined = set()
+    for info in pkgutil.iter_modules(qrec.__path__):
+        module = importlib.import_module(f"qrec.{info.name}")
+        defined |= {cls for cls in vars(module).values() if isinstance(cls, type)
+                    and issubclass(cls, BaseException) and cls.__module__ == module.__name__}
+    assert handled | {NonIntegerSolution} <= defined
+    grouped = {cls for cls in defined
+               if any(issubclass(cls, kinds) for _, _, kinds in EXIT_GROUPS)}
+    assert not grouped & handled
+    assert sorted(cls.__name__ for cls in defined - grouped - handled) == []
+
+
 def test_interpolate_skips_a_repeated_q(capsys, monkeypatch):
     import qrec.cli as cli_mod
     draws = iter([(2, 3), (2, 3), (5, 7), (2, 3), (-4, 9), (5, 7), (1, -6), (8, 8), (-3, 2),

@@ -14,7 +14,8 @@ from qrec.linrec import find_min_recurrence
 from qrec.qsystem import CharacterPoint, DimensionMode, RawQ, generate
 from qrec.weights import evaluate, weight_system
 
-from helpers_oracles import E6_NUMERATOR_TERMS, brute_elementary_symmetric, g2_dimension_p2
+from helpers_oracles import (E6_NUMERATOR_TERMS, brute_elementary_symmetric, g2_dimension_p2,
+                             multi_prime_lane)
 
 F = Fraction
 
@@ -351,7 +352,6 @@ def test_e6_interpolation_recovers_table_rows():
     """Repeated random integer runs pin down C_2 = q_2 - q_5 and
     C_25 = q_4 - q_1 (modular detection keeps the runs fast)."""
     from qrec.fields import PrimeField, seeded_primes
-    from qrec.linrec import multi_prime_detect
     e6 = lt("E6")
     primes = seeded_primes(3, 61)
     rng = random.Random("interp-e6")
@@ -363,7 +363,7 @@ def test_e6_interpolation_recovers_table_rows():
             return generate(e6, RawQ(q), (1, 66), field=PrimeField(p)).node(1)
 
         try:
-            rec = multi_prime_detect(factory, primes)
+            rec = multi_prime_lane(factory, primes)
         except Exception:
             continue
         if rec.order != 27:

@@ -11,10 +11,10 @@ from qrec.fields import RATIONALS, PrimeField, prime_stream, seeded_primes
 from qrec.linrec import (PRIME_SEED, CertificateFailure, InsufficientData, LiftOverflow,
                          NonVanishingTail, NoStableRecurrence, PrimeDisagreement,
                          annihilates, berlekamp_massey, expand_linear_product,
-                         find_min_recurrence, multi_prime_detect, numerator,
-                         poly_mul, series_divide)
+                         find_min_recurrence, numerator, poly_mul, series_divide)
 
-from helpers_oracles import dense_min_recurrence, eager_berlekamp_massey, lane_levels
+from helpers_oracles import (dense_min_recurrence, eager_berlekamp_massey, lane_levels,
+                            multi_prime_lane)
 
 F = Fraction
 
@@ -246,7 +246,7 @@ def test_numerator_rejects_wrong_recurrence():
 
 def test_multi_prime_fibonacci():
     primes = seeded_primes(3, 0)
-    rec = multi_prime_detect(lambda p: [x % p for x in FIB], primes)
+    rec = multi_prime_lane(lambda p: [x % p for x in FIB], primes)
     assert rec.order == 2
     assert rec.coeffs == (1, 1, -1)
     assert rec.confidence == "modular"
@@ -255,15 +255,15 @@ def test_multi_prime_fibonacci():
 
 def test_multi_prime_m2m():
     seq = [m * 2**m for m in range(20)]
-    rec = multi_prime_detect(lambda p: [x % p for x in seq], seeded_primes(3, 5))
+    rec = multi_prime_lane(lambda p: [x % p for x in seq], seeded_primes(3, 5))
     assert rec.order == 2 and rec.alternating() == [1, -4, 4]
 
 
 def test_multi_prime_validation():
     with pytest.raises(ValueError):
-        multi_prime_detect(lambda p: FIB, [3, 5])
+        multi_prime_lane(lambda p: FIB, [3, 5])
     with pytest.raises(ValueError):
-        multi_prime_detect(lambda p: FIB, [3, 5, 7])
+        multi_prime_lane(lambda p: FIB, [3, 5, 7])
 
 
 def test_berlekamp_massey_mod_a_product_is_bm_mod_each_prime():
@@ -313,6 +313,12 @@ def _bm_sequences(rng, field):
         yield [draw() for _ in range(n)]
 
 
+def _bm_core(seq, field, state):
+    """The one lane of the BM core linrec._berlekamp_massey fed seq after
+    the terms in state, raising its ZeroDivisionError."""
+    return linrec._raised(linrec._berlekamp_massey([seq], field, [state])[0])
+
+
 @pytest.mark.parametrize("count", [None, 3, 8])
 def test_lazy_berlekamp_massey_equals_the_eager_one(count):
     field = RATIONALS if count is None else PrimeField(math.prod(seeded_primes(count, 5)))
@@ -324,7 +330,7 @@ def test_lazy_berlekamp_massey_equals_the_eager_one(count):
         state, fed = [], 0
         while fed < len(seq):
             cut = min(len(seq), fed + rng.randint(1, 9))
-            assert berlekamp_massey(seq[fed:cut], field, state) == \
+            assert _bm_core(seq[fed:cut], field, state) == \
                 eager_berlekamp_massey(seq[:cut], field), (seq, cut)
             fed = cut
 
@@ -404,7 +410,7 @@ def test_lazy_berlekamp_massey_raises_at_the_eager_ones_non_unit():
     field, rng, raised = PrimeField(math.prod(primes)), random.Random(6), []
     for _ in range(40):
         seq = _parting_sequence(rng, primes)
-        at = _raising_term(berlekamp_massey, seq, field)
+        at = _raising_term(_bm_core, seq, field)
         assert at == _raising_term(eager_berlekamp_massey, seq, field)
         raised.append(at)
     assert None not in raised
@@ -423,7 +429,7 @@ def test_prime_disagreement():
     seq = [crt([FIB[n], FIB[n], 3**n], primes) for n in range(20)]
 
     with pytest.raises(PrimeDisagreement):
-        multi_prime_detect(lambda m: [x % m for x in seq], primes)
+        multi_prime_lane(lambda m: [x % m for x in seq], primes)
 
 
 def test_lift_overflow():
@@ -436,7 +442,7 @@ def test_lift_overflow():
         return [x % p for x in seq]
 
     with pytest.raises(LiftOverflow):
-        multi_prime_detect(factory, primes)
+        multi_prime_lane(factory, primes)
 
 
 def test_e6_sequence_modular_equals_rational():
@@ -450,7 +456,7 @@ def test_e6_sequence_modular_equals_rational():
     def factory(p):
         return generate(lt, spec, (1, 66), field=PrimeField(p)).node(1)
 
-    modular = multi_prime_detect(factory, seeded_primes(3, 7))
+    modular = multi_prime_lane(factory, seeded_primes(3, 7))
     assert modular.order == exact.order == 27
     assert list(modular.coeffs) == [int(c) for c in exact.coeffs]
 
@@ -476,7 +482,7 @@ def test_modular_detection_equals_exact(name):
         def factory(m):
             return generate(lt, q, (1, depth), field=PrimeField(m)).node(1)
 
-        modular = multi_prime_detect(factory, seeded_primes(3, seed))
+        modular = multi_prime_lane(factory, seeded_primes(3, seed))
         assert (modular.order, modular.start) == (exact.order, exact.start), seed
         assert list(modular.coeffs) == [int(c) for c in exact.coeffs], seed
         assert dense_min_recurrence(seq, exact.order + 2) == (
@@ -648,6 +654,24 @@ def test_coefficients_too_large_for_one_batch_join_a_second(bm_runs, certified_m
     assert [batches_joined(m) for m in certified_moduli] == [[1], [1, 2]]
 
 
+def test_a_lift_stops_at_the_first_coefficient_with_no_reconstruction(monkeypatch):
+    from qrec.fields import rational_reconstruction
+    modulus = math.prod(seeded_primes(4, PRIME_SEED))
+    rng = random.Random(5)
+    bad = next(a for a in iter(lambda: rng.randrange(modulus), None)
+               if rational_reconstruction(a, modulus) is None)
+    calls = []
+
+    def counting(a, m):
+        calls.append(a)
+        return rational_reconstruction(a, m)
+
+    monkeypatch.setattr(linrec, "rational_reconstruction", counting)
+    # the symmetric lift of the conn does not annihilate the window either
+    assert linrec._certified([1, bad, 5, 7, 9], modulus, FIB) is None
+    assert calls == [1, bad]
+
+
 def test_substitution_rejects_a_lift_that_fits_the_wrong_modulus(bm_runs):
     # the ratio is 5 modulo the first four primes, so that set lifts it to 5
     ratio = math.prod(seeded_primes(4, PRIME_SEED)) + 5
@@ -806,7 +830,7 @@ def test_a_stream_that_grows_one_list_in_place_detects_what_its_window_does(modu
     assert rec == find_min_recurrence(list(buffer), field=field)
     if modular:
         buffer.clear()
-        assert multi_prime_detect(lambda m: grown, primes) == multi_prime_detect(
+        assert multi_prime_lane(lambda m: grown, primes) == multi_prime_lane(
             lambda m: list(buffer), primes)
         assert len(buffer) == 68
 
@@ -994,10 +1018,10 @@ def test_a_round_of_windows_inverts_once_per_step_where_a_lane_changes_length(mo
     qs = [[F(rng.randint(-50, 50)) for _ in range(6)] for _ in range(8)]
     alone, changes = [], {}  # step -> the lanes whose L changes there
     for w in [lane(67) for lane in levels(lt, qs, 1, field)]:
-        alone.append(multi_prime_detect(lambda m: w, primes))
+        alone.append(multi_prime_lane(lambda m: w, primes))
         state, length = [], 0
         for n, s in enumerate(w):
-            if (L := berlekamp_massey([s], field, state)[0]) != length:
+            if (L := _bm_core([s], field, state)[0]) != length:
                 changes[n] = changes.get(n, 0) + 1
             length = L
     calls, divisors = [], PrimeField.divisors
@@ -1026,7 +1050,7 @@ def test_each_lane_of_a_multi_prime_detection_is_its_own_detection():
 
     def alone(window):
         try:
-            return multi_prime_detect(lambda m: window, primes)
+            return multi_prime_lane(lambda m: window, primes)
         except (PrimeDisagreement, NoStableRecurrence, InsufficientData, LiftOverflow) as exc:
             return type(exc), str(exc)
 
