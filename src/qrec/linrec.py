@@ -19,6 +19,16 @@ from .fields import RATIONALS, PrimeField, prime_stream, rational_reconstruction
 PRIME_SEED = 0  # seed of the primes that exact detection works modulo
 
 
+def exact_batches():
+    """The moduli that exact detection reads a sequence modulo, in turn:
+    the product of the first 2 primes of prime_stream(PRIME_SEED), a
+    102-bit modulus, then of each next 4.  A small answer certifies at the
+    first, and a large one pays for the bits it lacks 4 primes at a time."""
+    primes = prime_stream(PRIME_SEED)
+    yield next(primes) * next(primes)
+    yield from map(math.prod, zip(*[primes] * 4))
+
+
 class NoStableRecurrence(RuntimeError):
     """The minimal LFSR is too long for the window to validate it."""
 
@@ -283,14 +293,17 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
 
     Each reading of seq is one lane of _read.  Over Z/m seq is read once,
     and BM's LFSR is not substituted again: BM ran on these residues, so
-    its invariant already holds.  Over Q one loop reads seq modulo batches
-    of 4 seeded primes.  Garner's CRT step joins each batch's conn to those
-    before it of the same L and window (another restarts the join), and
-    exact substitution certifies a lift of the join (see _certified).  A
-    prime that divides no denominator of the window or of the LFSR over Q
-    cannot lengthen the LFSR (Fatou's lemma over Z_(p)); one that lengthens
-    it unlike the rest of its batch hits a non-unit, which skips the batch,
-    and the first batch too long for the window is dropped.  The
+    its invariant already holds.  Over Q one loop reads seq modulo the
+    batches of seeded primes of exact_batches: 2 primes first, so that
+    integer coefficients of up to about 100 bits certify at half the
+    modulus of 4, then 4 at a time.  Garner's CRT step joins each batch's
+    conn to those before it of the same L and window (another restarts
+    the join), and exact substitution certifies a lift of the join (see
+    _certified).  A prime that divides no denominator of the window or of
+    the LFSR over Q cannot lengthen the LFSR (Fatou's lemma over Z_(p));
+    one that lengthens it unlike the rest of its batch hits a non-unit,
+    which skips the batch, and the first batch too long for the window is
+    dropped.  The
     coefficients are ratios of L x L minors of the integer window, at most
     (sqrt(L) * max|window|)^L by Hadamard; a lift needs a modulus above
     twice their square, and the loop stops two batches after the bits
@@ -301,7 +314,7 @@ def find_min_recurrence(seq: Sequence | Callable[[int], Sequence],
         _, L, conn = _raised(_read([seq], guard, field)[0])
         return _recurrence(conn, L, field)
     need, bits, past, dropped, join = math.inf, 0, 0, False, None
-    for p in map(math.prod, zip(*[prime_stream(PRIME_SEED)] * 4)):
+    for p in exact_batches():
         if past == 2:
             raise CertificateFailure(
                 f"no candidate LFSR of {len(window)} terms passed substitution")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -578,11 +579,11 @@ def test_exact_detection_equals_rational_bm(name, mode):
         assert got == (dense_order, tuple(dense_coeffs)), seed
 
 
-BATCHES = [math.prod(seeded_primes(60, PRIME_SEED)[i:i + 4]) for i in range(0, 60, 4)]
+BATCHES = list(itertools.islice(linrec.exact_batches(), 15))
 
 
 def batch(modulus):
-    """k when the modulus is the product of the kth batch of 4 primes that
+    """k when the modulus is the product of the kth batch of primes that
     exact detection draws, else 0."""
     return BATCHES.index(modulus) + 1 if modulus in BATCHES else 0
 
@@ -646,7 +647,7 @@ def certified_moduli(monkeypatch):
 
 
 def test_coefficients_too_large_for_one_batch_join_a_second(bm_runs, certified_moduli):
-    ratio = F(3**80, 7)  # 127 bits over 3: past sqrt(M/2) for 4 primes
+    ratio = F(3**80, 7)  # 127 bits over 3: past sqrt(M/2) for 2 primes, and for 4
     seq = [ratio**n for n in range(12)]
     assert detection(seq) == rational_bm_detection(seq) == (1, (1, ratio))
     assert bm_runs == [(1, "ran"), (2, "ran")]
@@ -673,8 +674,8 @@ def test_a_lift_stops_at_the_first_coefficient_with_no_reconstruction(monkeypatc
 
 
 def test_substitution_rejects_a_lift_that_fits_the_wrong_modulus(bm_runs):
-    # the ratio is 5 modulo the first four primes, so that set lifts it to 5
-    ratio = math.prod(seeded_primes(4, PRIME_SEED)) + 5
+    # the ratio is 5 modulo the first batch's two primes, so it lifts to 5
+    ratio = math.prod(seeded_primes(2, PRIME_SEED)) + 5
     seq = [F(ratio) ** n for n in range(12)]
     assert detection(seq) == rational_bm_detection(seq) == (1, (1, ratio))
     assert bm_runs == [(1, "ran"), (2, "ran")]
@@ -684,15 +685,15 @@ def test_prime_sets_are_consecutive_slices_of_one_stream(monkeypatch, certified_
     moduli = []
     record_lanes(monkeypatch, lambda modulus, fed, ran: moduli.append(modulus))
     # a rational ratio of 203 bits over 3 lifts by rational reconstruction
-    # only, past 406 bits: it needs 3 batches
+    # only, past 406 bits: it needs 3 batches, of 2, 4 and 4 primes
     ratio = F(math.prod(seeded_primes(4, PRIME_SEED)) + 5, 7)
     find_min_recurrence([F(ratio) ** n for n in range(12)])
-    primes = seeded_primes(12, PRIME_SEED)
-    assert moduli == [math.prod(primes[:4]), math.prod(primes[4:8]),
-                      math.prod(primes[8:12])]
+    primes = seeded_primes(10, PRIME_SEED)
+    assert moduli == [math.prod(primes[:2]), math.prod(primes[2:6]),
+                      math.prod(primes[6:10])]
     # each lift is modulo the product of every batch so far
-    assert certified_moduli == [math.prod(primes[:4]), math.prod(primes[:8]),
-                                math.prod(primes[:12])]
+    assert certified_moduli == [math.prod(primes[:2]), math.prod(primes[:6]),
+                                math.prod(primes[:10])]
 
 
 def test_failures_are_raised_at_the_same_inputs_as_rational_bm():
@@ -722,14 +723,15 @@ def test_one_prime_in_a_coefficient_denominator_is_a_non_unit(bm_runs):
 
 def test_every_prime_in_a_coefficient_denominator_is_not_detected(bm_runs, certified_moduli):
     # modulo each prime of the first batch the LFSR has length 12, too long
-    # for the window: that batch is dropped, and the next three, joined,
-    # lift 2/m by rational reconstruction
-    m = math.prod(seeded_primes(4, PRIME_SEED))
+    # for the window: that batch is dropped, and the next two, joined,
+    # lift 2/m by rational reconstruction, which for m of 102 bits needs a
+    # modulus above 2m^2, past one batch of 4 primes
+    m = math.prod(seeded_primes(2, PRIME_SEED))
     seq = [F(m ** (11 - n) * 2**n) for n in range(12)]
     assert rational_bm_detection(seq) == (1, (1, F(2, m)))
     assert detection(seq) == rational_bm_detection(seq)
-    assert bm_runs == [(1, "ran"), (2, "ran"), (3, "ran"), (4, "ran")]
-    assert [batches_joined(m) for m in certified_moduli] == [[2], [2, 3], [2, 3, 4]]
+    assert bm_runs == [(1, "ran"), (2, "ran"), (3, "ran")]
+    assert [batches_joined(m) for m in certified_moduli] == [[2], [2, 3]]
 
 
 def test_a_second_batch_too_long_for_the_window_raises(bm_runs):
@@ -929,8 +931,9 @@ def test_an_integral_window_lifts_symmetrically_first(bm_runs):
     import contextlib
     import io
     import qrec.cli as cli
-    # B5/4 at seed 1 has 227-bit coefficients: two batches joined lift
-    # them into (-M/2, M/2], where Wang's bound would need a third
+    # B5/4 at seed 1 has 231-bit coefficients: two batches joined, of 2
+    # and 4 primes, lift them into (-M/2, M/2], where Wang's bound would
+    # need a third
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main("detect --type B5 --node 4 --seed 1".split()) == 0
     assert bm_runs == [(1, "ran"), (2, "ran")]
@@ -983,11 +986,12 @@ def test_no_certified_lift_fails_two_moduli_past_the_hadamard_bound(monkeypatch,
 
     monkeypatch.setattr(linrec, "_certified", uncertified)
     # 20 Fibonacci terms need 20 * (13 + 5) + 1 = 361 bits: the batches
-    # drawn pass them at the second, 203 + 202 bits, and the third is the last
+    # drawn pass them at the third, 102 + 203 + 202 bits, and the fourth is
+    # the last
     with pytest.raises(CertificateFailure, match="no candidate LFSR of 20 terms"):
         find_min_recurrence(frac(FIB[:20]))
-    assert [batches_joined(m) for m in moduli] == [[1], [1, 2], [1, 2, 3]]
-    assert [m.bit_length() for m in moduli] == [203, 405, 606]
+    assert [batches_joined(m) for m in moduli] == [[1], [1, 2], [1, 2, 3], [1, 2, 3, 4]]
+    assert [m.bit_length() for m in moduli] == [102, 304, 506, 707]
     assert cli.main(["detect", "--type", "A2", "--q", "3,5"]) == 2
     assert "detection failed: no candidate LFSR" in capsys.readouterr().err
 
@@ -1000,13 +1004,66 @@ def test_no_certified_lift_fails_two_moduli_past_the_hadamard_bound(monkeypatch,
 def test_exact_detection_runs_bm_modulo_each_batch_once(argv, batches, bm_runs):
     import contextlib
     import io
-    import itertools
     import qrec.cli as cli
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv.split()) == 0
     # a stream feeds BM its terms in chunks, modulo one batch at a time
     assert [k for k, _ in itertools.groupby(k for k, _ in bm_runs)] == batches
     assert {ran for _, ran in bm_runs} == {"ran"}
+
+
+# argv, the number of primes in each batch that BM runs modulo, and the
+# report's digest, recorded with batches of 4 primes only: a schedule of
+# batches changes the work, not the result
+BATCH_SCHEDULES = [
+    # the first pinned seed of each job of the benchmark's exact-detect
+    # workload, whose coefficients have 21 to 78 bits at every pinned seed
+    ("detect --type E6 --node 1 --seed 3", [2],
+     "50ab4580638747052be42688bf4725c1ddfbb65dd145fea7b3f8a57ae7d3abd0"),
+    ("detect --type F4 --node 1 --seed 3", [2],
+     "15b65a99135716da77ff9b257c81ce3eaac0c4dff1f123a96d4fab8a4698f8de"),
+    ("detect --type G2 --node 2 --seed 4", [2],
+     "caf02dcd34b65836246210d667fcf424743915b3610250d9f9fa80247a486554"),
+    ("detect --type A6 --node 3 --seed 1", [2],
+     "7f74e2d4dca3831a109a9123e908ede145dcc9b180db444c42d0751f8925f66c"),
+    ("detect --type B4 --node 3 --seed 1", [2],
+     "258f44371d43519c48549ddd46390e6eb787fd283b1d2b60762173bfe92572cb"),
+    ("detect --type C4 --node 2 --seed 1", [2],
+     "8f97b7542263f87546ceb0c0280cff52225da248a3b23db05cab626571b49564"),
+    ("detect --type D5 --node 2 --seed 1", [2],
+     "24f8408b51e2052db663d60d71c076c991c329f4b81f8ee11433e33e953bbe45"),
+    ("detect --type B4 --node 4 --seed 1", [2],
+     "3cc5ad26435d28cb7d35a96feb75e972dfb32ab2fe31725850aa77d629a4b820"),
+    # 277-bit coefficients: 2 + 4 primes, 304 bits, lift them
+    ("detect --type F4 --node 2 --seed 1", [2, 4],
+     "abca062de50005b0b11217d2e3c9a9f58cc84e259cb817915b0ee48bc0380475"),
+    # 369-bit coefficients: 2 + 4 primes fall short, and 2 + 4 + 4 do not
+    ("detect --type E6 --node 2 --seed 1", [2, 4, 4],
+     "afbbc49196b4ccc5107bf5c33b1844d4b146cb7bc3e0cd22caa74b1a2ed0bdfe"),
+]
+
+
+@pytest.mark.parametrize("argv, sizes, digest", BATCH_SCHEDULES,
+                         ids=[argv for argv, _, _ in BATCH_SCHEDULES])
+def test_exact_detection_draws_2_primes_then_batches_of_4(argv, sizes, digest, monkeypatch,
+                                                         certified_moduli):
+    import contextlib
+    import io
+    import json
+    import qrec.cli as cli
+    moduli, how = [], set()
+    record_lanes(monkeypatch, lambda modulus, fed, ran: (moduli.append(modulus), how.add(ran)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv.split()) == 0
+    assert json.loads(out.getvalue())["digest"] == digest
+    ends = list(itertools.accumulate(sizes))
+    primes = seeded_primes(ends[-1], PRIME_SEED)
+    # a stream feeds BM its terms in chunks, modulo one batch at a time
+    assert [m for m, _ in itertools.groupby(moduli)] == [
+        math.prod(primes[a:b]) for a, b in zip([0] + ends, ends)]
+    assert how == {"ran"}
+    assert certified_moduli == [math.prod(primes[:b]) for b in ends]
 
 
 def test_a_round_of_windows_inverts_once_per_step_where_a_lane_changes_length(monkeypatch):
